@@ -45,7 +45,6 @@ _GRID_SCHEMA = {
         "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "betas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "sigma_sqs": {"type": "array", "items": {"type": "number"}},
-        "nus": {"type": "array", "items": {"type": "number"}},
         "folds": {"type": "integer", "minimum": 2},
     },
     "required": ["alphas", "betas"],
@@ -136,7 +135,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "methods": {"type": "array",
-                        "items": {"enum": ["LR", "LRG", "KR", "KRG"]},
+                        "items": {"enum": ["KR", "KRG"]},
                         "minItems": 1},
             "n_train": {"type": "array", "items": {"type": "integer"},
                         "minItems": 1},
@@ -240,6 +239,8 @@ def _read_table_csv(path, expect_header):
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise DataFormatError(f"{path}: non-numeric value on line {lineno}")
+            if not np.isfinite(rows[-1]).all():
+                raise DataFormatError(f"{path}: non-finite value on line {lineno}")
             if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
                 raise DataFormatError(f"{path}: ragged row on line {lineno}")
     if not rows:
@@ -345,7 +346,6 @@ def cmd_cv(cfg, out_dir):
     grid = evaluation.CvGrid(
         alphas=tuple(grid_cfg["alphas"]), betas=tuple(grid_cfg["betas"]),
         sigma_sqs=tuple(grid_cfg.get("sigma_sqs", ())),
-        nus=tuple(grid_cfg.get("nus", ())),
         folds=grid_cfg.get("folds", 5),
     )
     spec = _kernel_spec(cfg["kernel"]) if "kernel" in cfg else None
@@ -404,10 +404,8 @@ def _write_plot_data(out, results, scenario):
 
     if len(scenario.snr_db) > 1:
         for n in scenario.n_train:
-            sub = [r for r in test if r.n_train == n]
             table(out / f"plot_nmse_vs_snr_n{n}.csv", scenario.snr_db,
                   "snr_db", lambda r: r.snr_db)
-            del sub
     if len(scenario.n_train) > 1:
         for snr in scenario.snr_db:
             table(out / f"plot_nmse_vs_n_snr{snr:g}.csv", scenario.n_train,

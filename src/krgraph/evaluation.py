@@ -54,7 +54,6 @@ class CvGrid:
     alphas: Sequence[float]
     betas: Sequence[float]
     sigma_sqs: Sequence[float] = ()
-    nus: Sequence[float] = ()
     folds: int = 5
 
     def __post_init__(self):
@@ -199,10 +198,10 @@ class BenchScenario:
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in ("LR", "LRG", "KR", "KRG"):
+            if m not in ("KR", "KRG"):
                 raise KrgraphError(
-                    f"benchmark supports LR/LRG/KR/KRG cells, got {m!r}; "
-                    "run the KRR baseline through its own command"
+                    f"benchmark supports KR/KRG cells, got {m!r}; synthetic "
+                    "data has no features, and KRR has its own command"
                 )
         if self.realizations < 1:
             raise KrgraphError("need at least one realization")

@@ -11,6 +11,10 @@ is minimized subject to w >= 0 and tr(L) = 2 * sum(w) = trace_budget.
 Without the trace constraint the objective is minimized by L = 0 (both
 terms are nonnegative), a collapse that per-iteration spectral rescaling
 cannot repair, so the budget keeps the subproblem well-posed.
+
+Edges are ordered as np.triu_indices(M, 1). Q = S S^T + 2I, with S the
+unsigned edge-node incidence, is never formed: (Q w)_e = d_i + d_j + 2 w_e
+for e = (i, j) and degrees d = S^T w, and lambda_max(Q) = 2M exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DimensionError
 from .graphs import Laplacian, spectral_rescale
@@ -43,33 +48,19 @@ class GraphLearnConfig:
             raise ValueError("tol must be > 0")
 
 
-def edge_pairs(M):
-    """Unordered node pairs (i < j) in lexicographic order."""
-    return [(i, j) for i in range(M) for j in range(i + 1, M)]
+def _overlap_product(w, i, j, M):
+    """Q w = S S^T w + 2 w in O(E), through the degree vector d = S^T w."""
+    d = np.bincount(i, w, M) + np.bincount(j, w, M)
+    return d[i] + d[j] + 2.0 * w
 
 
 def weights_to_laplacian(w, M) -> Laplacian:
     """L = sum_e w_e (e_i - e_j)(e_i - e_j)^T."""
     w = np.asarray(w, dtype=float)
-    L = np.zeros((M, M))
-    for e, (i, j) in enumerate(edge_pairs(M)):
-        L[i, j] -= w[e]
-        L[j, i] -= w[e]
-        L[i, i] += w[e]
-        L[j, j] += w[e]
-    return Laplacian(L)
-
-
-def _edge_overlap_matrix(M):
-    """Q with Q[e,e]=4, Q[e,f]=1 when edges share one node, else 0.
-
-    Equals S S^T + 2I for the unsigned edge-node incidence S.
-    """
-    pairs = edge_pairs(M)
-    S = np.zeros((len(pairs), M))
-    for e, (i, j) in enumerate(pairs):
-        S[e, i] = S[e, j] = 1.0
-    return S @ S.T + 2.0 * np.eye(len(pairs))
+    i, j = np.triu_indices(M, 1)
+    A = np.zeros((M, M))
+    A[i, j] = A[j, i] = w
+    return Laplacian(np.diag(A.sum(axis=1)) - A)
 
 
 def project_simplex(v, radius):
@@ -86,25 +77,24 @@ def project_simplex(v, radius):
 
 def _smoothness_costs(Y, beta):
     """c_e = beta * sum_n (Y[n,i] - Y[n,j])^2 per edge e=(i,j)."""
+    Y = np.asarray(Y, dtype=float)
     M = Y.shape[1]
-    pairs = edge_pairs(M)
-    c = np.empty(len(pairs))
-    for e, (i, j) in enumerate(pairs):
-        c[e] = beta * np.sum((Y[:, i] - Y[:, j]) ** 2)
-    return c
+    return beta * cdist(Y.T, Y.T, "sqeuclidean")[np.triu_indices(M, 1)]
 
 
-def minimize_edge_weights(c, Q, radius, nu, kkt_tol=1e-6, max_iters=20000):
-    """Projected gradient descent for min c.w + nu w^T Q w over the scaled simplex."""
+def minimize_edge_weights(c, M, radius, nu, kkt_tol=1e-6, max_iters=20000):
+    """Projected gradient descent for min c.w + nu w^T Q w over the scaled
+    simplex, with Q applied through the degree vector (module docstring)."""
+    i, j = np.triu_indices(M, 1)
     n = len(c)
     w = np.full(n, radius / n)
     if nu > 0:
-        step = 1.0 / (2.0 * nu * np.linalg.eigvalsh(Q).max())
+        step = 1.0 / (2.0 * nu * 2.0 * M)  # 1 / (2 nu lambda_max(Q))
     else:
         # linear objective; step scale only affects the convergence rate
         step = radius / (np.abs(c).max() + 1.0)
     for _ in range(max_iters):
-        grad = c + 2.0 * nu * (Q @ w)
+        grad = c + 2.0 * nu * _overlap_product(w, i, j, M)
         w_next = project_simplex(w - step * grad, radius)
         residual = np.abs(w_next - w).max() / step
         w = w_next
@@ -127,8 +117,7 @@ def _laplacian_step_constrained(Y, cfg: GraphLearnConfig):
     if budget <= 0:
         raise ValueError("trace_budget must be > 0")
     c = _smoothness_costs(Y, cfg.beta)
-    Q = _edge_overlap_matrix(M)
-    w = minimize_edge_weights(c, Q, budget / 2.0, cfg.nu)
+    w = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
     return w, weights_to_laplacian(w, M)
 
 
@@ -159,9 +148,9 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
 
     Both sub-steps minimize the same joint cost with the trace-constrained
     L, so the cost is nonincreasing across each sub-step; spectral
-    rescaling is applied only to the returned Laplacian. Returns
-    (model, rescaled Laplacian, cost trace). The model's hyper.beta is
-    cfg.beta.
+    rescaling is applied only to the returned Laplacian. Returns (model,
+    rescaled Laplacian, cost trace, per-iteration (after-W, after-L) cost
+    pairs). The model's hyper.beta is cfg.beta.
     """
     T = np.asarray(T, dtype=float)
     M = T.shape[1]
@@ -176,18 +165,17 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
             model = fit_krg(gram, T, L, fit_hyper)
             cost_w = joint_cost(gram, model.psi, L, T, fit_hyper, cfg)
             Y = gram.matrix @ model.psi
-            _, L_new = _laplacian_step_constrained(Y, cfg)
+            w, L_new = _laplacian_step_constrained(Y, cfg)
             cost_l = joint_cost(gram, model.psi, L_new, T, fit_hyper, cfg)
             substep_costs.append((cost_w, cost_l))
             cost_trace.append(cost_l)
             if log_fh:
-                w_off = -L_new.matrix[np.triu_indices(M, 1)]
                 log_fh.write(json.dumps({
                     "iter": it,
                     "cost_after_w_step": cost_w,
                     "cost_after_l_step": cost_l,
                     "spectral_radius": float(np.linalg.norm(L_new.matrix, 2)),
-                    "edge_sparsity": float(np.mean(w_off > 1e-10)),
+                    "edge_sparsity": float(np.mean(w > 1e-10)),
                 }) + "\n")
             converged = (
                 len(cost_trace) > 1

@@ -203,6 +203,8 @@ def load_matrix_csv(path):
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: bad number on line {lineno}: {exc}")
+            if not np.isfinite(rows[-1]).all():
+                raise DataFormatError(f"{path}: non-finite number on line {lineno}")
             if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
                 raise DataFormatError(f"{path}: ragged row on line {lineno}")
     if not rows:

@@ -79,12 +79,14 @@ class GramMatrix:
         return self.matrix.shape[0]
 
 
-def _indices(X):
-    """Interpret X as a column of sample indices for precomputed kernels."""
+def _indices(X, spec: KernelSpec):
+    """Interpret X as sample indices into the precomputed kernel matrix."""
     idx = np.asarray(X).reshape(-1)
     out = idx.astype(int)
     if np.any(out != idx):
         raise DimensionError("precomputed kernel expects integer sample indices")
+    if out.min(initial=0) < 0 or out.max(initial=-1) >= spec.precomputed.shape[0]:
+        raise DimensionError("sample index out of range of precomputed kernel")
     return out
 
 
@@ -94,9 +96,7 @@ def gram_matrix(X, spec: KernelSpec) -> GramMatrix:
     if spec.kind == "linear":
         return GramMatrix(X @ X.T)
     if spec.kind == "precomputed":
-        idx = _indices(X)
-        if idx.min(initial=0) < 0 or idx.max(initial=-1) >= spec.precomputed.shape[0]:
-            raise DimensionError("sample index out of range of precomputed kernel")
+        idx = _indices(X, spec)
         return GramMatrix(spec.precomputed[np.ix_(idx, idx)])
     # rbf
     sq = cdist(X, X, "sqeuclidean")
@@ -108,27 +108,28 @@ def gram_matrix(X, spec: KernelSpec) -> GramMatrix:
 
 def kernel_vector(X_train, x, spec: KernelSpec, gram: GramMatrix):
     """k(x) = [k(x_1, x), ..., k(x_N, x)] against the training set."""
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if spec.kind == "precomputed":
-        tr = _indices(X_train)
-        j = int(x[0])
-        return spec.precomputed[tr, j]
-    if x.shape[0] != X_train.shape[1]:
-        raise DimensionError(
-            f"test point has dim {x.shape[0]}, training data dim {X_train.shape[1]}"
-        )
-    if spec.kind == "linear":
-        return X_train @ x
-    if gram.rbf_normalizer is None:
-        raise DegenerateKernelError("rbf kernel vector needs the training normalizer")
-    sq = np.sum((X_train - x) ** 2, axis=1)
-    return np.exp(-sq / (spec.sigma_sq * gram.rbf_normalizer))
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return kernel_cross_matrix(X_train, x, spec, gram)[0]
 
 
 def kernel_cross_matrix(X_train, X_test, spec: KernelSpec, gram: GramMatrix):
-    """Stack kernel_vector over the rows of X_test into an N_test x N matrix."""
+    """N_test x N matrix of k(x_test, x_train) over the rows of X_test."""
+    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
-    return np.stack(
-        [kernel_vector(X_train, x, spec, gram) for x in X_test], axis=0
-    )
+    if spec.kind == "precomputed":
+        if X_test.shape[1] != 1:
+            raise DimensionError("precomputed kernel expects one index column")
+        return spec.precomputed[np.ix_(_indices(X_test, spec),
+                                       _indices(X_train, spec))]
+    if X_test.shape[1] != X_train.shape[1]:
+        raise DimensionError(
+            f"test points have dim {X_test.shape[1]}, "
+            f"training data dim {X_train.shape[1]}"
+        )
+    if spec.kind == "linear":
+        return X_test @ X_train.T
+    if gram.rbf_normalizer is None:
+        raise DegenerateKernelError("rbf cross-kernel needs the training normalizer")
+    K = cdist(X_test, X_train, "sqeuclidean")
+    K /= -(spec.sigma_sq * gram.rbf_normalizer)
+    return np.exp(K, out=K)

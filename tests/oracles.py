@@ -38,6 +38,19 @@ def edge_sum_quadratic_form(A, x):
     return 0.5 * total
 
 
+def edge_overlap_matrix(M):
+    """Dense E x E graph-learning QP matrix Q[e, f] = tr(E_e E_f).
+
+    E_e = (e_i - e_j)(e_i - e_j)^T for edge e = (i, j), edges in
+    np.triu_indices(M, 1) order. Each E_e is symmetric, so tr(E_e E_f) is
+    the sum of the entrywise product of E_e and E_f.
+    """
+    eye = np.eye(M)
+    flat = np.array([np.outer(eye[i] - eye[j], eye[i] - eye[j]).ravel()
+                     for i, j in zip(*np.triu_indices(M, 1))])
+    return flat @ flat.T
+
+
 def random_graph_adjacency(rng, M, density=0.5):
     A = np.zeros((M, M))
     for i in range(M):

@@ -24,7 +24,6 @@ from krgraph.evaluation import (
 from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.graphlearn import (
     GraphLearnConfig,
-    _edge_overlap_matrix,
     _laplacian_step_constrained,
     _smoothness_costs,
     alternating_fit,
@@ -41,7 +40,12 @@ from krgraph.solver import (
     predict_lrg,
     shrinkage_factors,
 )
-from oracles import dense_kron_dual_solve, random_laplacian_matrix, random_psd
+from oracles import (
+    dense_kron_dual_solve,
+    edge_overlap_matrix,
+    random_laplacian_matrix,
+    random_psd,
+)
 from test_graphlearn import simplex_grid_oracle
 
 
@@ -200,7 +204,7 @@ def test_criterion_6_graph_learning():
     cfg = GraphLearnConfig(nu=0.7, beta=2.0, trace_budget=3.0)
     w, _ = _laplacian_step_constrained(Y, cfg)
     c = _smoothness_costs(Y, cfg.beta)
-    Q = _edge_overlap_matrix(3)
+    Q = edge_overlap_matrix(3)
     w_star, _ = simplex_grid_oracle(c, Q, cfg.nu, 1.5, steps=1000)
     np.testing.assert_allclose(w, w_star, atol=1.5e-3)
 

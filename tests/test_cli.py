@@ -356,3 +356,82 @@ class TestErrorHandling:
         assert run(["synth", "--config", path,
                     "--out-dir", tmp_path / "o"]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+
+class TestInputValidation:
+    def _precomputed_model(self, tmp_path):
+        out_data = make_dataset_dir(tmp_path)
+        cfg = write_config(tmp_path, "fit.json", {
+            "x_csv": str(out_data / "X_train.csv"),
+            "t_csv": str(out_data / "T_train.csv"),
+            "graph_json": str(out_data / "graph.json"),
+            "kernel": {"kind": "precomputed",
+                       "matrix_csv": str(out_data / "kernel_full.csv")},
+            "alpha": 0.1, "beta": 0.5,
+        })
+        assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "fit"]) == 0
+        return tmp_path / "fit" / "model.json"
+
+    def test_precomputed_predict_rejects_bad_indices(self, tmp_path, capsys):
+        model_json = self._precomputed_model(tmp_path)
+        capsys.readouterr()
+        # the synthetic kernel covers samples 0..11
+        for k, bad in enumerate(["-1", "1.5", "12"]):
+            x_csv = tmp_path / f"x_bad{k}.csv"
+            x_csv.write_text(f"0.0\n{bad}\n", encoding="utf-8")
+            cfg = write_config(tmp_path, f"predict{k}.json", {
+                "model_json": str(model_json), "x_csv": str(x_csv)})
+            out = tmp_path / f"pred{k}"
+            assert run(["predict", "--config", cfg, "--out-dir", out]) == 1
+            err_lines = capsys.readouterr().err.splitlines()
+            assert len(err_lines) == 1
+            assert json.loads(err_lines[0])["error"] == "DimensionError"
+            assert not (out / "predictions.csv").exists()
+
+    def test_nonfinite_targets_rejected(self, tmp_path, capsys):
+        cfg, X, T, L = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        rows = [",".join(repr(float(v)) for v in row) for row in T]
+        rows[2] = rows[2].replace(rows[2].split(",")[1], "nan", 1)
+        (tmp_path / "T.csv").write_text("\n".join(rows) + "\n",
+                                        encoding="utf-8")
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataFormatError"
+        assert "T.csv" in err["message"] and "line 3" in err["message"]
+        assert not (out / "model.json").exists()
+
+    def test_ingest_nonfinite_names_line(self, tmp_path, capsys):
+        path = tmp_path / "inputs.csv"
+        path.write_text("a,b\n1.0,2.0\ninf,3.0\n", encoding="utf-8")
+        tpath = tmp_path / "targets.csv"
+        save_matrix_csv(tpath, np.ones((2, 2)))
+        cfg = write_config(tmp_path, "ingest.json", {
+            "inputs_csv": str(path), "targets_csv": str(tpath)})
+        assert run(["ingest", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataFormatError"
+        assert "inputs.csv" in err["message"] and "line 3" in err["message"]
+
+    def test_bench_rejects_feature_methods(self, tmp_path, capsys):
+        for method in ("LR", "LRG"):
+            cfg = write_config(tmp_path, "bench.json",
+                               dict(BENCH_CFG, methods=["KR", method]))
+            assert run(["bench", "--config", cfg,
+                        "--out-dir", tmp_path / "o"]) == 1
+            assert "ConfigError" in capsys.readouterr().err
+
+    def test_cv_grid_rejects_nus(self, tmp_path, capsys):
+        out_data = make_dataset_dir(tmp_path)
+        cfg = write_config(tmp_path, "cv.json", {
+            "x_csv": str(out_data / "X_train.csv"),
+            "t_csv": str(out_data / "T_train.csv"),
+            "method": "KR",
+            "kernel": {"kind": "precomputed",
+                       "matrix_csv": str(out_data / "kernel_full.csv")},
+            "grid": {"alphas": [0.1], "betas": [0.0], "nus": [1.0]},
+            "seed": 0,
+        })
+        capsys.readouterr()
+        assert run(["cv", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
+        assert "ConfigError" in capsys.readouterr().err

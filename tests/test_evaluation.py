@@ -225,8 +225,10 @@ class TestRunBenchmark:
         assert len(results) == 2  # the valid cell still completed
 
     def test_krr_rejected_in_scenario(self):
-        with pytest.raises(KrgraphError):
-            small_scenario(methods=("KRR",))
+        # synthetic data has no features, so LR/LRG cells are rejected too
+        for method in ("KRR", "LR", "LRG"):
+            with pytest.raises(KrgraphError):
+                small_scenario(methods=(method,))
 
     def test_results_csv_schema(self, tmp_path):
         results, _ = run_benchmark(small_scenario(realizations=1))

@@ -8,16 +8,18 @@ from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.graphlearn import (
     GraphLearnConfig,
     _laplacian_step_constrained,
+    _overlap_product,
+    _smoothness_costs,
     alternating_fit,
-    edge_pairs,
     joint_cost,
     laplacian_step,
+    minimize_edge_weights,
     project_simplex,
     weights_to_laplacian,
 )
 from krgraph.kernels import GramMatrix
 from krgraph.solver import Hyperparams, fit_krg
-from oracles import random_psd
+from oracles import edge_overlap_matrix, random_psd
 
 
 def simplex_grid_oracle(c, Q, nu, radius, steps=1000):
@@ -64,6 +66,16 @@ class TestWeightsToLaplacian:
             L = weights_to_laplacian(w, M)  # constructor validates
             assert np.trace(L.matrix) == pytest.approx(2 * w.sum())
 
+    def test_matches_edge_sum(self):
+        rng = np.random.default_rng(17)
+        M = 7
+        w = rng.uniform(0, 2, M * (M - 1) // 2)
+        eye = np.eye(M)
+        expected = sum(w_e * np.outer(eye[i] - eye[j], eye[i] - eye[j])
+                       for w_e, i, j in zip(w, *np.triu_indices(M, 1)))
+        np.testing.assert_allclose(weights_to_laplacian(w, M).matrix,
+                                   expected, rtol=0, atol=1e-14)
+
     def test_edge_order(self):
         w = np.array([1.0, 0.0, 0.0])  # edge (0, 1) only
         L = weights_to_laplacian(w, 3)
@@ -72,6 +84,13 @@ class TestWeightsToLaplacian:
 
 
 class TestLaplacianStep:
+    def test_smoothness_costs_match_edge_loop(self):
+        Y = np.random.default_rng(18).standard_normal((9, 6))
+        expected = [1.5 * np.sum((Y[:, i] - Y[:, j]) ** 2)
+                    for i, j in zip(*np.triu_indices(6, 1))]
+        np.testing.assert_allclose(_smoothness_costs(Y, 1.5), expected,
+                                   rtol=1e-13)
+
     def test_m2_single_weight(self):
         Y = np.random.default_rng(3).standard_normal((5, 2))
         cfg = GraphLearnConfig(nu=0.5, beta=1.0, trace_budget=4.0)
@@ -86,9 +105,8 @@ class TestLaplacianStep:
         w, _ = _laplacian_step_constrained(Y, cfg)
         np.testing.assert_allclose(w, np.full(3, 0.5), atol=1e-6)
         # brute-force grid agrees
-        from krgraph.graphlearn import _edge_overlap_matrix, _smoothness_costs
         c = _smoothness_costs(Y, 1.0)
-        Q = _edge_overlap_matrix(3)
+        Q = edge_overlap_matrix(3)
         w_star, _ = simplex_grid_oracle(c, Q, 1.0, 1.5, steps=300)
         np.testing.assert_allclose(w, w_star, atol=1.5 / 300)
 
@@ -104,13 +122,12 @@ class TestLaplacianStep:
         assert w[0] > w[2]  # and (1,2)
 
     def test_matches_grid_oracle_m3(self):
-        from krgraph.graphlearn import _edge_overlap_matrix, _smoothness_costs
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((6, 3))
         cfg = GraphLearnConfig(nu=0.7, beta=2.0, trace_budget=3.0)
         w, _ = _laplacian_step_constrained(Y, cfg)
         c = _smoothness_costs(Y, cfg.beta)
-        Q = _edge_overlap_matrix(3)
+        Q = edge_overlap_matrix(3)
         w_star, _ = simplex_grid_oracle(c, Q, cfg.nu, 1.5, steps=1000)
         np.testing.assert_allclose(w, w_star, atol=1.5e-3)
 
@@ -127,20 +144,57 @@ class TestLaplacianStep:
         assert np.array_equal(a, b)
 
 
+def dense_edge_qp(c, Q, radius, nu, kkt_tol=1e-6):
+    """Projected gradient on the dense Q with an eigvalsh step."""
+    step = 1.0 / (2.0 * nu * np.linalg.eigvalsh(Q).max())
+    w = np.full(len(c), radius / len(c))
+    for _ in range(20000):
+        w_next = project_simplex(w - step * (c + 2.0 * nu * (Q @ w)), radius)
+        residual = np.abs(w_next - w).max() / step
+        w = w_next
+        if residual <= kkt_tol:
+            return w
+    raise AssertionError("dense reference solver did not converge")
+
+
 class TestEdgeOverlap:
     def test_qp_matrix_entries(self):
-        from krgraph.graphlearn import _edge_overlap_matrix
-        Q = _edge_overlap_matrix(4)
-        pairs = edge_pairs(4)
+        # the oracle's Q: 4 on the diagonal, 1 for edges sharing one node,
+        # else 0, i.e. S S^T + 2I for the unsigned incidence S
+        M = 4
+        Q = edge_overlap_matrix(M)
+        pairs = list(zip(*np.triu_indices(M, 1)))
+        S = np.zeros((len(pairs), M))
         for e, (i, j) in enumerate(pairs):
+            S[e, i] = S[e, j] = 1.0
             for f, (k, l) in enumerate(pairs):
-                Ee = np.zeros((4, 4))
-                Ee[i, i] = Ee[j, j] = 1
-                Ee[i, j] = Ee[j, i] = -1
-                Ef = np.zeros((4, 4))
-                Ef[k, k] = Ef[l, l] = 1
-                Ef[k, l] = Ef[l, k] = -1
-                assert Q[e, f] == pytest.approx(np.trace(Ee @ Ef))
+                shared = len({i, j} & {k, l})
+                assert Q[e, f] == {2: 4.0, 1: 1.0, 0: 0.0}[shared]
+        np.testing.assert_array_equal(Q, S @ S.T + 2.0 * np.eye(len(pairs)))
+
+    @pytest.mark.parametrize("M", [3, 5, 10, 30])
+    def test_matrix_free_product_matches_oracle(self, M):
+        rng = np.random.default_rng(M)
+        w = rng.uniform(0, 2, M * (M - 1) // 2)
+        i, j = np.triu_indices(M, 1)
+        Q = edge_overlap_matrix(M)
+        np.testing.assert_allclose(_overlap_product(w, i, j, M), Q @ w,
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("M", [3, 5, 10, 30])
+    def test_lambda_max_is_2m(self, M):
+        # the L-step's gradient step size relies on this identity
+        assert np.linalg.eigvalsh(edge_overlap_matrix(M)).max() == \
+            pytest.approx(2.0 * M, rel=1e-12)
+
+    def test_weights_match_dense_solver(self):
+        rng = np.random.default_rng(16)
+        M = 12
+        Y = rng.standard_normal((20, M))
+        c = _smoothness_costs(Y, 1.0)
+        w = minimize_edge_weights(c, M, 6.0, 0.5)
+        w_dense = dense_edge_qp(c, edge_overlap_matrix(M), 6.0, 0.5)
+        np.testing.assert_allclose(w, w_dense, rtol=0, atol=1e-10)
 
 
 class TestJointCost:

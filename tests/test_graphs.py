@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krgraph.errors import DimensionError, InvalidGraphError
+from krgraph.errors import DataFormatError, DimensionError, InvalidGraphError
 from krgraph.graphs import (
     Graph,
     Laplacian,
@@ -247,6 +247,14 @@ def test_matrix_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix_csv(path, mat)
     assert np.array_equal(load_matrix_csv(path), mat)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_matrix_csv_rejects_nonfinite(tmp_path, token):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1.0,2.0\n\n3.0,{token}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"m\.csv: .*line 3"):
+        load_matrix_csv(path)
 
 
 def test_edge_json_roundtrip():

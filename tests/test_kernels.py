@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krgraph.errors import DegenerateKernelError, KrgraphError
+from krgraph.errors import DegenerateKernelError, DimensionError, KrgraphError
 from krgraph.kernels import (
     KernelSpec,
     gram_matrix,
@@ -137,3 +137,49 @@ class TestKernelVector:
         K_cross = kernel_cross_matrix(X, Xt, spec, gram)
         assert K_cross.shape == (4, 6)
         np.testing.assert_allclose(K_cross[1], kernel_vector(X, Xt[1], spec, gram))
+
+
+class TestKernelCrossMatrix:
+    @pytest.mark.parametrize("kind,sigma", [("linear", None), ("rbf", 0.8)])
+    def test_matches_pairwise_definition(self, kind, sigma):
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((7, 3))
+        Xt = rng.standard_normal((5, 3))
+        spec = KernelSpec(kind=kind, sigma_sq=sigma)
+        gram = gram_matrix(X, spec)
+        expected = np.empty((5, 7))
+        for a in range(5):
+            for b in range(7):
+                if kind == "linear":
+                    expected[a, b] = Xt[a] @ X[b]
+                else:
+                    d2 = np.sum((Xt[a] - X[b]) ** 2)
+                    expected[a, b] = np.exp(-d2 / (sigma * gram.rbf_normalizer))
+        np.testing.assert_allclose(kernel_cross_matrix(X, Xt, spec, gram),
+                                   expected, rtol=1e-12, atol=1e-14)
+
+    def test_precomputed_is_lookup(self):
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((6, 6))
+        full = B @ B.T
+        spec = KernelSpec(kind="precomputed", precomputed=full)
+        X_train = np.array([[5.0], [0.0], [3.0]])
+        gram = gram_matrix(X_train, spec)
+        Xt = np.array([[1.0], [3.0]])
+        K_cross = kernel_cross_matrix(X_train, Xt, spec, gram)
+        assert np.array_equal(K_cross, full[np.ix_([1, 3], [5, 0, 3])])
+
+    @pytest.mark.parametrize("bad", [[[-1.0]], [[1.5]], [[6.0]], [[1.0, 2.0]]])
+    def test_precomputed_rejects_bad_test_indices(self, bad):
+        B = np.random.default_rng(12).standard_normal((6, 6))
+        spec = KernelSpec(kind="precomputed", precomputed=B @ B.T)
+        X_train = np.array([[0.0], [2.0]])
+        gram = gram_matrix(X_train, spec)
+        with pytest.raises(DimensionError):
+            kernel_cross_matrix(X_train, np.array(bad), spec, gram)
+
+    def test_dimension_mismatch(self):
+        X = np.ones((4, 3))
+        spec = KernelSpec(kind="linear")
+        with pytest.raises(DimensionError):
+            kernel_cross_matrix(X, np.ones((2, 2)), spec, gram_matrix(X, spec))

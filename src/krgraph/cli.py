@@ -226,23 +226,27 @@ def cmd_synth(cfg, out_dir):
 def _read_table_csv(path, expect_header):
     """Read a numeric CSV; reject ragged rows and missing values by line."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and expect_header:
-                continue
-            if not row:
-                continue
-            if any(cell.strip() == "" for cell in row):
-                raise DataFormatError(f"{path}: missing value on line {lineno}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataFormatError(f"{path}: non-numeric value on line {lineno}")
-            if not np.isfinite(rows[-1]).all():
-                raise DataFormatError(f"{path}: non-finite value on line {lineno}")
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise DataFormatError(f"{path}: ragged row on line {lineno}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if lineno == 1 and expect_header:
+                    continue
+                if not row:
+                    continue
+                if any(cell.strip() == "" for cell in row):
+                    raise DataFormatError(f"{path}: missing value on line {lineno}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: non-numeric value on line {lineno}")
+                if not np.isfinite(rows[-1]).all():
+                    raise DataFormatError(
+                        f"{path}: non-finite value on line {lineno}")
+                if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+                    raise DataFormatError(f"{path}: ragged row on line {lineno}")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: cannot read table: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return np.array(rows)

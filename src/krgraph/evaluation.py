@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional, Sequence
 
@@ -59,6 +59,11 @@ class CvGrid:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise KrgraphError("alpha and beta grids must be nonempty")
+        for name in ("alphas", "betas"):
+            values = getattr(self, name)
+            if not all(np.isfinite(v) and v >= 0 for v in values):
+                raise KrgraphError(
+                    f"{name} must be finite and >= 0, got {list(values)}")
         if self.folds < 2:
             raise KrgraphError("need at least 2 folds")
 
@@ -83,33 +88,6 @@ def fold_assignment(n, folds, seed):
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-def _fit_predict(method, hyper, sigma_sq, train: Dataset, L: Laplacian,
-                 fit_rows, val_rows, kernel_spec, cache_store):
-    """Fit on fit_rows, return predictions at val_rows."""
-    X_fit, T_fit = train.X[fit_rows], train.T[fit_rows]
-    X_val = train.X[val_rows]
-    if method in _PRIMAL:
-        key = ("primal", tuple(fit_rows))
-        if key not in cache_store:
-            G = X_fit.T @ X_fit
-            cache_store[key] = SpectralCache.build(G, L)
-        model = fit_lrg(X_fit, T_fit, L, hyper, cache=cache_store[key])
-        return X_val @ model.w
-    if kernel_spec is not None:
-        spec = kernel_spec
-        key = ("fixed", tuple(fit_rows))
-    else:
-        spec = KernelSpec(kind="rbf", sigma_sq=sigma_sq)
-        key = ("rbf", sigma_sq, tuple(fit_rows))
-    if key not in cache_store:
-        gram = gram_matrix(X_fit, spec)
-        cache_store[key] = (gram, SpectralCache.build(gram.matrix, L))
-    gram, cache = cache_store[key]
-    model = fit_krg(gram, T_fit, L, hyper, x_train=X_fit, spec=spec, cache=cache)
-    K_cross = kernel_cross_matrix(X_fit, X_val, spec, gram)
-    return K_cross @ model.psi
-
-
 def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                    seed: int, kernel_spec: Optional[KernelSpec] = None):
     """Grid search by k-fold CV on the training set.
@@ -131,26 +109,34 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
             raise KrgraphError("rbf kernel needs a sigma_sq grid")
         sigmas = tuple(grid.sigma_sqs)
     T_ref = train.T0 if train.T0 is not None else train.T
-    all_rows = np.arange(train.n)
     points = sorted(product(grid.alphas, betas, sigmas),
                     key=lambda p: (p[0], p[1], p[2] if p[2] is not None else 0.0))
-    cache_store = {}
-    cv_table = []
-    best = None
-    for alpha, beta, sigma_sq in points:
-        hyper = Hyperparams(alpha=alpha, beta=beta)
-        scores = []
-        for val_rows in folds:
-            fit_rows = np.setdiff1d(all_rows, val_rows)
-            Y_val = _fit_predict(method, hyper, sigma_sq, train, L,
-                                 fit_rows, val_rows, kernel_spec, cache_store)
-            scores.append(nmse_db(Y_val, T_ref[val_rows]))
-        mean_score = float(np.mean(scores))
-        params = {"alpha": alpha, "beta": beta, "sigma_sq": sigma_sq}
-        cv_table.append({"params": params, "nmse_db": mean_score})
-        if best is None or mean_score < best[0]:
-            best = (mean_score, params)
-    return best[1], cv_table
+    scores = [[] for _ in points]
+    for val_rows in folds:
+        fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
+        X_fit, T_fit, X_val = train.X[fit_rows], train.T[fit_rows], train.X[val_rows]
+        for sigma_sq in sigmas:
+            if method in _PRIMAL:
+                cache = SpectralCache.build(X_fit.T @ X_fit, L)
+            else:
+                spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
+                gram = gram_matrix(X_fit, spec)
+                cache = SpectralCache.build(gram.matrix, L)
+                K_val = kernel_cross_matrix(X_fit, X_val, spec, gram)
+            for i, (alpha, beta, s) in enumerate(points):
+                if s != sigma_sq:
+                    continue
+                hyper = Hyperparams(alpha=alpha, beta=beta)
+                if method in _PRIMAL:
+                    Y_val = X_val @ fit_lrg(X_fit, T_fit, L, hyper, cache=cache).w
+                else:
+                    Y_val = K_val @ fit_krg(gram, T_fit, L, hyper, cache=cache).psi
+                scores[i].append(nmse_db(Y_val, T_ref[val_rows]))
+    cv_table = [{"params": {"alpha": alpha, "beta": beta, "sigma_sq": sigma_sq},
+                 "nmse_db": float(np.mean(point_scores))}
+                for (alpha, beta, sigma_sq), point_scores in zip(points, scores)]
+    best = min(cv_table, key=lambda row: row["nmse_db"])  # first minimum
+    return best["params"], cv_table
 
 
 def krr_baseline(K_bar, observed_idx, x, mu: float):
@@ -215,26 +201,35 @@ def _realization_seed(master, n, snr, r):
 def run_benchmark(scenario: BenchScenario):
     """Evaluate every (method, n_train, snr) cell on seeded synthetic data.
 
-    Data seeds depend only on (master_seed, n, snr, realization), so cells
-    for different methods see identical data. Returns (results, failures).
+    Data seeds depend only on (master_seed, n, snr, realization), and the
+    methods of an (n, snr) cell share each realization's data and CV
+    table. Returns (results, failures), both in (method, n, snr) order.
     """
-    results = []
-    failures = []
-    for method, n, snr in product(scenario.methods, scenario.n_train,
-                                  scenario.snr_db):
+    cells = []
+    for n, snr in product(scenario.n_train, scenario.snr_db):
         try:
-            results.extend(_run_cell(scenario, method, n, snr))
+            cells.append((n, snr, _run_cell(scenario, n, snr)))
         except Exception as exc:  # cell isolation: report, keep going
-            failures.append({
-                "method": method, "n_train": n, "snr_db": snr,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+            cells.append((n, snr, f"{type(exc).__name__}: {exc}"))
+    results, failures = [], []
+    for method in scenario.methods:
+        for n, snr, outcome in cells:
+            if isinstance(outcome, str):
+                failures.append({"method": method, "n_train": n,
+                                 "snr_db": snr, "error": outcome})
+            else:
+                results.extend(outcome[method])
     return results, failures
 
 
-def _run_cell(scenario, method, n, snr):
-    err_tr = sig_tr = err_ts = sig_ts = 0.0
-    dbs_tr, dbs_ts = [], []
+def _run_cell(scenario, n, snr):
+    """Train and test rows per method; one KRG CV table per realization,
+    over the grid's betas plus 0, selects for KR (beta = 0 rows) too."""
+    grid = scenario.grid
+    cv_grid = replace(grid, betas=sorted({0.0, *grid.betas}))
+    sig = [0.0, 0.0]                                  # train, test
+    err = {m: [0.0, 0.0] for m in scenario.methods}
+    dbs = {m: ([], []) for m in scenario.methods}
     for r in range(scenario.realizations):
         seed = _realization_seed(scenario.master_seed, n, snr, r)
         cfg = SynthConfig(
@@ -254,30 +249,31 @@ def _run_cell(scenario, method, n, snr):
                         indices=train_full.indices[sub])
         L = build_laplacian(graph)
         spec = KernelSpec(kind="precomputed", precomputed=C_S)
-        best, _ = cross_validate(train, L, scenario.grid, method,
-                                 seed=seed + 29, kernel_spec=spec)
-        hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])
+        _, table = cross_validate(train, L, cv_grid, "KRG",
+                                  seed=seed + 29, kernel_spec=spec)
         gram = gram_matrix(train.X, spec)
-        model = fit_krg(gram, train.T, L, hyper, x_train=train.X, spec=spec)
-        Y_tr = gram.matrix @ model.psi
-        Y_ts = kernel_cross_matrix(train.X, test.X, spec, gram) @ model.psi
-        err_tr += float(np.sum((Y_tr - train.T0) ** 2))
-        sig_tr += float(np.sum(train.T0**2))
-        err_ts += float(np.sum((Y_ts - test.T0) ** 2))
-        sig_ts += float(np.sum(test.T0**2))
-        dbs_tr.append(nmse_db(Y_tr, train.T0))
-        dbs_ts.append(nmse_db(Y_ts, test.T0))
-    common = dict(method=method, n_train=n, snr_db=snr,
-                  num_realizations=scenario.realizations,
-                  seed=scenario.master_seed)
-    return [
-        BenchResult(split="train",
-                    nmse_db=nmse_db_from_energies(err_tr, sig_tr),
-                    nmse_db_mean=float(np.mean(dbs_tr)), **common),
-        BenchResult(split="test",
-                    nmse_db=nmse_db_from_energies(err_ts, sig_ts),
-                    nmse_db_mean=float(np.mean(dbs_ts)), **common),
-    ]
+        cache = SpectralCache.build(gram.matrix, L)
+        blocks = (gram.matrix, kernel_cross_matrix(train.X, test.X, spec, gram))
+        refs = (train.T0, test.T0)
+        for k, T0 in enumerate(refs):
+            sig[k] += float(np.sum(T0**2))
+        for method in err:
+            betas = (0.0,) if method == "KR" else grid.betas
+            best = min((row for row in table if row["params"]["beta"] in betas),
+                       key=lambda row: row["nmse_db"])["params"]
+            hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])
+            psi = fit_krg(gram, train.T, L, hyper, cache=cache).psi
+            for k, (K, T0) in enumerate(zip(blocks, refs)):
+                Y = K @ psi
+                err[method][k] += float(np.sum((Y - T0) ** 2))
+                dbs[method][k].append(nmse_db(Y, T0))
+    return {m: [BenchResult(method=m, n_train=n, snr_db=snr, split=split,
+                            nmse_db=nmse_db_from_energies(err[m][k], sig[k]),
+                            nmse_db_mean=float(np.mean(dbs[m][k])),
+                            num_realizations=scenario.realizations,
+                            seed=scenario.master_seed)
+                for k, split in enumerate(("train", "test"))]
+            for m in err}
 
 
 def save_results_csv(path, results):

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DataFormatError, DimensionError, InvalidGraphError
+from .errors import (DataFormatError, DimensionError, InvalidGraphError,
+                     KrgraphError)
 
 _ROWSUM_TOL = 1e-10
 _EIG_CLAMP = 1e-10
@@ -74,9 +78,16 @@ class Laplacian:
         return self.matrix.shape[0]
 
     def eigendecomposition(self):
-        """Return (eigenvalues, eigenvectors), eigenvalues clamped PSD."""
+        """Return (eigenvalues, eigenvectors), eigenvalues clamped PSD;
+        computed on the first call and kept, read-only, on the instance."""
+        return self._eigenpairs
+
+    @cached_property
+    def _eigenpairs(self):
         lam, V = np.linalg.eigh(self.matrix)
-        return clamp_psd_eigenvalues(lam), V
+        lam = clamp_psd_eigenvalues(lam)
+        lam.flags.writeable = V.flags.writeable = False
+        return lam, V
 
 
 def clamp_psd_eigenvalues(vals):
@@ -195,18 +206,23 @@ def save_matrix_csv(path, mat):
 
 def load_matrix_csv(path):
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: bad number on line {lineno}: {exc}")
-            if not np.isfinite(rows[-1]).all():
-                raise DataFormatError(f"{path}: non-finite number on line {lineno}")
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise DataFormatError(f"{path}: ragged row on line {lineno}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}: bad number on line {lineno}: {exc}")
+                if not np.isfinite(rows[-1]).all():
+                    raise DataFormatError(
+                        f"{path}: non-finite number on line {lineno}")
+                if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+                    raise DataFormatError(f"{path}: ragged row on line {lineno}")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: cannot read matrix: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty matrix file")
     return np.array(rows)
@@ -222,10 +238,28 @@ def graph_to_edge_json(g: Graph) -> dict:
     return {"nodes": g.num_nodes, "edges": edges}
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def graph_from_edge_json(doc: dict) -> Graph:
-    M = int(doc["nodes"])
+    """Graph from {"nodes": M, "edges": [[i, j, weight], ...]}, 0-based i, j."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
+        raise DataFormatError('graph needs "nodes" and an "edges" list')
+    M = doc.get("nodes")
+    if not _is_int(M) or M < 1:
+        raise DataFormatError(f'"nodes" must be a positive integer, got {M!r}')
     A = np.zeros((M, M))
-    for i, j, w in doc["edges"]:
+    for edge in doc["edges"]:
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise DataFormatError(f"edge {edge!r} is not [i, j, weight]")
+        i, j, w = edge
+        if not (_is_int(i) and _is_int(j) and 0 <= i < M and 0 <= j < M):
+            raise DataFormatError(
+                f"edge {edge!r}: endpoints must be integers in 0..{M - 1}")
+        if not (isinstance(w, numbers.Real) and not isinstance(w, bool)
+                and math.isfinite(w)):
+            raise DataFormatError(f"edge {edge!r}: weight must be a finite number")
         A[i, j] = A[j, i] = float(w)
     return Graph(A)
 
@@ -237,5 +271,12 @@ def save_graph_json(path, g: Graph):
 
 
 def load_graph_json(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_edge_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise DataFormatError(f"{path}: cannot read graph: {exc}") from exc
+    try:
+        return graph_from_edge_json(doc)
+    except KrgraphError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

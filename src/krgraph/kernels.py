@@ -42,6 +42,9 @@ class KernelSpec:
             P = np.asarray(self.precomputed, dtype=float)
             if P.ndim != 2 or P.shape[0] != P.shape[1]:
                 raise KrgraphError("precomputed kernel matrix must be square")
+            if not np.isfinite(P).all():
+                raise KrgraphError(
+                    "precomputed kernel matrix has NaN or infinite entries")
             if not np.allclose(P, P.T, atol=1e-8 * max(1.0, np.abs(P).max())):
                 raise KrgraphError("precomputed kernel matrix must be symmetric")
             evals = np.linalg.eigvalsh(P)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularSystemError
+from .errors import (DataFormatError, DimensionError, KrgraphError,
+                     SingularSystemError)
 from .graphs import Laplacian, clamp_psd_eigenvalues
 from .kernels import GramMatrix, KernelSpec, kernel_vector
 
@@ -235,8 +236,9 @@ def model_to_json(model: KrgModel) -> dict:
 def model_from_json(doc: dict) -> KrgModel:
     from .kernels import gram_matrix
 
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise DataFormatError(f"unsupported model version {version!r}")
     spec = KernelSpec.from_json(doc["kernel_spec"])
     x_train = np.array(doc["x_train"], dtype=float)
     return KrgModel(
@@ -256,5 +258,12 @@ def save_model(path, model: KrgModel):
 
 
 def load_model(path) -> KrgModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return model_from_json(json.load(fh))
+    # malformed JSON or arrays raise ValueError; missing or unexpected
+    # fields raise KeyError or TypeError
+    except (OSError, ValueError, KeyError, TypeError, KrgraphError) as exc:
+        raise DataFormatError(
+            f"{path}: not a valid model file: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -57,6 +57,10 @@ class Dataset:
             raise DimensionError("X and T row counts differ")
         if self.T0 is not None and self.T0.shape != self.T.shape:
             raise DimensionError("T0 shape differs from T")
+        for name in ("X", "T", "T0"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise KrgraphError(f"{name} has NaN or infinite entries")
 
     @property
     def n(self):

@@ -4,6 +4,8 @@ These deliberately build the dense (M*N) x (M*N) Kronecker systems and
 naive loop-based sums that the library itself never forms.
 """
 
+from itertools import product
+
 import numpy as np
 
 
@@ -69,3 +71,45 @@ def random_laplacian_matrix(rng, M):
     from krgraph.graphs import Graph, build_laplacian
 
     return build_laplacian(Graph(random_graph_adjacency(rng, M))).matrix
+
+
+def cv_table_refit(train, L, grid, method, seed, kernel_spec=None):
+    """Reference k-fold CV table: each grid point refitted on each fold.
+
+    Every fit starts afresh: a new Gram matrix, a new Laplacian
+    object (so no eigendecomposition is reused) and no spectral cache.
+    Rows follow the sorted (alpha, beta, sigma_sq) order of cross_validate.
+    """
+    from krgraph.evaluation import fold_assignment, nmse_db
+    from krgraph.graphs import Laplacian
+    from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
+    from krgraph.solver import Hyperparams, fit_krg, fit_lrg
+
+    primal = method in ("LR", "LRG")
+    betas = [0.0] if method in ("LR", "KR") else list(grid.betas)
+    sigmas = [None] if primal or kernel_spec is not None else grid.sigma_sqs
+    T_ref = train.T0 if train.T0 is not None else train.T
+    folds = fold_assignment(train.n, grid.folds, seed)
+    points = sorted(product(grid.alphas, betas, sigmas),
+                    key=lambda p: (p[0], p[1], 0.0 if p[2] is None else p[2]))
+    table = []
+    for alpha, beta, sigma_sq in points:
+        hyper = Hyperparams(alpha=alpha, beta=beta)
+        scores = []
+        for val_rows in folds:
+            fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
+            X_fit, T_fit = train.X[fit_rows], train.T[fit_rows]
+            X_val = train.X[val_rows]
+            fresh_L = Laplacian(L.matrix.copy())
+            if primal:
+                Y = X_val @ fit_lrg(X_fit, T_fit, fresh_L, hyper).w
+            else:
+                spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
+                gram = gram_matrix(X_fit, spec)
+                psi = fit_krg(gram, T_fit, fresh_L, hyper).psi
+                Y = kernel_cross_matrix(X_fit, X_val, spec, gram) @ psi
+            scores.append(nmse_db(Y, T_ref[val_rows]))
+        table.append({"params": {"alpha": alpha, "beta": beta,
+                                 "sigma_sq": sigma_sq},
+                      "nmse_db": float(np.mean(scores))})
+    return table

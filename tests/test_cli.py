@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +436,96 @@ class TestInputValidation:
         capsys.readouterr()
         assert run(["cv", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+
+def _assert_one_json_error(capsys, error, *in_message):
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == error
+    for text in in_message:
+        assert text in err["message"]
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("command", ["cv", "bench"])
+    @pytest.mark.parametrize("grid_text", [
+        '"alphas": [-0.1, 1.0], "betas": [0.0]',
+        '"alphas": [0.1], "betas": [0.0, -1.0]',
+        '"alphas": [0.1], "betas": [NaN]',
+    ], ids=["negative_alpha", "negative_beta", "nan_beta"])
+    def test_bad_grid_values_rejected(self, tmp_path, capsys, command,
+                                      grid_text):
+        if command == "cv":
+            out_data = make_dataset_dir(tmp_path)
+            doc = {"x_csv": str(out_data / "X_train.csv"),
+                   "t_csv": str(out_data / "T_train.csv"),
+                   "graph_json": str(out_data / "graph.json"),
+                   "method": "KRG",
+                   "kernel": {"kind": "precomputed",
+                              "matrix_csv": str(out_data / "kernel_full.csv")},
+                   "seed": 0}
+        else:
+            doc = {k: v for k, v in BENCH_CFG.items() if k != "grid"}
+        text = json.dumps(doc)[:-1] + ', "grid": {' + grid_text + ', "folds": 3}}'
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError", "must be finite and >= 0")
+        assert list(out.iterdir()) == []
+
+
+def _valid_model_doc(tmp_path):
+    cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+    assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "fit"]) == 0
+    return json.loads((tmp_path / "fit" / "model.json").read_text())
+
+
+def _bad_file_case(tmp_path, case):
+    """(command, config doc, bad file name) for one malformed input file."""
+    cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+    fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+    bad = tmp_path / "bad_input"
+    if case == "missing_matrix_csv":
+        return "fit", dict(fit_doc, x_csv=str(bad)), bad.name
+    if case == "missing_ingest_csv":
+        return "ingest", {"inputs_csv": str(bad),
+                          "targets_csv": fit_doc["t_csv"]}, bad.name
+    if case.startswith("graph_"):
+        text = {"graph_not_json": "{not json",
+                "graph_edge_out_of_range": '{"nodes": 4, "edges": [[0, 99, 1]]}',
+                "graph_edge_negative": '{"nodes": 4, "edges": [[0, -1, 1]]}',
+                "graph_edge_fractional": '{"nodes": 4, "edges": [[0, 1.5, 1]]}',
+                }[case]
+        bad.write_text(text, encoding="utf-8")
+        return "fit", dict(fit_doc, beta=0.5, graph_json=str(bad)), bad.name
+    if case == "model_not_json":
+        bad.write_text("{not json", encoding="utf-8")
+    else:
+        model = _valid_model_doc(tmp_path)
+        if case == "model_version_2":
+            model["version"] = 2
+        else:
+            del model["kernel_spec"]
+        bad.write_text(json.dumps(model), encoding="utf-8")
+    return "predict", {"model_json": str(bad),
+                       "x_csv": fit_doc["x_csv"]}, bad.name
+
+
+class TestFileBoundaryErrors:
+    @pytest.mark.parametrize("case", [
+        "missing_matrix_csv", "missing_ingest_csv", "graph_not_json",
+        "graph_edge_out_of_range", "graph_edge_negative",
+        "graph_edge_fractional", "model_version_2", "model_not_json",
+        "model_missing_kernel_spec",
+    ])
+    def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
+        command, doc, name = _bad_file_case(tmp_path, case)
+        cfg = write_config(tmp_path, "cmd.json", doc)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "DataFormatError", name)
+        assert list(out.iterdir()) == []

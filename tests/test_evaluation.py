@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krgraph import evaluation
 from krgraph.errors import KrgraphError
 from krgraph.evaluation import (
     BenchScenario,
@@ -18,7 +19,7 @@ from krgraph.evaluation import (
 from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.kernels import KernelSpec
 from krgraph.synthdata import Dataset, SynthConfig, make_synthetic_dataset
-from oracles import random_laplacian_matrix, random_psd
+from oracles import cv_table_refit, random_laplacian_matrix, random_psd
 
 
 class TestNmse:
@@ -134,6 +135,31 @@ class TestCrossValidate:
                 wins += 1
         assert wins >= 0.8 * reps
 
+    @pytest.mark.parametrize("method", ["LR", "LRG", "KR", "KRG"])
+    @pytest.mark.parametrize("kernel_spec", [None, KernelSpec(kind="linear")],
+                             ids=["rbf_sigma_grid", "fixed_linear"])
+    def test_matches_refit_oracle(self, method, kernel_spec):
+        train, L = _toy_dataset(5, n=18, M=4)
+        grid = CvGrid(alphas=[0.01, 0.5], betas=[0.0, 0.3, 2.0],
+                      sigma_sqs=[0.5, 2.0], folds=3)
+        best, table = cross_validate(train, L, grid, method, seed=1,
+                                     kernel_spec=kernel_spec)
+        expected = cv_table_refit(train, L, grid, method, seed=1,
+                                  kernel_spec=kernel_spec)
+        assert [r["params"] for r in table] == [r["params"] for r in expected]
+        np.testing.assert_allclose([r["nmse_db"] for r in table],
+                                   [r["nmse_db"] for r in expected],
+                                   rtol=0, atol=1e-9)
+        assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
+    def test_kr_table_is_krg_beta_zero_rows(self):
+        train, L = _toy_dataset(6)
+        grid = CvGrid(alphas=[0.01, 0.1, 1.0], betas=[0.0, 0.5],
+                      sigma_sqs=[1.0, 3.0], folds=4)
+        _, kr = cross_validate(train, L, grid, "KR", seed=2)
+        _, krg = cross_validate(train, L, grid, "KRG", seed=2)
+        assert kr == [r for r in krg if r["params"]["beta"] == 0.0]
+
 
 class TestKrrBaseline:
     def test_hand_computed_p4_s2(self):
@@ -223,6 +249,45 @@ class TestRunBenchmark:
         assert len(failures) == 1
         assert failures[0]["n_train"] == 500
         assert len(results) == 2  # the valid cell still completed
+
+    @pytest.mark.parametrize("betas", [(0.0, 1.0), (0.3, 1.0)],
+                             ids=["zero_in_grid", "zero_not_in_grid"])
+    def test_two_methods_equal_separate_runs(self, betas):
+        # a failing cell (n_train=500) checks the order of failures too
+        sc = dict(n_train=(8, 500), snr_db=(0.0, 5.0),
+                  grid=CvGrid(alphas=[0.1, 1.0], betas=betas, folds=3))
+        both = run_benchmark(small_scenario(methods=("KR", "KRG"), **sc))
+        kr = run_benchmark(small_scenario(methods=("KR",), **sc))
+        krg = run_benchmark(small_scenario(methods=("KRG",), **sc))
+        assert both[0] == kr[0] + krg[0]
+        assert both[1] == kr[1] + krg[1]
+        assert len(both[0]) == 8 and len(both[1]) == 4
+
+    def test_one_dataset_and_laplacian_eigh_per_realization(self, monkeypatch):
+        R, M = 3, 9  # M differs from every Gram size, so 9 x 9 eighs are L's
+        seeds, cv_calls, laplacians = [], [], []
+        make = evaluation.make_synthetic_dataset
+        monkeypatch.setattr(evaluation, "make_synthetic_dataset",
+                            lambda cfg: seeds.append(cfg.seed) or make(cfg))
+        cv = evaluation.cross_validate
+        monkeypatch.setattr(evaluation, "cross_validate",
+                            lambda *a, **k: cv_calls.append(1) or cv(*a, **k))
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.shape(a) == (M, M):
+                laplacians.append(np.asarray(a).tobytes())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        results, failures = run_benchmark(small_scenario(
+            methods=("KR", "KRG"), realizations=R, snr_db=(0.0, 5.0),
+            num_nodes=M))
+        assert not failures and len(results) == 8
+        cells = 2
+        assert len(seeds) == len(set(seeds)) == cells * R
+        assert len(cv_calls) == cells * R
+        assert len(laplacians) == len(set(laplacians)) == cells * R
 
     def test_krr_rejected_in_scenario(self):
         # synthetic data has no features, so LR/LRG cells are rejected too

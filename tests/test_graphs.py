@@ -57,6 +57,23 @@ class TestBuildLaplacian:
         np.testing.assert_allclose(np.linalg.eigvalsh(L.matrix), [0, 3, 3],
                                    atol=1e-12)
 
+    def test_eigendecomposition_computed_once_and_read_only(self, monkeypatch):
+        L = build_laplacian(K3)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(1) or eigh(a))
+        lam, V = L.eigendecomposition()
+        again = L.eigendecomposition()
+        assert len(calls) == 1
+        assert again[0] is lam and again[1] is V
+        np.testing.assert_allclose(lam, [0, 3, 3], atol=1e-12)
+        np.testing.assert_allclose(V @ np.diag(lam) @ V.T, L.matrix, atol=1e-12)
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+
     def test_random_graphs_satisfy_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -26,6 +26,13 @@ class TestKernelSpec:
         with pytest.raises(KrgraphError):
             KernelSpec(kind="precomputed", precomputed=bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_precomputed_must_be_finite(self, value):
+        P = np.eye(3)
+        P[1, 1] = value
+        with pytest.raises(KrgraphError, match="NaN or infinite"):
+            KernelSpec(kind="precomputed", precomputed=P)
+
     def test_json_roundtrip(self):
         spec = KernelSpec(kind="rbf", sigma_sq=2.5)
         assert KernelSpec.from_json(spec.to_json()) == spec

@@ -4,6 +4,7 @@ import pytest
 from krgraph.errors import KrgraphError
 from krgraph.graphs import Graph, Laplacian, build_laplacian, quadratic_form
 from krgraph.synthdata import (
+    Dataset,
     SynthConfig,
     add_noise_snr,
     generate_correlated_rows,
@@ -212,3 +213,14 @@ class TestMakeSyntheticDataset:
                           snr_db=10.0, seed=1)
         _, _, graph, _ = make_synthetic_dataset(cfg)
         assert graph.num_edges() == 3 + 2 * 7
+
+
+class TestDataset:
+    @pytest.mark.parametrize("field", ["X", "T", "T0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, field, value):
+        arrays = {"X": np.ones((3, 2)), "T": np.ones((3, 4)),
+                  "T0": np.ones((3, 4))}
+        arrays[field][1, 0] = value
+        with pytest.raises(KrgraphError, match=f"{field} has NaN or infinite"):
+            Dataset(**arrays)

@@ -201,6 +201,12 @@ def _load_laplacian(cfg):
     return None
 
 
+def _cv_grid(doc):
+    return evaluation.CvGrid(
+        alphas=tuple(doc["alphas"]), betas=tuple(doc["betas"]),
+        sigma_sqs=tuple(doc.get("sigma_sqs", ())), folds=doc.get("folds", 5))
+
+
 def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -223,38 +229,9 @@ def cmd_synth(cfg, out_dir):
     log.info("wrote synthetic dataset to %s", out_dir)
 
 
-def _read_table_csv(path, expect_header):
-    """Read a numeric CSV; reject ragged rows and missing values by line."""
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 and expect_header:
-                    continue
-                if not row:
-                    continue
-                if any(cell.strip() == "" for cell in row):
-                    raise DataFormatError(f"{path}: missing value on line {lineno}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: non-numeric value on line {lineno}")
-                if not np.isfinite(rows[-1]).all():
-                    raise DataFormatError(
-                        f"{path}: non-finite value on line {lineno}")
-                if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                    raise DataFormatError(f"{path}: ragged row on line {lineno}")
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"{path}: cannot read table: {exc}") from exc
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(rows)
-
-
 def cmd_ingest(cfg, out_dir):
-    X = _read_table_csv(cfg["inputs_csv"], expect_header=True)
-    T = _read_table_csv(cfg["targets_csv"], expect_header=False)
+    X = graphs.load_matrix_csv(cfg["inputs_csv"], header=True)
+    T = graphs.load_matrix_csv(cfg["targets_csv"])
     if X.shape[0] != T.shape[0]:
         raise DataFormatError(
             f"row count mismatch: {X.shape[0]} inputs vs {T.shape[0]} targets"
@@ -346,12 +323,7 @@ def cmd_cv(cfg, out_dir):
     if L is None:
         L = graphs.Laplacian(np.zeros((T.shape[1], T.shape[1])))
     train = synthdata.Dataset(X=X, T=T, T0=T0)
-    grid_cfg = cfg["grid"]
-    grid = evaluation.CvGrid(
-        alphas=tuple(grid_cfg["alphas"]), betas=tuple(grid_cfg["betas"]),
-        sigma_sqs=tuple(grid_cfg.get("sigma_sqs", ())),
-        folds=grid_cfg.get("folds", 5),
-    )
+    grid = _cv_grid(cfg["grid"])
     spec = _kernel_spec(cfg["kernel"]) if "kernel" in cfg else None
     if spec is not None and spec.kind == "rbf":
         spec = None  # sigma comes from the grid
@@ -364,17 +336,12 @@ def cmd_cv(cfg, out_dir):
 
 
 def cmd_bench(cfg, out_dir):
-    grid_cfg = cfg["grid"]
     scenario = evaluation.BenchScenario(
         methods=tuple(cfg["methods"]), n_train=tuple(cfg["n_train"]),
         snr_db=tuple(cfg["snr_db"]), realizations=cfg["realizations"],
         num_nodes=cfg["num_nodes"], num_samples=cfg["num_samples"],
         graph_model=cfg["graph_model"], graph_param=cfg["graph_param"],
-        grid=evaluation.CvGrid(
-            alphas=tuple(grid_cfg["alphas"]), betas=tuple(grid_cfg["betas"]),
-            sigma_sqs=tuple(grid_cfg.get("sigma_sqs", ())),
-            folds=grid_cfg.get("folds", 5),
-        ),
+        grid=_cv_grid(cfg["grid"]),
         master_seed=cfg["master_seed"],
     )
     results, failures = evaluation.run_benchmark(scenario)

@@ -15,7 +15,8 @@ from scipy.linalg import expm
 from .errors import DimensionError, KrgraphError
 from .graphs import Laplacian, build_laplacian
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
-from .solver import Hyperparams, SpectralCache, fit_krg, fit_lrg
+from .solver import (Hyperparams, SpectralCache, check_primal_rank, fit_krg,
+                     solve_sylvester_grid)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
 NMSE_FLOOR_DB = -300.0
@@ -40,13 +41,15 @@ def nmse_db(Y, T0) -> float:
     return max(10.0 * np.log10(num / denom), NMSE_FLOOR_DB)
 
 
-def nmse_db_from_energies(error_energy, signal_energy) -> float:
-    """NMSE with the expectations averaged before the ratio."""
+def nmse_db_from_energies(error_energy, signal_energy):
+    """NMSE with the expectations averaged before the ratio, floored at
+    -300 dB; elementwise over an array of error energies."""
     if signal_energy <= 0:
         raise KrgraphError("signal energy must be positive")
-    if error_energy == 0:
-        return NMSE_FLOOR_DB
-    return max(10.0 * np.log10(error_energy / signal_energy), NMSE_FLOOR_DB)
+    with np.errstate(divide="ignore"):   # zero error: log10(0) = -inf
+        db = np.maximum(10.0 * np.log10(np.divide(error_energy, signal_energy)),
+                        NMSE_FLOOR_DB)
+    return float(db) if np.ndim(db) == 0 else db
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,8 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     noisy ones otherwise. Returns (best_params, cv_table) where
     best_params is a dict with alpha/beta/sigma_sq and cv_table lists a
     (params, mean NMSE dB) record per grid point. Ties break toward
-    smaller (alpha, beta, sigma_sq).
+    smaller (alpha, beta, sigma_sq). Each fold and sigma_sq solves its
+    whole (alpha, beta) grid at once (solver.solve_sylvester_grid).
     """
     if method not in METHODS or method == "KRR":
         raise KrgraphError(f"cross_validate does not handle method {method!r}")
@@ -109,32 +113,36 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
             raise KrgraphError("rbf kernel needs a sigma_sq grid")
         sigmas = tuple(grid.sigma_sqs)
     T_ref = train.T0 if train.T0 is not None else train.T
-    points = sorted(product(grid.alphas, betas, sigmas),
-                    key=lambda p: (p[0], p[1], p[2] if p[2] is not None else 0.0))
-    scores = [[] for _ in points]
-    for val_rows in folds:
+    # scores[a, b, s, fold] over the distinct grid values, fold last so
+    # that the mean adds the folds in order
+    distinct = [sorted(set(v)) for v in (grid.alphas, betas, sigmas)]
+    scores = np.empty([len(v) for v in distinct] + [len(folds)])
+    for f, val_rows in enumerate(folds):
         fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
         X_fit, T_fit, X_val = train.X[fit_rows], train.T[fit_rows], train.X[val_rows]
-        for sigma_sq in sigmas:
+        T_val = T_ref[val_rows]
+        signal = float(np.sum(T_val**2))
+        for s, sigma_sq in enumerate(distinct[2]):
             if method in _PRIMAL:
                 cache = SpectralCache.build(X_fit.T @ X_fit, L)
+                check_primal_rank(cache, distinct[0])
+                rhs, A_val = X_fit.T @ T_fit, X_val
             else:
                 spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
                 gram = gram_matrix(X_fit, spec)
                 cache = SpectralCache.build(gram.matrix, L)
-                K_val = kernel_cross_matrix(X_fit, X_val, spec, gram)
-            for i, (alpha, beta, s) in enumerate(points):
-                if s != sigma_sq:
-                    continue
-                hyper = Hyperparams(alpha=alpha, beta=beta)
-                if method in _PRIMAL:
-                    Y_val = X_val @ fit_lrg(X_fit, T_fit, L, hyper, cache=cache).w
-                else:
-                    Y_val = K_val @ fit_krg(gram, T_fit, L, hyper, cache=cache).psi
-                scores[i].append(nmse_db(Y_val, T_ref[val_rows]))
-    cv_table = [{"params": {"alpha": alpha, "beta": beta, "sigma_sq": sigma_sq},
-                 "nmse_db": float(np.mean(point_scores))}
-                for (alpha, beta, sigma_sq), point_scores in zip(points, scores)]
+                rhs, A_val = T_fit, kernel_cross_matrix(X_fit, X_val, spec, gram)
+            Y = A_val @ solve_sylvester_grid(cache, rhs, distinct[0], distinct[1])
+            scores[:, :, s, f] = nmse_db_from_energies(
+                np.sum((Y - T_val) ** 2, axis=(2, 3)), signal)
+    mean = scores.mean(axis=-1)
+    index_of = [{v: i for i, v in enumerate(values)} for values in distinct]
+    # one row per grid entry, repeats included, in sorted (alpha, beta,
+    # sigma_sq) order; a None sigma_sq is shared by all rows, so the sort
+    # never compares it
+    cv_table = [{"params": dict(zip(("alpha", "beta", "sigma_sq"), point)),
+                 "nmse_db": float(mean[tuple(ix[v] for ix, v in zip(index_of, point))])}
+                for point in sorted(product(grid.alphas, betas, sigmas))]
     best = min(cv_table, key=lambda row: row["nmse_db"])  # first minimum
     return best["params"], cv_table
 

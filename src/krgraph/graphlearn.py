@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from .errors import ConvergenceError, DimensionError
 from .graphs import Laplacian, spectral_rescale
 from .kernels import GramMatrix
-from .solver import Hyperparams, fit_krg
+from .solver import Hyperparams, SpectralCache, fit_krg
 
 
 @dataclass(frozen=True)
@@ -150,19 +150,22 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
     L, so the cost is nonincreasing across each sub-step; spectral
     rescaling is applied only to the returned Laplacian. Returns (model,
     rescaled Laplacian, cost trace, per-iteration (after-W, after-L) cost
-    pairs). The model's hyper.beta is cfg.beta.
+    pairs). The model's hyper.beta is cfg.beta. K is eigendecomposed
+    once; each new L brings only its own eigenpairs.
     """
     T = np.asarray(T, dtype=float)
     M = T.shape[1]
     fit_hyper = Hyperparams(alpha=hyper.alpha, beta=cfg.beta)
     L = Laplacian(np.zeros((M, M)))
+    cache = SpectralCache.build(gram.matrix, L)
     cost_trace = []
     substep_costs = []  # (after-W, after-L) pairs at the L in force
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         model = None
         for it in range(cfg.max_outer_iters):
-            model = fit_krg(gram, T, L, fit_hyper)
+            model = fit_krg(gram, T, L, fit_hyper,
+                            cache=cache.with_laplacian(L))
             cost_w = joint_cost(gram, model.psi, L, T, fit_hyper, cfg)
             Y = gram.matrix @ model.psi
             w, L_new = _laplacian_step_constrained(Y, cfg)
@@ -186,8 +189,8 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
             if converged:
                 break
         # refit so the returned coefficients match the final Laplacian
-        model = fit_krg(gram, T, L, fit_hyper,
-                        x_train=model.x_train, spec=model.spec)
+        model = fit_krg(gram, T, L, fit_hyper, x_train=model.x_train,
+                        spec=model.spec, cache=cache.with_laplacian(L))
         return model, spectral_rescale(L), np.array(cost_trace), substep_costs
     finally:
         if log_fh:

@@ -204,18 +204,22 @@ def save_matrix_csv(path, mat):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def load_matrix_csv(path):
+def load_matrix_csv(path, header=False):
+    """Numeric CSV as a matrix; blank lines, and the first line if
+    `header`, are skipped. Missing, non-numeric or non-finite values,
+    ragged rows, and empty or unreadable files raise DataFormatError."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
+                if not row or (header and lineno == 1):
                     continue
                 try:
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise DataFormatError(
-                        f"{path}: bad number on line {lineno}: {exc}")
+                        f"{path}: missing or non-numeric value on line "
+                        f"{lineno}: {exc}")
                 if not np.isfinite(rows[-1]).all():
                     raise DataFormatError(
                         f"{path}: non-finite number on line {lineno}")

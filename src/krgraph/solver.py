@@ -3,14 +3,15 @@
 Both the primal and the dual normal equations have the generalized
 Sylvester form A X + beta B X L = RHS with A = B + alpha*I and B
 symmetric PSD. Jointly diagonalizing B and L turns the system into an
-entrywise division, so one eigendecomposition pair serves every
-(alpha, beta) on a hyperparameter grid.
+entrywise division, so one eigendecomposition pair and one projected
+right-hand side U^T RHS V serve a whole (alpha, beta) grid at once
+(solve_sylvester_grid); a single solve is the grid's one-point case.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class SpectralCache:
             u=U, theta=clamp_psd_eigenvalues(theta), v=V, lam=lam
         )
 
+    def with_laplacian(self, L: Laplacian) -> "SpectralCache":
+        """The same sample-side eigenpairs, paired with L's."""
+        lam, V = L.eigendecomposition()
+        return replace(self, v=V, lam=lam)
+
 
 @dataclass(frozen=True)
 class KrgModel:
@@ -74,31 +80,48 @@ class LrgModel:
     laplacian: Laplacian
 
 
-def _eta_grid(cache: SpectralCache, hyper: Hyperparams):
-    """eta[n, m] = (theta_n + alpha) + beta * lam_m * theta_n."""
-    return (
-        cache.theta[:, None]
-        + hyper.alpha
-        + hyper.beta * cache.theta[:, None] * cache.lam[None, :]
-    )
+def _checked_eta(cache: SpectralCache, alphas, betas):
+    """eta[a, b, n, m] = (theta_n + alpha_a) + beta_b * theta_n * lam_m,
+    rejected if any entry is at or below the singularity floor."""
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    theta = cache.theta[:, None]
+    eta = (theta + alphas[:, None, None, None]
+           + betas[:, None, None] * theta * cache.lam)
+    if eta.min() <= _ETA_FLOOR:
+        _, _, n, m = np.unravel_index(np.argmin(eta), eta.shape)
+        raise SingularSystemError(
+            f"near-singular system: eta={eta.min():.3e} at kernel eigenvalue "
+            f"theta={cache.theta[n]:.3e}, Laplacian eigenvalue lam={cache.lam[m]:.3e}"
+        )
+    return eta
 
 
-def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
-    """Solve (K + alpha I) X + beta K X L = RHS through the eigenbases."""
+def solve_sylvester_grid(cache: SpectralCache, RHS, alphas, betas):
+    """X[a, b] solves (K + alpha_a I) X + beta_b K X L = RHS, for every
+    grid point from one projection U^T RHS V."""
     RHS = np.asarray(RHS, dtype=float)
     if RHS.shape != (cache.u.shape[0], cache.v.shape[0]):
         raise DimensionError(
             f"RHS shape {RHS.shape} incompatible with cache "
             f"({cache.u.shape[0]}, {cache.v.shape[0]})"
         )
-    eta = _eta_grid(cache, hyper)
-    if eta.min() <= _ETA_FLOOR:
-        n, m = np.unravel_index(np.argmin(eta), eta.shape)
-        raise SingularSystemError(
-            f"near-singular system: eta={eta[n, m]:.3e} at kernel eigenvalue "
-            f"theta={cache.theta[n]:.3e}, Laplacian eigenvalue lam={cache.lam[m]:.3e}"
-        )
+    eta = _checked_eta(cache, alphas, betas)
     return cache.u @ ((cache.u.T @ RHS @ cache.v) / eta) @ cache.v.T
+
+
+def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
+    """Solve (K + alpha I) X + beta K X L = RHS through the eigenbases."""
+    return solve_sylvester_grid(cache, RHS, [hyper.alpha], [hyper.beta])[0, 0]
+
+
+def check_primal_rank(cache: SpectralCache, alphas):
+    """alpha = 0 needs full-rank features: the primal system is singular
+    otherwise, whatever beta is."""
+    if 0 in alphas and cache.theta.min() <= _ETA_FLOOR:
+        raise SingularSystemError(
+            "alpha=0 with rank-deficient features; the primal system is singular"
+        )
 
 
 def fit_krg(gram: GramMatrix, T, L: Laplacian, hyper: Hyperparams,
@@ -146,13 +169,9 @@ def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams,
         raise DimensionError(
             f"targets {T.shape} incompatible with N={Phi.shape[0]}, M={L.num_nodes}"
         )
-    G = Phi.T @ Phi
     if cache is None:
-        cache = SpectralCache.build(G, L)
-    if hyper.alpha == 0 and cache.theta.min() <= _ETA_FLOOR:
-        raise SingularSystemError(
-            "alpha=0 with rank-deficient features; the primal system is singular"
-        )
+        cache = SpectralCache.build(Phi.T @ Phi, L)
+    check_primal_rank(cache, [hyper.alpha])
     w = solve_sylvester_spectral(cache, Phi.T @ T, hyper)
     return LrgModel(w=w, hyper=hyper, laplacian=L)
 
@@ -189,10 +208,7 @@ def dual_cost_gradient(gram: GramMatrix, psi, T, L: Laplacian, hyper: Hyperparam
 
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
     """zeta[n, m] = theta_n / eta[n, m]; each in [0, 1) for alpha > 0."""
-    eta = _eta_grid(cache, hyper)
-    if eta.min() <= _ETA_FLOOR:
-        raise SingularSystemError("near-singular eta; shrinkage undefined")
-    return cache.theta[:, None] / eta
+    return cache.theta[:, None] / _checked_eta(cache, [hyper.alpha], [hyper.beta])[0, 0]
 
 
 def fitted_smoother(gram: GramMatrix, L: Laplacian, hyper: Hyperparams, T,
@@ -206,12 +222,10 @@ def fitted_smoother(gram: GramMatrix, L: Laplacian, hyper: Hyperparams, T,
 
 def kr_fitted_shrinkage(gram: GramMatrix, alpha: float, T):
     """Graph-free fitted outputs K (K + alpha I)^{-1} T via eigendecomposition."""
-    if alpha <= 0:
-        evals = np.linalg.eigvalsh(gram.matrix)
-        if evals.min() <= _ETA_FLOOR:
-            raise SingularSystemError("alpha=0 requires a nonsingular Gram matrix")
     theta, U = np.linalg.eigh(gram.matrix)
     theta = clamp_psd_eigenvalues(theta)
+    if alpha <= 0 and theta.min() <= _ETA_FLOOR:
+        raise SingularSystemError("alpha=0 requires a nonsingular Gram matrix")
     factors = theta / (theta + alpha)
     return U @ (factors[:, None] * (U.T @ np.asarray(T, dtype=float)))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from krgraph import evaluation
-from krgraph.errors import KrgraphError
+from krgraph import evaluation, solver
+from krgraph.errors import KrgraphError, SingularSystemError
 from krgraph.evaluation import (
     BenchScenario,
     CvGrid,
@@ -51,6 +51,14 @@ class TestNmse:
     def test_energy_averaging(self):
         assert nmse_db_from_energies(1.0, 100.0) == pytest.approx(-20.0)
         assert nmse_db_from_energies(0.0, 1.0) == NMSE_FLOOR_DB
+
+    def test_energies_elementwise_match_nmse_db(self):
+        rng = np.random.default_rng(4)
+        T0 = rng.standard_normal((6, 3))
+        Ys = [T0, T0 + 1e-3 * rng.standard_normal((6, 3)), np.zeros((6, 3))]
+        errors = np.array([np.sum((Y - T0) ** 2) for Y in Ys])
+        out = nmse_db_from_energies(errors, float(np.sum(T0**2)))
+        assert out.tolist() == [nmse_db(Y, T0) for Y in Ys]
 
 
 class TestFoldAssignment:
@@ -151,6 +159,53 @@ class TestCrossValidate:
                                    [r["nmse_db"] for r in expected],
                                    rtol=0, atol=1e-9)
         assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
+    @pytest.mark.parametrize("method", ["LRG", "KRG"])
+    def test_unsorted_repeated_grid_matches_refit_oracle(self, method):
+        train, L = _toy_dataset(7, n=15, M=4)
+        grid = CvGrid(alphas=[1.0, 0.01, 0.3, 0.01], betas=[2.0, 0.0, 2.0],
+                      sigma_sqs=[3.0, 0.7], folds=3)
+        best, table = cross_validate(train, L, grid, method, seed=4)
+        expected = cv_table_refit(train, L, grid, method, seed=4)
+        assert len(table) == 4 * 3 * (1 if method == "LRG" else 2)
+        assert [r["params"] for r in table] == [r["params"] for r in expected]
+        np.testing.assert_allclose([r["nmse_db"] for r in table],
+                                   [r["nmse_db"] for r in expected],
+                                   rtol=0, atol=1e-9)
+        assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
+    def test_krg_singular_grid_point_raises(self):
+        # a linear kernel on 3 features has rank 3 < n_fit: alpha = 0 is
+        # singular in the first fold, even though alpha = 0.1 is not
+        train, L = _toy_dataset(8)
+        grid = CvGrid(alphas=[0.1, 0.0], betas=[0.5], folds=4)
+        with pytest.raises(SingularSystemError, match="theta"):
+            cross_validate(train, L, grid, "KRG", seed=0,
+                           kernel_spec=KernelSpec(kind="linear"))
+
+    def test_lrg_collinear_features_alpha_zero_raises(self):
+        train, L = _toy_dataset(9)
+        X = np.c_[train.X, 2.0 * train.X[:, 0]]
+        train = Dataset(X=X, T=train.T, T0=train.T0)
+        grid = CvGrid(alphas=[0.1, 0.0], betas=[0.5], folds=4)
+        with pytest.raises(SingularSystemError, match="rank-deficient"):
+            cross_validate(train, L, grid, "LRG", seed=0)
+
+    @pytest.mark.parametrize("method", ["LR", "LRG", "KR", "KRG"])
+    def test_no_per_point_fits(self, monkeypatch, method):
+        calls = []
+        for name in ("fit_krg", "fit_lrg", "solve_sylvester_spectral"):
+            for module in (solver, evaluation):
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name,
+                        lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
+        train, L = _toy_dataset(10)
+        grid = CvGrid(alphas=[0.01, 0.1, 1.0], betas=[0.0, 0.5],
+                      sigma_sqs=[1.0, 2.0], folds=4)
+        _, table = cross_validate(train, L, grid, method, seed=0)
+        assert table and calls == []
 
     def test_kr_table_is_krg_beta_zero_rows(self):
         train, L = _toy_dataset(6)

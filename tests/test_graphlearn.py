@@ -309,6 +309,22 @@ class TestAlternatingFit:
         np.testing.assert_array_equal(out1[0].psi, out2[0].psi)
         assert len(out1[2]) >= 1
 
+    def test_gram_eigendecomposed_once(self, monkeypatch):
+        N, M = 10, 6
+        gram, T = self._setup(16, N=N, M=M)
+        cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=5, tol=1e-12)
+        expected = alternating_fit(gram, T, Hyperparams(0.3, 0.0), cfg)
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: shapes.append(np.shape(a)) or eigh(a))
+        model, L, trace, _ = alternating_fit(gram, T, Hyperparams(0.3, 0.0), cfg)
+        assert len(trace) == 5
+        assert shapes.count((N, N)) == 1
+        assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
+        np.testing.assert_array_equal(model.psi, expected[0].psi)
+        np.testing.assert_array_equal(L.matrix, expected[1].matrix)
+
     def test_returned_laplacian_rescaled(self):
         gram, T = self._setup(14)
         cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=3)

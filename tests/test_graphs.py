@@ -274,6 +274,32 @@ def test_matrix_csv_rejects_nonfinite(tmp_path, token):
         load_matrix_csv(path)
 
 
+def test_matrix_csv_header_skipped(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("a,b\n1.0,2.0\n\n3.0,4.5\n", encoding="utf-8")
+    assert load_matrix_csv(path, header=True).tolist() == [[1.0, 2.0], [3.0, 4.5]]
+    with pytest.raises(DataFormatError, match=r"m\.csv: .*line 1"):
+        load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("h\n1.0,2.0\n3.0,\n", "line 3"),         # missing value
+    ("h\n1.0,2.0\n3.0,x\n", "line 3"),        # non-numeric
+    ("h\n1.0,2.0\n3.0,nan\n", "line 3"),      # non-finite
+    ("h\n1.0,2.0\n\n3.0\n", "line 4"),        # ragged
+    ("h\n\n", "no data|empty"),               # empty
+    (b"h\n\xff\xfe,1\n", "cannot read"),       # unreadable
+], ids=["missing", "non_numeric", "non_finite", "ragged", "empty", "unreadable"])
+def test_matrix_csv_rejections_name_file(tmp_path, text, where):
+    path = tmp_path / "table.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=rf"table\.csv: .*({where})"):
+        load_matrix_csv(path, header=True)
+
+
 def test_edge_json_roundtrip():
     rng = np.random.default_rng(13)
     g = Graph(random_graph_adjacency(rng, 6))

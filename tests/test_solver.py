@@ -18,6 +18,7 @@ from krgraph.solver import (
     predict_lrg,
     save_model,
     shrinkage_factors,
+    solve_sylvester_grid,
     solve_sylvester_spectral,
 )
 from oracles import (
@@ -93,6 +94,52 @@ class TestSylvesterSpectral:
         with pytest.raises(DimensionError):
             solve_sylvester_spectral(cache, np.ones((2, 3)),
                                      Hyperparams(alpha=1.0, beta=0.0))
+
+
+class TestSylvesterGrid:
+    def _instance(self, seed):
+        rng = np.random.default_rng(seed)
+        K = random_psd(rng, 9)
+        L = Laplacian(random_laplacian_matrix(rng, 6))
+        return K, L, rng.standard_normal((9, 6))
+
+    def test_equals_per_point_solve_bitwise(self):
+        K, L, T = self._instance(40)
+        cache = SpectralCache.build(K, L)
+        alphas, betas = [0.5, 0.01, 0.5, 2.0], [0.0, 3.0, 0.7]
+        X = solve_sylvester_grid(cache, T, alphas, betas)
+        assert X.shape == (4, 3, 9, 6)
+        for a, alpha in enumerate(alphas):
+            for b, beta in enumerate(betas):
+                one = solve_sylvester_spectral(cache, T, Hyperparams(alpha, beta))
+                assert np.array_equal(X[a, b], one)
+
+    def test_matches_dense_oracle(self):
+        K, L, T = self._instance(41)
+        alphas, betas = [0.05, 1.0], [0.0, 0.4, 5.0]
+        X = solve_sylvester_grid(SpectralCache.build(K, L), T, alphas, betas)
+        for a, alpha in enumerate(alphas):
+            for b, beta in enumerate(betas):
+                np.testing.assert_allclose(
+                    X[a, b], dense_kron_dual_solve(K, L.matrix, T, alpha, beta),
+                    rtol=1e-8, atol=1e-10)
+
+    def test_one_singular_point_fails_the_grid(self):
+        cache = SpectralCache.build(np.diag([0.0, 1.0, 2.0]),
+                                    Laplacian(np.zeros((2, 2))))
+        with pytest.raises(SingularSystemError, match="theta=0.000e\\+00"):
+            solve_sylvester_grid(cache, np.ones((3, 2)), [1.0, 0.0], [0.5])
+
+    def test_shrinkage_matches_solve(self):
+        # zeta = theta / eta is the solve's per-eigenpair fitted gain
+        K, L, T = self._instance(42)
+        cache = SpectralCache.build(K, L)
+        hyper = Hyperparams(alpha=0.3, beta=1.2)
+        zeta = shrinkage_factors(cache, hyper)
+        fitted = K @ solve_sylvester_spectral(cache, T, hyper)
+        np.testing.assert_allclose(
+            cache.u.T @ fitted @ cache.v, zeta * (cache.u.T @ T @ cache.v),
+            atol=1e-10)
 
 
 class TestFitKrg:
@@ -392,6 +439,19 @@ class TestKrFittedShrinkage:
         out = kr_fitted_shrinkage(GramMatrix(K), 0.7, T)
         expected = K @ np.linalg.solve(K + 0.7 * np.eye(10), T)
         np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    def test_alpha_zero_singular_raises_after_one_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(1) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(2) or pytest.fail("eigvalsh"))
+        K = random_psd(np.random.default_rng(28), 6, rank=3)
+        with pytest.raises(SingularSystemError):
+            kr_fitted_shrinkage(GramMatrix(K), 0.0, np.ones((6, 2)))
+        kr_fitted_shrinkage(GramMatrix(K), 0.5, np.ones((6, 2)))
+        assert calls == [1, 1]
 
 
 class TestModelSerialization:

@@ -1,0 +1,48 @@
+"""The shipped configs and the sweep script stay runnable."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from krgraph.cli import SCHEMAS
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+
+def _command(path):
+    """bench_*.json configs the bench command, <command>_*.json the others."""
+    return "bench" if path.stem.startswith("bench_") else path.stem.split("_")[0]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_shipped_config_validates(path):
+    assert _command(path) in SCHEMAS, f"no schema for {path.name}"
+    jsonschema.validate(json.loads(path.read_text(encoding="utf-8")),
+                        SCHEMAS[_command(path)])
+
+
+def test_sweep_script_smoke(tmp_path):
+    cfg = json.loads((ROOT / "configs" / "bench_snr_sweep.json").read_text())
+    cfg.update(n_train=[12], snr_db=[20.0, 0.0], realizations=2,
+               num_nodes=8, num_samples=40,
+               grid={"alphas": [0.1, 1.0], "betas": [0.0, 1.0], "folds": 3})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep.py"), "--config",
+         str(path), "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["method", "n_train", "snr_db", "nmse_db"]
+    keys = [(m, int(n), float(snr)) for m, n, snr, _ in map(str.split, lines)]
+    assert keys == sorted(keys)
+    assert keys == [(m, 12, snr) for m in ("KR", "KRG") for snr in (0.0, 20.0)]
+    assert (tmp_path / "out" / "results.csv").exists()

@@ -193,12 +193,13 @@ def _kernel_spec(doc):
     return KernelSpec(kind=doc["kind"], sigma_sq=doc.get("sigma_sq"))
 
 
-def _load_laplacian(cfg):
+def _load_laplacian(cfg, num_nodes):
+    """The config's graph, or the edgeless graph on num_nodes nodes."""
     if "graph_json" in cfg:
         return graphs.build_laplacian(graphs.load_graph_json(cfg["graph_json"]))
     if "laplacian_csv" in cfg:
         return graphs.Laplacian(graphs.load_matrix_csv(cfg["laplacian_csv"]))
-    return None
+    return graphs.Laplacian(np.zeros((num_nodes, num_nodes)))
 
 
 def _cv_grid(doc):
@@ -237,7 +238,6 @@ def cmd_ingest(cfg, out_dir):
             f"row count mismatch: {X.shape[0]} inputs vs {T.shape[0]} targets"
         )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graphs.save_matrix_csv(out / "X.csv", X)
     graphs.save_matrix_csv(out / "T.csv", T)
     manifest = {"config": cfg, "n": int(X.shape[0]),
@@ -254,28 +254,22 @@ def cmd_ingest(cfg, out_dir):
 def cmd_fit(cfg, out_dir):
     X = graphs.load_matrix_csv(cfg["x_csv"])
     T = graphs.load_matrix_csv(cfg["t_csv"])
-    L = _load_laplacian(cfg)
-    if L is None:
-        if cfg["beta"] > 0:
-            raise ConfigError("beta > 0 requires graph_json or laplacian_csv")
-        L = graphs.Laplacian(np.zeros((T.shape[1], T.shape[1])))
+    if cfg["beta"] > 0 and not {"graph_json", "laplacian_csv"} & cfg.keys():
+        raise ConfigError("beta > 0 requires graph_json or laplacian_csv")
+    L = _load_laplacian(cfg, T.shape[1])
     spec = _kernel_spec(cfg["kernel"])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     gram = gram_matrix(X, spec)
     model = solver.fit_krg(gram, T, L, hyper, x_train=X, spec=spec)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     solver.save_model(out / "model.json", model)
-    K = gram.matrix
-    residual = (K + hyper.alpha * np.eye(gram.n)) @ model.psi \
-        + hyper.beta * K @ model.psi @ L.matrix - T
-    Y = K @ model.psi
+    residual = solver.sylvester_residual(gram, model.psi, T, L, hyper.alpha,
+                                         hyper.beta)
+    costs = solver.cost_terms(gram, model.psi, T, L, hyper.alpha, hyper.beta)
     _write_json(out / "fit_report.json", {
         "residual_norm": float(np.linalg.norm(residual, "fro")),
         "target_norm": float(np.linalg.norm(T, "fro")),
-        "data_cost": float(np.sum((T - Y) ** 2)),
-        "coefficient_cost": float(hyper.alpha * np.trace(model.psi.T @ K @ model.psi)),
-        "roughness_cost": float(hyper.beta * np.trace(Y @ L.matrix @ Y.T)),
+        **dict(zip(("data_cost", "coefficient_cost", "roughness_cost"), costs)),
     })
     log.info("fitted model on %d samples", gram.n)
 
@@ -286,7 +280,6 @@ def cmd_predict(cfg, out_dir):
     K_cross = kernel_cross_matrix(model.x_train, X, model.spec, model.gram)
     Y = K_cross @ model.psi
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graphs.save_matrix_csv(out / "predictions.csv", Y)
     log.info("predicted %d rows", Y.shape[0])
 
@@ -304,7 +297,6 @@ def cmd_learn_graph(cfg, out_dir):
     )
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model, L, cost_trace, _ = graphlearn.alternating_fit(
         gram, T, hyper, gl_cfg, log_path=out / "iterations.jsonl")
     model = solver.KrgModel(psi=model.psi, x_train=X, spec=spec,
@@ -319,18 +311,17 @@ def cmd_cv(cfg, out_dir):
     X = graphs.load_matrix_csv(cfg["x_csv"])
     T = graphs.load_matrix_csv(cfg["t_csv"])
     T0 = graphs.load_matrix_csv(cfg["t0_csv"]) if "t0_csv" in cfg else None
-    L = _load_laplacian(cfg)
-    if L is None:
-        L = graphs.Laplacian(np.zeros((T.shape[1], T.shape[1])))
+    L = _load_laplacian(cfg, T.shape[1])
     train = synthdata.Dataset(X=X, T=T, T0=T0)
     grid = _cv_grid(cfg["grid"])
-    spec = _kernel_spec(cfg["kernel"]) if "kernel" in cfg else None
-    if spec is not None and spec.kind == "rbf":
-        spec = None  # sigma comes from the grid
+    kernel = cfg.get("kernel", {"kind": "rbf"})
+    sigma_from_grid = kernel["kind"] == "rbf" and "sigma_sq" not in kernel
+    if kernel["kind"] == "rbf" and not sigma_from_grid and grid.sigma_sqs:
+        raise ConfigError("rbf kernel: give sigma_sq or grid.sigma_sqs, not both")
+    spec = None if sigma_from_grid else _kernel_spec(kernel)
     best, table = evaluation.cross_validate(
         train, L, grid, cfg["method"], seed=cfg["seed"], kernel_spec=spec)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "cv_results.json", {"best_params": best, "table": table})
     log.info("cross-validation selected %s", best)
 
@@ -346,7 +337,6 @@ def cmd_bench(cfg, out_dir):
     )
     results, failures = evaluation.run_benchmark(scenario)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     evaluation.save_results_csv(out / "results.csv", results)
     evaluation.save_results_json(out / "results.json", results, failures)
     _write_plot_data(out, results, scenario)
@@ -394,7 +384,6 @@ def cmd_krr(cfg, out_dir):
     est = evaluation.krr_baseline(K_bar, cfg["observed_idx"],
                                   np.array(cfg["x"], dtype=float), cfg["mu"])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graphs.save_matrix_csv(out / "estimate.csv", est[:, None])
     log.info("krr estimate written for %d nodes", len(est))
 

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, KrgraphError
+from .errors import DimensionError, KrgraphError, SingularSystemError
 from .graphs import Laplacian, build_laplacian
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (Hyperparams, SpectralCache, check_primal_rank, fit_krg,
@@ -35,10 +35,7 @@ def nmse_db(Y, T0) -> float:
     denom = float(np.sum(T0**2))
     if denom == 0:
         raise KrgraphError("reference signal is zero; NMSE undefined")
-    num = float(np.sum((Y - T0) ** 2))
-    if num == 0:
-        return NMSE_FLOOR_DB
-    return max(10.0 * np.log10(num / denom), NMSE_FLOOR_DB)
+    return nmse_db_from_energies(float(np.sum((Y - T0) ** 2)), denom)
 
 
 def nmse_db_from_energies(error_energy, signal_energy):
@@ -156,6 +153,8 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
     K_bar = np.asarray(K_bar, dtype=float)
     obs = np.asarray(observed_idx, dtype=int)
     x = np.asarray(x, dtype=float).reshape(-1)
+    if K_bar.ndim != 2 or K_bar.shape[0] != K_bar.shape[1]:
+        raise DimensionError(f"kernel matrix must be square, got {K_bar.shape}")
     P = K_bar.shape[0]
     S = len(obs)
     if len(np.unique(obs)) != S or obs.min() < 0 or obs.max() >= P:
@@ -165,7 +164,11 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
     if mu <= 0:
         raise KrgraphError("mu must be positive")
     A = K_bar[np.ix_(obs, obs)] + mu * S * np.eye(S)
-    return K_bar[:, obs] @ np.linalg.solve(A, x)
+    try:
+        return K_bar[:, obs] @ np.linalg.solve(A, x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"Phi K_bar Phi^T + mu S I is singular: {exc}") from exc
 
 
 def heat_kernel(L: Laplacian, tau: float):

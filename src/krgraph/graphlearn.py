@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from .errors import ConvergenceError, DimensionError
 from .graphs import Laplacian, spectral_rescale
 from .kernels import GramMatrix
-from .solver import Hyperparams, SpectralCache, fit_krg
+from .solver import Hyperparams, SpectralCache, cost_terms, fit_krg
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,11 @@ def laplacian_step(Y, cfg: GraphLearnConfig) -> Laplacian:
 
 def joint_cost(gram: GramMatrix, psi, L: Laplacian, T, hyper: Hyperparams,
                cfg: GraphLearnConfig) -> float:
-    """||T - K Psi||_F^2 + alpha tr(Psi^T K Psi) + beta tr(Y L Y^T)
-    + nu ||L||_F^2 with Y = K Psi."""
-    K = gram.matrix
-    Y = K @ psi
-    return float(
-        np.sum((np.asarray(T, dtype=float) - Y) ** 2)
-        + hyper.alpha * np.trace(np.asarray(psi).T @ K @ psi)
-        + cfg.beta * np.trace(Y @ L.matrix @ Y.T)
-        + cfg.nu * np.sum(L.matrix**2)
-    )
+    """The regression objective (solver.cost_terms, with cfg.beta) plus
+    nu ||L||_F^2."""
+    data, coefficient, roughness = cost_terms(gram, psi, T, L, hyper.alpha,
+                                              cfg.beta)
+    return data + coefficient + roughness + cfg.nu * float(np.sum(L.matrix**2))
 
 
 def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
@@ -162,7 +157,6 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
     substep_costs = []  # (after-W, after-L) pairs at the L in force
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        model = None
         for it in range(cfg.max_outer_iters):
             model = fit_krg(gram, T, L, fit_hyper,
                             cache=cache.with_laplacian(L))
@@ -189,8 +183,7 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
             if converged:
                 break
         # refit so the returned coefficients match the final Laplacian
-        model = fit_krg(gram, T, L, fit_hyper, x_train=model.x_train,
-                        spec=model.spec, cache=cache.with_laplacian(L))
+        model = fit_krg(gram, T, L, fit_hyper, cache=cache.with_laplacian(L))
         return model, spectral_rescale(L), np.array(cost_trace), substep_costs
     finally:
         if log_fh:

@@ -106,7 +106,13 @@ def gram_matrix(X, spec: KernelSpec) -> GramMatrix:
     Z = float(sq.sum()) / X.shape[0]
     if Z == 0:
         raise DegenerateKernelError("all inputs identical; rbf normalizer is zero")
-    return GramMatrix(np.exp(-sq / (spec.sigma_sq * Z)), rbf_normalizer=Z)
+    return GramMatrix(_rbf_in_place(sq, spec.sigma_sq, Z), rbf_normalizer=Z)
+
+
+def _rbf_in_place(sq, sigma_sq, Z):
+    """exp(-sq / (sigma_sq Z)) over squared distances, overwriting sq."""
+    sq /= -(sigma_sq * Z)
+    return np.exp(sq, out=sq)
 
 
 def kernel_vector(X_train, x, spec: KernelSpec, gram: GramMatrix):
@@ -133,6 +139,5 @@ def kernel_cross_matrix(X_train, X_test, spec: KernelSpec, gram: GramMatrix):
         return X_test @ X_train.T
     if gram.rbf_normalizer is None:
         raise DegenerateKernelError("rbf cross-kernel needs the training normalizer")
-    K = cdist(X_test, X_train, "sqeuclidean")
-    K /= -(spec.sigma_sq * gram.rbf_normalizer)
-    return np.exp(K, out=K)
+    return _rbf_in_place(cdist(X_test, X_train, "sqeuclidean"), spec.sigma_sq,
+                         gram.rbf_normalizer)

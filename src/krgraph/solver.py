@@ -186,24 +186,33 @@ def predict_lrg(model: LrgModel, x):
     return model.w.T @ x
 
 
-def dual_cost(gram: GramMatrix, psi, T, L: Laplacian, hyper: Hyperparams):
-    """-2 tr(T^T K Psi) + tr(Psi^T K K Psi) + alpha tr(Psi^T K Psi)
-    + beta tr(Psi^T K K Psi L)."""
+def cost_terms(gram: GramMatrix, psi, T, L: Laplacian, alpha, beta):
+    """(||T - Y||_F^2, alpha tr(Psi^T K Psi), beta tr(Y L Y^T)) with Y = K Psi:
+    the three terms of the objective that the fit minimizes."""
     K = gram.matrix
-    KP = K @ psi
-    return float(
-        -2.0 * np.trace(T.T @ KP)
-        + np.trace(KP.T @ KP)
-        + hyper.alpha * np.trace(psi.T @ KP)
-        + hyper.beta * np.trace(KP.T @ KP @ L.matrix)
-    )
+    psi = np.asarray(psi, dtype=float)
+    Y = K @ psi
+    return (float(np.sum((np.asarray(T, dtype=float) - Y) ** 2)),
+            float(alpha * np.trace(psi.T @ K @ psi)),
+            float(beta * np.trace(Y @ L.matrix @ Y.T)))
+
+
+def sylvester_residual(gram: GramMatrix, psi, T, L: Laplacian, alpha, beta):
+    """(K + alpha I) Psi + beta K Psi L - T; zero at the exact fit."""
+    K = gram.matrix
+    return (K + alpha * np.eye(gram.n)) @ psi + beta * K @ psi @ L.matrix - T
+
+
+def dual_cost(gram: GramMatrix, psi, T, L: Laplacian, hyper: Hyperparams):
+    """The objective without its constant ||T||_F^2."""
+    return (sum(cost_terms(gram, psi, T, L, hyper.alpha, hyper.beta))
+            - float(np.sum(np.asarray(T, dtype=float) ** 2)))
 
 
 def dual_cost_gradient(gram: GramMatrix, psi, T, L: Laplacian, hyper: Hyperparams):
     """Analytic gradient of dual_cost: 2 K [(K + alpha I) Psi + beta K Psi L - T]."""
-    K = gram.matrix
-    resid = (K + hyper.alpha * np.eye(gram.n)) @ psi + hyper.beta * K @ psi @ L.matrix - T
-    return 2.0 * K @ resid
+    return 2.0 * gram.matrix @ sylvester_residual(gram, psi, T, L,
+                                                  hyper.alpha, hyper.beta)
 
 
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
@@ -214,10 +223,7 @@ def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
 def fitted_smoother(gram: GramMatrix, L: Laplacian, hyper: Hyperparams, T,
                     cache: SpectralCache | None = None):
     """Training-set fitted outputs Y = K Psi."""
-    if cache is None:
-        cache = SpectralCache.build(gram.matrix, L)
-    psi = solve_sylvester_spectral(cache, np.asarray(T, dtype=float), hyper)
-    return gram.matrix @ psi
+    return gram.matrix @ fit_krg(gram, T, L, hyper, cache=cache).psi
 
 
 def kr_fitted_shrinkage(gram: GramMatrix, alpha: float, T):
@@ -255,14 +261,14 @@ def model_from_json(doc: dict) -> KrgModel:
         raise DataFormatError(f"unsupported model version {version!r}")
     spec = KernelSpec.from_json(doc["kernel_spec"])
     x_train = np.array(doc["x_train"], dtype=float)
-    return KrgModel(
-        psi=np.array(doc["psi"], dtype=float),
-        x_train=x_train,
-        spec=spec,
-        gram=gram_matrix(x_train, spec),
-        laplacian=Laplacian(np.array(doc["laplacian"], dtype=float)),
-        hyper=Hyperparams(**doc["hyper"]),
-    )
+    psi = np.array(doc["psi"], dtype=float)
+    gram = gram_matrix(x_train, spec)
+    L = Laplacian(np.array(doc["laplacian"], dtype=float))
+    if psi.shape != (gram.n, L.num_nodes):
+        raise DataFormatError(f"psi shape {psi.shape} does not fit {gram.n} "
+                              f"training samples and {L.num_nodes} nodes")
+    return KrgModel(psi=psi, x_train=x_train, spec=spec, gram=gram,
+                    laplacian=L, hyper=Hyperparams(**doc["hyper"]))
 
 
 def save_model(path, model: KrgModel):

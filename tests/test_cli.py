@@ -6,9 +6,9 @@ import pytest
 
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
-from krgraph.graphs import load_matrix_csv, save_matrix_csv
+from krgraph.graphs import Laplacian, load_matrix_csv, save_matrix_csv
 from krgraph.kernels import KernelSpec, gram_matrix
-from krgraph.solver import Hyperparams, fit_krg, load_model
+from krgraph.solver import Hyperparams, cost_terms, fit_krg, load_model
 from oracles import dense_kron_dual_solve, random_laplacian_matrix
 
 
@@ -183,6 +183,16 @@ class TestFitPredict:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["residual_norm"] <= 1e-8 * report["target_norm"]
 
+    def test_fit_report_costs_are_the_shared_cost_terms(self, tmp_path):
+        cfg, X, T, L = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        model = load_model(out / "model.json")
+        terms = cost_terms(model.gram, model.psi, T, Laplacian(L), 0.5, 0.8)
+        assert [report["data_cost"], report["coefficient_cost"],
+                report["roughness_cost"]] == list(terms)
+
     def test_positive_beta_without_graph_fails(self, tmp_path, capsys):
         cfg, *_ = fit_configs(tmp_path, beta=0.8, with_laplacian=False)
         assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
@@ -199,7 +209,6 @@ class TestFitPredict:
         pout = tmp_path / "pred"
         assert run(["predict", "--config", pcfg, "--out-dir", pout]) == 0
         Y = load_matrix_csv(pout / "predictions.csv")
-        from krgraph.graphs import Laplacian
         gram = gram_matrix(X, KernelSpec(kind="linear"))
         model = fit_krg(gram, T, Laplacian(L),
                         Hyperparams(alpha=0.5, beta=0.3))
@@ -265,6 +274,46 @@ class TestCv:
         doc = json.loads((out / "cv_results.json").read_text())
         assert doc["best_params"]["alpha"] in (0.1, 1.0)
         assert len(doc["table"]) == 4
+
+    def _rbf_cv(self, tmp_path, name, kernel, sigma_sqs=None):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        grid = {"alphas": [0.1, 1.0], "betas": [0.0, 0.5], "folds": 3}
+        if sigma_sqs is not None:
+            grid["sigma_sqs"] = sigma_sqs
+        doc = {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+               "method": "KRG", "kernel": kernel, "grid": grid, "seed": 0}
+        doc = {k: v for k, v in doc.items() if v is not None}
+        out = tmp_path / name
+        code = run(["cv", "--config", write_config(tmp_path, name + ".json", doc),
+                    "--out-dir", out])
+        return code, out / "cv_results.json"
+
+    def test_rbf_with_fixed_sigma_uses_it(self, tmp_path):
+        code, path = self._rbf_cv(tmp_path, "fixed",
+                                  {"kind": "rbf", "sigma_sq": 1.5})
+        assert code == 0
+        fixed = json.loads(path.read_text())["table"]
+        _, path = self._rbf_cv(tmp_path, "grid", None, sigma_sqs=[1.5])
+        from_grid = json.loads(path.read_text())["table"]
+        assert [r["params"]["sigma_sq"] for r in fixed] == [None] * 4
+        assert [r["nmse_db"] for r in fixed] == [r["nmse_db"] for r in from_grid]
+
+    def test_rbf_without_sigma_takes_grid(self, tmp_path):
+        code, path = self._rbf_cv(tmp_path, "rbf", {"kind": "rbf"},
+                                  sigma_sqs=[0.5, 2.0])
+        assert code == 0
+        table = json.loads(path.read_text())["table"]
+        assert sorted({r["params"]["sigma_sq"] for r in table}) == [0.5, 2.0]
+
+    def test_rbf_sigma_in_kernel_and_grid_rejected(self, tmp_path, capsys):
+        capsys.readouterr()
+        code, path = self._rbf_cv(tmp_path, "both",
+                                  {"kind": "rbf", "sigma_sq": 1.5},
+                                  sigma_sqs=[0.5])
+        assert code == 1
+        _assert_one_json_error(capsys, "ConfigError", "sigma_sq")
+        assert not path.exists()
 
 
 BENCH_CFG = {
@@ -342,6 +391,22 @@ class TestKrr:
             "observed_idx": [0], "x": [1.0], "mu": 0.1})
         assert run(["krr", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K_bar,observed,x,error", [
+        (np.ones((3, 2)), [2], [1.0], "DimensionError"),
+        (np.diag([1.0, -1.0]), [0, 1], [1.0, 2.0], "SingularSystemError"),
+    ], ids=["non_square_kernel", "singular_system"])
+    def test_bad_kernel_is_krgraph_error(self, tmp_path, capsys, K_bar,
+                                         observed, x, error):
+        save_matrix_csv(tmp_path / "K.csv", K_bar)
+        cfg = write_config(tmp_path, "krr.json", {
+            "kernel_csv": str(tmp_path / "K.csv"), "observed_idx": observed,
+            "x": x, "mu": 0.5})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, error)
+        assert list(out.iterdir()) == []
 
 
 class TestErrorHandling:
@@ -507,6 +572,10 @@ def _bad_file_case(tmp_path, case):
         model = _valid_model_doc(tmp_path)
         if case == "model_version_2":
             model["version"] = 2
+        elif case == "model_psi_rows":
+            model["psi"] = model["psi"][:-1]
+        elif case == "model_psi_cols":
+            model["psi"] = [row[:-1] for row in model["psi"]]
         else:
             del model["kernel_spec"]
         bad.write_text(json.dumps(model), encoding="utf-8")
@@ -519,7 +588,7 @@ class TestFileBoundaryErrors:
         "missing_matrix_csv", "missing_ingest_csv", "graph_not_json",
         "graph_edge_out_of_range", "graph_edge_negative",
         "graph_edge_fractional", "model_version_2", "model_not_json",
-        "model_missing_kernel_spec",
+        "model_missing_kernel_spec", "model_psi_rows", "model_psi_cols",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
         command, doc, name = _bad_file_case(tmp_path, case)

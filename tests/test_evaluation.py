@@ -60,6 +60,23 @@ class TestNmse:
         out = nmse_db_from_energies(errors, float(np.sum(T0**2)))
         assert out.tolist() == [nmse_db(Y, T0) for Y in Ys]
 
+    def test_nmse_db_is_energy_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            shape = tuple(rng.integers(1, 6, size=2))
+            T0 = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            kind = rng.integers(4)
+            if kind == 0:
+                Y = T0.copy()                  # floor
+            elif kind == 1:
+                Y = np.zeros(shape)            # exactly 0 dB
+            else:
+                Y = T0 + 10.0 ** rng.uniform(-20, 1) * rng.standard_normal(shape)
+            expected = nmse_db_from_energies(float(np.sum((Y - T0) ** 2)),
+                                              float(np.sum(T0**2)))
+            assert nmse_db(Y, T0) == expected
+            assert type(nmse_db(Y, T0)) is float
+
 
 class TestFoldAssignment:
     def test_partition(self):

@@ -18,7 +18,7 @@ from krgraph.graphlearn import (
     weights_to_laplacian,
 )
 from krgraph.kernels import GramMatrix
-from krgraph.solver import Hyperparams, fit_krg
+from krgraph.solver import Hyperparams, cost_terms, fit_krg
 from oracles import edge_overlap_matrix, random_psd
 
 
@@ -235,6 +235,18 @@ class TestJointCost:
         expected += cfg.nu * np.sum(Lmat**2)
         got = joint_cost(GramMatrix(K), psi, Laplacian(Lmat), T, hyper, cfg)
         assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_is_shared_cost_terms_plus_nu_norm(self):
+        rng = np.random.default_rng(11)
+        gram = GramMatrix(random_psd(rng, 7))
+        T = rng.standard_normal((7, 4))
+        psi = rng.standard_normal((7, 4))
+        L = weights_to_laplacian(rng.uniform(0, 1, 6), 4)
+        hyper = Hyperparams(alpha=0.3, beta=2.0)   # joint_cost takes cfg.beta
+        cfg = GraphLearnConfig(nu=0.7, beta=0.9)
+        data, coefficient, roughness = cost_terms(gram, psi, T, L, 0.3, 0.9)
+        assert joint_cost(gram, psi, L, T, hyper, cfg) == (
+            data + coefficient + roughness + 0.7 * np.sum(L.matrix**2))
 
 
 class TestAlternatingFit:

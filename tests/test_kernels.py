@@ -190,3 +190,16 @@ class TestKernelCrossMatrix:
         spec = KernelSpec(kind="linear")
         with pytest.raises(DimensionError):
             kernel_cross_matrix(X, np.ones((2, 2)), spec, gram_matrix(X, spec))
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "precomputed"])
+    def test_gram_is_cross_kernel_of_training_set(self, kind):
+        rng = np.random.default_rng(13)
+        if kind == "precomputed":
+            B = rng.standard_normal((9, 9))
+            spec = KernelSpec(kind=kind, precomputed=B @ B.T)
+            X = np.array([[4.0], [0.0], [7.0], [2.0]])
+        else:
+            spec = KernelSpec(kind=kind, sigma_sq=0.6 if kind == "rbf" else None)
+            X = rng.standard_normal((37, 4))
+        gram = gram_matrix(X, spec)
+        assert np.array_equal(gram.matrix, kernel_cross_matrix(X, X, spec, gram))

@@ -7,6 +7,7 @@ from krgraph.kernels import GramMatrix, KernelSpec, gram_matrix
 from krgraph.solver import (
     Hyperparams,
     SpectralCache,
+    cost_terms,
     dual_cost,
     dual_cost_gradient,
     fit_krg,
@@ -20,6 +21,7 @@ from krgraph.solver import (
     shrinkage_factors,
     solve_sylvester_grid,
     solve_sylvester_spectral,
+    sylvester_residual,
 )
 from oracles import (
     dense_kron_dual_solve,
@@ -328,6 +330,30 @@ class TestDualCostGradient:
         psi = fit_krg(gram, T, L, hyper).psi
         grad = dual_cost_gradient(gram, psi, T, L, hyper)
         assert np.linalg.norm(grad, "fro") <= 1e-6 * np.linalg.norm(T, "fro")
+
+    def test_built_from_the_shared_cost_and_residual(self):
+        rng = np.random.default_rng(20)
+        K = random_psd(rng, 6)
+        L = Laplacian(random_laplacian_matrix(rng, 4))
+        T = rng.standard_normal((6, 4))
+        psi = rng.standard_normal((6, 4))
+        gram = GramMatrix(K)
+        hyper = Hyperparams(alpha=0.4, beta=1.1)
+        resid = (K + 0.4 * np.eye(6)) @ psi + 1.1 * K @ psi @ L.matrix - T
+        assert np.array_equal(
+            sylvester_residual(gram, psi, T, L, 0.4, 1.1), resid)
+        assert np.array_equal(dual_cost_gradient(gram, psi, T, L, hyper),
+                              2.0 * K @ resid)
+        data, coefficient, roughness = cost_terms(gram, psi, T, L, 0.4, 1.1)
+        Y = K @ psi
+        assert data == np.sum((T - Y) ** 2)
+        assert coefficient == 0.4 * np.trace(psi.T @ K @ psi)
+        assert roughness == 1.1 * np.trace(Y @ L.matrix @ Y.T)
+        # the dual form drops the constant ||T||_F^2 of the data term
+        expanded = (-2.0 * np.trace(T.T @ Y) + np.trace(Y.T @ Y)
+                    + coefficient + roughness)
+        assert dual_cost(gram, psi, T, L, hyper) == pytest.approx(
+            expanded, rel=1e-12, abs=1e-12 * np.sum(T**2))
 
 
 class TestLrgKrgEquivalence:

@@ -46,3 +46,15 @@ def test_sweep_script_smoke(tmp_path):
     assert keys == sorted(keys)
     assert keys == [(m, 12, snr) for m in ("KR", "KRG") for snr in (0.0, 20.0)]
     assert (tmp_path / "out" / "results.csv").exists()
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(block + "\nassert y.shape == (20,)\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

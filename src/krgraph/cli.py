@@ -9,7 +9,7 @@ object on stderr with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -173,10 +173,9 @@ SCHEMAS = {
 
 def load_config(path, command):
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        cfg = graphs.load_json(path)
+    except DataFormatError as exc:
+        raise ConfigError(f"config {exc}") from exc
     try:
         jsonschema.validate(cfg, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
@@ -202,29 +201,12 @@ def _load_laplacian(cfg, num_nodes):
     return graphs.Laplacian(np.zeros((num_nodes, num_nodes)))
 
 
-def _cv_grid(doc):
-    return evaluation.CvGrid(
-        alphas=tuple(doc["alphas"]), betas=tuple(doc["betas"]),
-        sigma_sqs=tuple(doc.get("sigma_sqs", ())), folds=doc.get("folds", 5))
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
 def cmd_synth(cfg, out_dir):
-    scfg = synthdata.SynthConfig(
-        num_nodes=cfg["num_nodes"], num_samples=cfg["num_samples"],
-        graph_model=cfg["graph_model"], graph_param=cfg["graph_param"],
-        snr_db=cfg["snr_db"], seed=cfg["seed"],
-        wishart_dof_offset=cfg.get("wishart_dof_offset", 2),
-    )
-    train, test, graph, C_S = synthdata.make_synthetic_dataset(scfg)
+    train, test, graph, C_S = synthdata.make_synthetic_dataset(
+        synthdata.SynthConfig(**cfg))
     synthdata.save_dataset(out_dir, train, test, graph, manifest={"config": cfg})
     graphs.save_matrix_csv(Path(out_dir) / "kernel_full.csv", C_S)
     log.info("wrote synthetic dataset to %s", out_dir)
@@ -247,7 +229,7 @@ def cmd_ingest(cfg, out_dir):
         g = graphs.geodesic_adjacency(D)
         graphs.save_graph_json(out / "graph.json", g)
         manifest["graph"] = "graph.json"
-    _write_json(out / "manifest.json", manifest)
+    graphs.save_json(out / "manifest.json", manifest, pretty=True)
     log.info("ingested %d rows", X.shape[0])
 
 
@@ -266,11 +248,11 @@ def cmd_fit(cfg, out_dir):
     residual = solver.sylvester_residual(gram, model.psi, T, L, hyper.alpha,
                                          hyper.beta)
     costs = solver.cost_terms(gram, model.psi, T, L, hyper.alpha, hyper.beta)
-    _write_json(out / "fit_report.json", {
+    graphs.save_json(out / "fit_report.json", {
         "residual_norm": float(np.linalg.norm(residual, "fro")),
         "target_norm": float(np.linalg.norm(T, "fro")),
         **dict(zip(("data_cost", "coefficient_cost", "roughness_cost"), costs)),
-    })
+    }, pretty=True)
     log.info("fitted model on %d samples", gram.n)
 
 
@@ -290,11 +272,9 @@ def cmd_learn_graph(cfg, out_dir):
     spec = _kernel_spec(cfg["kernel"])
     gram = gram_matrix(X, spec)
     gl_cfg = graphlearn.GraphLearnConfig(
-        nu=cfg["nu"], beta=cfg["beta"],
-        max_outer_iters=cfg.get("max_outer_iters", 20),
-        tol=cfg.get("tol", 1e-4),
-        trace_budget=cfg.get("trace_budget"),
-    )
+        **{f.name: cfg[f.name]
+           for f in dataclasses.fields(graphlearn.GraphLearnConfig)
+           if f.name in cfg})
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     out = Path(out_dir)
     model, L, cost_trace, _ = graphlearn.alternating_fit(
@@ -303,7 +283,8 @@ def cmd_learn_graph(cfg, out_dir):
                             gram=gram, laplacian=model.laplacian, hyper=hyper)
     solver.save_model(out / "model.json", model)
     graphs.save_matrix_csv(out / "laplacian.csv", L.matrix)
-    _write_json(out / "cost_trace.json", {"cost_trace": cost_trace.tolist()})
+    graphs.save_json(out / "cost_trace.json",
+                     {"cost_trace": cost_trace.tolist()}, pretty=True)
     log.info("graph learning finished after %d iterations", len(cost_trace))
 
 
@@ -313,28 +294,24 @@ def cmd_cv(cfg, out_dir):
     T0 = graphs.load_matrix_csv(cfg["t0_csv"]) if "t0_csv" in cfg else None
     L = _load_laplacian(cfg, T.shape[1])
     train = synthdata.Dataset(X=X, T=T, T0=T0)
-    grid = _cv_grid(cfg["grid"])
+    grid = evaluation.CvGrid(**cfg["grid"])
     kernel = cfg.get("kernel", {"kind": "rbf"})
     sigma_from_grid = kernel["kind"] == "rbf" and "sigma_sq" not in kernel
-    if kernel["kind"] == "rbf" and not sigma_from_grid and grid.sigma_sqs:
-        raise ConfigError("rbf kernel: give sigma_sq or grid.sigma_sqs, not both")
+    if grid.sigma_sqs and not sigma_from_grid:
+        raise ConfigError("grid.sigma_sqs is read only for an rbf kernel "
+                          f"without sigma_sq, not for {kernel}")
     spec = None if sigma_from_grid else _kernel_spec(kernel)
     best, table = evaluation.cross_validate(
         train, L, grid, cfg["method"], seed=cfg["seed"], kernel_spec=spec)
     out = Path(out_dir)
-    _write_json(out / "cv_results.json", {"best_params": best, "table": table})
+    graphs.save_json(out / "cv_results.json",
+                     {"best_params": best, "table": table}, pretty=True)
     log.info("cross-validation selected %s", best)
 
 
 def cmd_bench(cfg, out_dir):
     scenario = evaluation.BenchScenario(
-        methods=tuple(cfg["methods"]), n_train=tuple(cfg["n_train"]),
-        snr_db=tuple(cfg["snr_db"]), realizations=cfg["realizations"],
-        num_nodes=cfg["num_nodes"], num_samples=cfg["num_samples"],
-        graph_model=cfg["graph_model"], graph_param=cfg["graph_param"],
-        grid=_cv_grid(cfg["grid"]),
-        master_seed=cfg["master_seed"],
-    )
+        **{**cfg, "grid": evaluation.CvGrid(**cfg["grid"])})
     results, failures = evaluation.run_benchmark(scenario)
     out = Path(out_dir)
     evaluation.save_results_csv(out / "results.csv", results)
@@ -352,16 +329,15 @@ def _write_plot_data(out, results, scenario):
     test = [r for r in results if r.split == "test"]
 
     def table(path, xs, x_name, key):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([x_name] + list(scenario.methods))
-            for x in xs:
-                row = [repr(float(x))]
-                for m in scenario.methods:
-                    vals = [r.nmse_db for r in test
-                            if r.method == m and key(r) == x]
-                    row.append(repr(float(vals[0])) if vals else "")
-                writer.writerow(row)
+        rows = [[x_name, *scenario.methods]]
+        for x in xs:
+            row = [repr(float(x))]
+            for m in scenario.methods:
+                vals = [r.nmse_db for r in test
+                        if r.method == m and key(r) == x]
+                row.append(repr(float(vals[0])) if vals else "")
+            rows.append(row)
+        graphs.save_csv_rows(path, rows)
 
     if len(scenario.snr_db) > 1:
         for n in scenario.n_train:

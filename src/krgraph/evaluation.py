@@ -3,8 +3,6 @@ seeded NMSE benchmark harness."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional, Sequence
@@ -13,7 +11,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DimensionError, KrgraphError, SingularSystemError
-from .graphs import Laplacian, build_laplacian
+from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (Hyperparams, SpectralCache, check_primal_rank, fit_krg,
                      solve_sylvester_grid)
@@ -266,8 +264,8 @@ def _run_cell(scenario, n, snr):
         cache = SpectralCache.build(gram.matrix, L)
         blocks = (gram.matrix, kernel_cross_matrix(train.X, test.X, spec, gram))
         refs = (train.T0, test.T0)
-        for k, T0 in enumerate(refs):
-            sig[k] += float(np.sum(T0**2))
+        signal = [float(np.sum(T0**2)) for T0 in refs]
+        sig = [total + energy for total, energy in zip(sig, signal)]
         for method in err:
             betas = (0.0,) if method == "KR" else grid.betas
             best = min((row for row in table if row["params"]["beta"] in betas),
@@ -275,9 +273,9 @@ def _run_cell(scenario, n, snr):
             hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])
             psi = fit_krg(gram, train.T, L, hyper, cache=cache).psi
             for k, (K, T0) in enumerate(zip(blocks, refs)):
-                Y = K @ psi
-                err[method][k] += float(np.sum((Y - T0) ** 2))
-                dbs[method][k].append(nmse_db(Y, T0))
+                energy = float(np.sum((K @ psi - T0) ** 2))
+                err[method][k] += energy
+                dbs[method][k].append(nmse_db_from_energies(energy, signal[k]))
     return {m: [BenchResult(method=m, n_train=n, snr_db=snr, split=split,
                             nmse_db=nmse_db_from_energies(err[m][k], sig[k]),
                             nmse_db_mean=float(np.mean(dbs[m][k])),
@@ -288,21 +286,14 @@ def _run_cell(scenario, n, snr):
 
 
 def save_results_csv(path, results):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "n_train", "snr_db", "split", "nmse_db",
-                         "realizations", "seed"])
-        for res in results:
-            writer.writerow([res.method, res.n_train, repr(float(res.snr_db)),
-                             res.split, repr(float(res.nmse_db)),
-                             res.num_realizations, res.seed])
+    save_csv_rows(path, [
+        ["method", "n_train", "snr_db", "split", "nmse_db", "realizations",
+         "seed"],
+        *([res.method, str(res.n_train), repr(float(res.snr_db)), res.split,
+           repr(float(res.nmse_db)), str(res.num_realizations), str(res.seed)]
+          for res in results)])
 
 
 def save_results_json(path, results, failures=()):
-    doc = {
-        "results": [vars(r) for r in results],
-        "failures": list(failures),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, {"results": [vars(r) for r in results],
+                     "failures": list(failures)}, pretty=True)

@@ -193,15 +193,37 @@ def spectral_rescale(L: Laplacian) -> Laplacian:
 
 
 # ---------------------------------------------------------------------------
-# I/O: dense CSV and JSON edge lists
+# I/O: every JSON and CSV file of the package is written and read here
+
+def save_json(path, doc, pretty=False):
+    """Write doc as one JSON document and a newline: indented with sorted
+    keys if `pretty`, else on one line in insertion order."""
+    text = json.dumps(doc, indent=2, sort_keys=True) if pretty else json.dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def load_json(path):
+    """The parsed JSON document; a missing, unreadable, non-UTF-8 or
+    malformed file raises DataFormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise DataFormatError(f"{path}: cannot read JSON: {exc}") from exc
+
+
+def save_csv_rows(path, rows):
+    """Write rows of strings as comma-separated lines ending in a newline;
+    fields are written as given, never quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(",".join(row) + "\n" for row in rows))
+
 
 def save_matrix_csv(path, mat):
     """Write a dense matrix as CSV, shortest round-trip decimals."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in mat:
-            writer.writerow([repr(float(v)) for v in row])
+    save_csv_rows(path, (map(repr, row) for row in mat.tolist()))
 
 
 def load_matrix_csv(path, header=False):
@@ -269,17 +291,11 @@ def graph_from_edge_json(doc: dict) -> Graph:
 
 
 def save_graph_json(path, g: Graph):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_edge_json(g), fh)
-        fh.write("\n")
+    save_json(path, graph_to_edge_json(g))
 
 
 def load_graph_json(path) -> Graph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
-        raise DataFormatError(f"{path}: cannot read graph: {exc}") from exc
+    doc = load_json(path)
     try:
         return graph_from_edge_json(doc)
     except KrgraphError as exc:

@@ -93,20 +93,30 @@ def _indices(X, spec: KernelSpec):
     return out
 
 
+def _finite(block):
+    """The kernel block itself, unless an entry overflowed to inf or NaN."""
+    if not np.isfinite(block).all():
+        raise DegenerateKernelError(
+            "kernel has NaN or infinite entries; inputs too large")
+    return block
+
+
 def gram_matrix(X, spec: KernelSpec) -> GramMatrix:
     """Assemble the N x N training Gram matrix for the given kernel."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if spec.kind == "linear":
-        return GramMatrix(X @ X.T)
+        return GramMatrix(_finite(X @ X.T))
     if spec.kind == "precomputed":
         idx = _indices(X, spec)
         return GramMatrix(spec.precomputed[np.ix_(idx, idx)])
     # rbf
     sq = cdist(X, X, "sqeuclidean")
     Z = float(sq.sum()) / X.shape[0]
-    if Z == 0:
-        raise DegenerateKernelError("all inputs identical; rbf normalizer is zero")
-    return GramMatrix(_rbf_in_place(sq, spec.sigma_sq, Z), rbf_normalizer=Z)
+    if not 0 < Z < np.inf:
+        raise DegenerateKernelError(
+            f"rbf normalizer is {Z}: inputs all identical or too large")
+    return GramMatrix(_finite(_rbf_in_place(sq, spec.sigma_sq, Z)),
+                      rbf_normalizer=Z)
 
 
 def _rbf_in_place(sq, sigma_sq, Z):
@@ -136,8 +146,8 @@ def kernel_cross_matrix(X_train, X_test, spec: KernelSpec, gram: GramMatrix):
             f"training data dim {X_train.shape[1]}"
         )
     if spec.kind == "linear":
-        return X_test @ X_train.T
+        return _finite(X_test @ X_train.T)
     if gram.rbf_normalizer is None:
         raise DegenerateKernelError("rbf cross-kernel needs the training normalizer")
-    return _rbf_in_place(cdist(X_test, X_train, "sqeuclidean"), spec.sigma_sq,
-                         gram.rbf_normalizer)
+    return _finite(_rbf_in_place(cdist(X_test, X_train, "sqeuclidean"),
+                                 spec.sigma_sq, gram.rbf_normalizer))

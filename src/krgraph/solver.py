@@ -10,14 +10,13 @@ right-hand side U^T RHS V serve a whole (alpha, beta) grid at once
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DataFormatError, DimensionError, KrgraphError,
                      SingularSystemError)
-from .graphs import Laplacian, clamp_psd_eigenvalues
+from .graphs import Laplacian, clamp_psd_eigenvalues, load_json, save_json
 from .kernels import GramMatrix, KernelSpec, kernel_vector
 
 _ETA_FLOOR = 1e-14
@@ -272,18 +271,16 @@ def model_from_json(doc: dict) -> KrgModel:
 
 
 def save_model(path, model: KrgModel):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh)
-        fh.write("\n")
+    save_json(path, model_to_json(model))
 
 
 def load_model(path) -> KrgModel:
+    doc = load_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return model_from_json(json.load(fh))
-    # malformed JSON or arrays raise ValueError; missing or unexpected
-    # fields raise KeyError or TypeError
-    except (OSError, ValueError, KeyError, TypeError, KrgraphError) as exc:
+        return model_from_json(doc)
+    # malformed arrays raise ValueError; missing or unexpected fields
+    # raise KeyError or TypeError
+    except (ValueError, KeyError, TypeError, KrgraphError) as exc:
         raise DataFormatError(
             f"{path}: not a valid model file: {type(exc).__name__}: {exc}"
         ) from exc

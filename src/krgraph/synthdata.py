@@ -4,7 +4,6 @@ split in half, and corrupted by SNR-calibrated noise on the training side.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -20,6 +19,7 @@ from .graphs import (
     barabasi_albert,
     erdos_renyi,
     save_graph_json,
+    save_json,
     save_matrix_csv,
 )
 
@@ -159,6 +159,4 @@ def save_dataset(out_dir, train: Dataset, test: Dataset, graph: Graph,
     if test.T0 is not None:
         save_matrix_csv(out / "T0_test.csv", test.T0)
     save_graph_json(out / "graph.json", graph)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(out / "manifest.json", manifest, pretty=True)

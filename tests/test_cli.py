@@ -315,6 +315,27 @@ class TestCv:
         _assert_one_json_error(capsys, "ConfigError", "sigma_sq")
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["linear", "precomputed"])
+    def test_sigma_grid_with_non_rbf_kernel_rejected(self, tmp_path, capsys,
+                                                     kind):
+        out_data = make_dataset_dir(tmp_path)
+        kernel = {"kind": kind}
+        if kind == "precomputed":
+            kernel["matrix_csv"] = str(out_data / "kernel_full.csv")
+        cfg = write_config(tmp_path, "cv.json", {
+            "x_csv": str(out_data / "X_train.csv"),
+            "t_csv": str(out_data / "T_train.csv"),
+            "method": "KRG", "kernel": kernel,
+            "grid": {"alphas": [0.1], "betas": [0.0, 0.5],
+                     "sigma_sqs": [0.5, 2.0], "folds": 3},
+            "seed": 0,
+        })
+        capsys.readouterr()
+        out = tmp_path / "cv"
+        assert run(["cv", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "grid.sigma_sqs")
+        assert not (out / "cv_results.json").exists()
+
 
 BENCH_CFG = {
     "methods": ["KR", "KRG"],
@@ -423,6 +444,13 @@ class TestErrorHandling:
                     "--out-dir", tmp_path / "o"]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run(["synth", "--config", path,
+                    "--out-dir", tmp_path / "o"]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "cfg.json")
+
 
 class TestInputValidation:
     def _precomputed_model(self, tmp_path):
@@ -478,6 +506,33 @@ class TestInputValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataFormatError"
         assert "inputs.csv" in err["message"] and "line 3" in err["message"]
+
+    def test_overflowing_kernel_rejected(self, tmp_path, capsys):
+        # finite inputs whose linear Gram overflows to inf
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        save_matrix_csv(tmp_path / "X_big.csv", np.array(
+            [[1e200, 1.0], [2e200, -1.0], [3.0, 1e200], [1.0, 2.0]]))
+        save_matrix_csv(tmp_path / "T4.csv", np.ones((4, 4)))
+        big = write_config(tmp_path, "big.json", dict(
+            fit_doc, x_csv=str(tmp_path / "X_big.csv"),
+            t_csv=str(tmp_path / "T4.csv")))
+        capsys.readouterr()
+        out = tmp_path / "fit_big"
+        assert run(["fit", "--config", big, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "DegenerateKernelError", "infinite")
+        assert list(out.iterdir()) == []
+        # a valid model and one test row whose cross-kernel overflows
+        assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "fit"]) == 0
+        save_matrix_csv(tmp_path / "x_big.csv", np.array([[1e308, -1e308, 0.0]]))
+        pred = write_config(tmp_path, "pred.json", {
+            "model_json": str(tmp_path / "fit" / "model.json"),
+            "x_csv": str(tmp_path / "x_big.csv")})
+        capsys.readouterr()
+        out = tmp_path / "pred"
+        assert run(["predict", "--config", pred, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "DegenerateKernelError", "infinite")
+        assert not (out / "predictions.csv").exists()
 
     def test_bench_rejects_feature_methods(self, tmp_path, capsys):
         for method in ("LR", "LRG"):
@@ -558,6 +613,12 @@ def _bad_file_case(tmp_path, case):
     if case == "missing_ingest_csv":
         return "ingest", {"inputs_csv": str(bad),
                           "targets_csv": fit_doc["t_csv"]}, bad.name
+    if case.endswith("_not_utf8"):
+        bad.write_bytes(b"\xff\xfe")
+        if case == "graph_not_utf8":
+            return "fit", dict(fit_doc, beta=0.5, graph_json=str(bad)), bad.name
+        return "predict", {"model_json": str(bad),
+                           "x_csv": fit_doc["x_csv"]}, bad.name
     if case.startswith("graph_"):
         text = {"graph_not_json": "{not json",
                 "graph_edge_out_of_range": '{"nodes": 4, "edges": [[0, 99, 1]]}',
@@ -589,6 +650,7 @@ class TestFileBoundaryErrors:
         "graph_edge_out_of_range", "graph_edge_negative",
         "graph_edge_fractional", "model_version_2", "model_not_json",
         "model_missing_kernel_spec", "model_psi_rows", "model_psi_cols",
+        "graph_not_utf8", "model_not_utf8",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
         command, doc, name = _bad_file_case(tmp_path, case)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -15,8 +16,12 @@ from krgraph.graphs import (
     geodesic_adjacency,
     graph_from_edge_json,
     graph_to_edge_json,
+    load_graph_json,
+    load_json,
     load_matrix_csv,
     quadratic_form,
+    save_csv_rows,
+    save_json,
     save_matrix_csv,
     spectral_rescale,
 )
@@ -305,3 +310,65 @@ def test_edge_json_roundtrip():
     g = Graph(random_graph_adjacency(rng, 6))
     doc = json.loads(json.dumps(graph_to_edge_json(g)))
     assert np.allclose(graph_from_edge_json(doc).adjacency, g.adjacency)
+
+
+# The file writers replaced a csv.writer loop and json.dump calls; those
+# expressions stay here as the byte-for-byte reference.
+
+def _csv_writer_bytes(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+def _json_dump_bytes(path, doc, **kwargs):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, **kwargs)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("mat", [
+    [[-0.0, np.inf, -np.inf], [np.nan, 1e16, 5e-324], [0.1, -2.5e-300, 1.0]],
+    [[-0.0], [np.inf], [np.nan], [1e16], [5e-324]],
+    np.random.default_rng(14).standard_normal((7, 5)),
+], ids=["special_values", "one_column", "random"])
+def test_matrix_csv_bytes_equal_csv_writer(tmp_path, mat):
+    mat = np.asarray(mat, dtype=float)
+    save_matrix_csv(tmp_path / "new.csv", mat)
+    reference = _csv_writer_bytes(
+        tmp_path / "ref.csv", ([repr(float(v)) for v in row] for row in mat))
+    assert (tmp_path / "new.csv").read_bytes() == reference
+
+
+def test_csv_rows_bytes_equal_csv_writer(tmp_path):
+    rows = [["snr_db", "KR", "KRG"], ["5.0", "-3.25", ""], ["10.0", "", ""],
+            ["KR", "50", "inf", "test", "-0.0", "20", "2026"]]
+    save_csv_rows(tmp_path / "new.csv", rows)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == _csv_writer_bytes(tmp_path / "ref.csv", rows))
+
+
+def test_json_bytes_equal_json_dump(tmp_path):
+    doc = {"z": {"b": [1, 2.5, -0.0], "a": {"y": None, "x": "text"}},
+           "a": [{"k": 1e16, "j": 5e-324}], "m": float("inf")}
+    save_json(tmp_path / "pretty.json", doc, pretty=True)
+    assert ((tmp_path / "pretty.json").read_bytes() == _json_dump_bytes(
+        tmp_path / "ref.json", doc, indent=2, sort_keys=True))
+    save_json(tmp_path / "compact.json", doc)
+    assert ((tmp_path / "compact.json").read_bytes()
+            == _json_dump_bytes(tmp_path / "ref.json", doc))
+    assert load_json(tmp_path / "compact.json") == doc
+
+
+@pytest.mark.parametrize("load", [load_json, load_graph_json])
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"{not json", None],
+                         ids=["not_utf8", "not_json", "missing"])
+def test_json_reader_names_file(tmp_path, load, data):
+    path = tmp_path / "doc.json"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(DataFormatError, match=r"doc\.json: cannot read JSON"):
+        load(path)

@@ -67,6 +67,20 @@ class TestGramMatrix:
         with pytest.raises(DegenerateKernelError):
             gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.0))
 
+    @pytest.mark.parametrize("kind,sigma,X,message", [
+        ("linear", None, [[1e200, 1.0], [2e200, -1.0], [3.0, 1e200]],
+         "infinite"),
+        ("rbf", 0.8, [[1e200, 1.0], [2e200, -1.0], [3.0, 1e200]], "inf"),
+        # finite squared distances whose sum overflows
+        ("rbf", 0.8, [[0.0], [1e154]], "inf"),
+        # sigma_sq * Z underflows to zero
+        ("rbf", 1e-200, [[0.0], [1e-100]], "infinite"),
+    ], ids=["linear", "rbf", "rbf_normalizer_overflow", "rbf_underflow"])
+    def test_nonfinite_kernel_rejected(self, kind, sigma, X, message):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                pytest.raises(DegenerateKernelError, match=message):
+            gram_matrix(np.array(X), KernelSpec(kind=kind, sigma_sq=sigma))
+
     def test_rbf_entries_in_unit_interval(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((10, 2))

@@ -1,5 +1,7 @@
-"""The shipped configs and the sweep script stay runnable."""
+"""The shipped configs and the sweep script stay runnable, and the config
+schemas match the dataclasses they fill."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +12,9 @@ import jsonschema
 import pytest
 
 from krgraph.cli import SCHEMAS
+from krgraph.evaluation import BenchScenario, CvGrid
+from krgraph.graphlearn import GraphLearnConfig
+from krgraph.synthdata import SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -25,6 +30,19 @@ def test_shipped_config_validates(path):
     assert _command(path) in SCHEMAS, f"no schema for {path.name}"
     jsonschema.validate(json.loads(path.read_text(encoding="utf-8")),
                         SCHEMAS[_command(path)])
+
+
+@pytest.mark.parametrize("cls, keys", [
+    (SynthConfig, SCHEMAS["synth"]["properties"]),
+    (BenchScenario, SCHEMAS["bench"]["properties"]),
+    (CvGrid, SCHEMAS["cv"]["properties"]["grid"]["properties"]),
+    (GraphLearnConfig, set(SCHEMAS["learn-graph"]["properties"])
+     - {"x_csv", "t_csv", "kernel", "alpha"}),
+], ids=["synth", "bench", "grid", "learn_graph"])
+def test_config_keys_are_field_names(cls, keys):
+    """The CLI builds these dataclasses from the config's own keys, so each
+    default is stated only on the dataclass."""
+    assert {f.name for f in dataclasses.fields(cls)} == set(keys)
 
 
 def test_sweep_script_smoke(tmp_path):

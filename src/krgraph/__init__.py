@@ -30,7 +30,6 @@ from .solver import (
     fit_krg,
     fit_lrg,
     fitted_smoother,
-    kr_fitted_shrinkage,
     predict_krg,
     predict_lrg,
     shrinkage_factors,

@@ -51,6 +51,13 @@ _GRID_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the benchmark's kernel is the synthetic precomputed one: no bandwidth grid
+_BENCH_GRID_SCHEMA = {
+    **_GRID_SCHEMA,
+    "properties": {k: v for k, v in _GRID_SCHEMA["properties"].items()
+                   if k != "sigma_sqs"},
+}
+
 SCHEMAS = {
     "synth": {
         "type": "object",
@@ -146,7 +153,7 @@ SCHEMAS = {
             "num_samples": {"type": "integer", "minimum": 2, "multipleOf": 2},
             "graph_model": {"enum": ["erdos_renyi", "barabasi_albert"]},
             "graph_param": {"type": "number"},
-            "grid": _GRID_SCHEMA,
+            "grid": _BENCH_GRID_SCHEMA,
             "master_seed": {"type": "integer"},
         },
         "required": ["methods", "n_train", "snr_db", "realizations",
@@ -183,7 +190,16 @@ def load_config(path, command):
     return cfg
 
 
+# the one key besides "kind" that each kernel kind reads
+_KERNEL_PARAMETER = {"linear": None, "rbf": "sigma_sq",
+                     "precomputed": "matrix_csv"}
+
+
 def _kernel_spec(doc):
+    unread = doc.keys() - {"kind", _KERNEL_PARAMETER[doc["kind"]]}
+    if unread:
+        raise ConfigError(f"a {doc['kind']} kernel does not read "
+                          f"{', '.join(sorted(unread))}")
     if doc["kind"] == "precomputed":
         if "matrix_csv" not in doc:
             raise ConfigError("precomputed kernel needs matrix_csv")
@@ -194,6 +210,8 @@ def _kernel_spec(doc):
 
 def _load_laplacian(cfg, num_nodes):
     """The config's graph, or the edgeless graph on num_nodes nodes."""
+    if {"graph_json", "laplacian_csv"} <= cfg.keys():
+        raise ConfigError("give graph_json or laplacian_csv, not both")
     if "graph_json" in cfg:
         return graphs.build_laplacian(graphs.load_graph_json(cfg["graph_json"]))
     if "laplacian_csv" in cfg:
@@ -295,8 +313,11 @@ def cmd_cv(cfg, out_dir):
     L = _load_laplacian(cfg, T.shape[1])
     train = synthdata.Dataset(X=X, T=T, T0=T0)
     grid = evaluation.CvGrid(**cfg["grid"])
+    if cfg["method"] in ("LR", "LRG") and ("kernel" in cfg or grid.sigma_sqs):
+        raise ConfigError(f"{cfg['method']} fits the raw features and reads "
+                          "neither kernel nor grid.sigma_sqs")
     kernel = cfg.get("kernel", {"kind": "rbf"})
-    sigma_from_grid = kernel["kind"] == "rbf" and "sigma_sq" not in kernel
+    sigma_from_grid = kernel == {"kind": "rbf"}
     if grid.sigma_sqs and not sigma_from_grid:
         raise ConfigError("grid.sigma_sqs is read only for an rbf kernel "
                           f"without sigma_sq, not for {kernel}")
@@ -350,6 +371,9 @@ def _write_plot_data(out, results, scenario):
 
 
 def cmd_krr(cfg, out_dir):
+    if "kernel_csv" in cfg and {"graph_json", "tau"} & cfg.keys():
+        raise ConfigError("krr reads kernel_csv, or graph_json with tau, "
+                          "not both")
     if "kernel_csv" in cfg:
         K_bar = graphs.load_matrix_csv(cfg["kernel_csv"])
     elif "graph_json" in cfg and "tau" in cfg:

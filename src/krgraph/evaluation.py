@@ -13,7 +13,7 @@ from scipy.linalg import expm
 from .errors import DimensionError, KrgraphError, SingularSystemError
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
-from .solver import (Hyperparams, SpectralCache, check_primal_rank, fit_krg,
+from .solver import (Hyperparams, SpectralCache, check_weights, fit_krg,
                      solve_sylvester_grid)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
@@ -57,11 +57,7 @@ class CvGrid:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise KrgraphError("alpha and beta grids must be nonempty")
-        for name in ("alphas", "betas"):
-            values = getattr(self, name)
-            if not all(np.isfinite(v) and v >= 0 for v in values):
-                raise KrgraphError(
-                    f"{name} must be finite and >= 0, got {list(values)}")
+        check_weights(alphas=self.alphas, betas=self.betas)
         if self.folds < 2:
             raise KrgraphError("need at least 2 folds")
 
@@ -120,7 +116,6 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
         for s, sigma_sq in enumerate(distinct[2]):
             if method in _PRIMAL:
                 cache = SpectralCache.build(X_fit.T @ X_fit, L)
-                check_primal_rank(cache, distinct[0])
                 rhs, A_val = X_fit.T @ T_fit, X_val
             else:
                 spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
@@ -200,6 +195,14 @@ class BenchScenario:
                 )
         if self.realizations < 1:
             raise KrgraphError("need at least one realization")
+        # a cell's seeds come from (master_seed, n, round(1000 snr), r),
+        # which SeedSequence takes only as non-negative integers
+        if (self.master_seed < 0 or not all(n >= 1 for n in self.n_train)
+                or not all(0 <= snr < np.inf for snr in self.snr_db)):
+            raise KrgraphError(
+                "bench needs master_seed >= 0, n_train >= 1 and finite "
+                f"snr_db >= 0, got {self.master_seed}, {list(self.n_train)}, "
+                f"{list(self.snr_db)}")
 
 
 def _realization_seed(master, n, snr, r):
@@ -218,7 +221,7 @@ def run_benchmark(scenario: BenchScenario):
     for n, snr in product(scenario.n_train, scenario.snr_db):
         try:
             cells.append((n, snr, _run_cell(scenario, n, snr)))
-        except Exception as exc:  # cell isolation: report, keep going
+        except KrgraphError as exc:  # cell isolation: report, keep going
             cells.append((n, snr, f"{type(exc).__name__}: {exc}"))
     results, failures = [], []
     for method in scenario.methods:

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, KrgraphError
 from .graphs import Laplacian, spectral_rescale
 from .kernels import GramMatrix
-from .solver import Hyperparams, SpectralCache, cost_terms, fit_krg
+from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
+                     fit_krg)
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,13 @@ class GraphLearnConfig:
     trace_budget: float | None = None  # defaults to M at call time
 
     def __post_init__(self):
-        if self.nu < 0 or self.beta < 0:
-            raise ValueError("nu and beta must be >= 0")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        check_weights(nu=self.nu, beta=self.beta)
+        if not self.max_outer_iters >= 1:
+            raise KrgraphError("max_outer_iters must be >= 1")
+        if not self.tol > 0:
+            raise KrgraphError("tol must be > 0")
+        if self.trace_budget is not None and not 0 < self.trace_budget < np.inf:
+            raise KrgraphError("trace_budget must be finite and > 0")
 
 
 def _overlap_product(w, i, j, M):
@@ -114,8 +116,6 @@ def _laplacian_step_constrained(Y, cfg: GraphLearnConfig):
         raise DimensionError("Y must be an N x M matrix")
     M = Y.shape[1]
     budget = cfg.trace_budget if cfg.trace_budget is not None else float(M)
-    if budget <= 0:
-        raise ValueError("trace_budget must be > 0")
     c = _smoothness_costs(Y, cfg.beta)
     w = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
     return w, weights_to_laplacian(w, M)

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DataFormatError, DimensionError, InvalidGraphError,
-                     KrgraphError)
+from .errors import (ConvergenceError, DataFormatError, DimensionError,
+                     InvalidGraphError, KrgraphError)
 
 _ROWSUM_TOL = 1e-10
 _EIG_CLAMP = 1e-10
@@ -84,17 +84,20 @@ class Laplacian:
 
     @cached_property
     def _eigenpairs(self):
-        lam, V = np.linalg.eigh(self.matrix)
-        lam = clamp_psd_eigenvalues(lam)
+        lam, V = eigh_psd(self.matrix)
         lam.flags.writeable = V.flags.writeable = False
         return lam, V
 
 
-def clamp_psd_eigenvalues(vals):
-    """Zero out tiny negative eigenvalues caused by roundoff."""
-    vals = np.asarray(vals, dtype=float).copy()
+def eigh_psd(A):
+    """Eigenpairs of a symmetric PSD matrix, roundoff negatives in [-1e-10, 0)
+    set to 0; an eigensolver that does not converge is a ConvergenceError."""
+    try:
+        vals, vecs = np.linalg.eigh(np.asarray(A, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh of a {np.shape(A)} matrix: {exc}") from exc
     vals[(vals < 0) & (vals >= -_EIG_CLAMP)] = 0.0
-    return vals
+    return vals, vecs
 
 
 def build_laplacian(g: Graph) -> Laplacian:

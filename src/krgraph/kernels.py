@@ -93,6 +93,12 @@ def _indices(X, spec: KernelSpec):
     return out
 
 
+# Kernel blocks are built with floating-point warnings off, so that stderr
+# stays one JSON error line: _finite rejects the block, or gram_matrix its
+# normalizer, right after.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _finite(block):
     """The kernel block itself, unless an entry overflowed to inf or NaN."""
     if not np.isfinite(block).all():
@@ -101,6 +107,7 @@ def _finite(block):
     return block
 
 
+@_QUIET_OVERFLOW
 def gram_matrix(X, spec: KernelSpec) -> GramMatrix:
     """Assemble the N x N training Gram matrix for the given kernel."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -131,6 +138,7 @@ def kernel_vector(X_train, x, spec: KernelSpec, gram: GramMatrix):
     return kernel_cross_matrix(X_train, x, spec, gram)[0]
 
 
+@_QUIET_OVERFLOW
 def kernel_cross_matrix(X_train, X_test, spec: KernelSpec, gram: GramMatrix):
     """N_test x N matrix of k(x_test, x_train) over the rows of X_test."""
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))

@@ -16,10 +16,18 @@ import numpy as np
 
 from .errors import (DataFormatError, DimensionError, KrgraphError,
                      SingularSystemError)
-from .graphs import Laplacian, clamp_psd_eigenvalues, load_json, save_json
+from .graphs import Laplacian, eigh_psd, load_json, save_json
 from .kernels import GramMatrix, KernelSpec, kernel_vector
 
 _ETA_FLOOR = 1e-14
+
+
+def check_weights(**named_values):
+    """KrgraphError unless each weight (a number or a grid) is finite, >= 0."""
+    for name, value in named_values.items():
+        values = list(value) if np.ndim(value) else [value]
+        if not all(np.isfinite(v) and v >= 0 for v in values):
+            raise KrgraphError(f"{name} must be finite and >= 0, got {values}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,7 @@ class Hyperparams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"alpha and beta must be >= 0, got {self}")
+        check_weights(alpha=self.alpha, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -45,12 +52,9 @@ class SpectralCache:
 
     @staticmethod
     def build(K, L: Laplacian) -> "SpectralCache":
-        K = np.asarray(K, dtype=float)
-        theta, U = np.linalg.eigh(K)
+        theta, U = eigh_psd(K)
         lam, V = L.eigendecomposition()
-        return SpectralCache(
-            u=U, theta=clamp_psd_eigenvalues(theta), v=V, lam=lam
-        )
+        return SpectralCache(u=U, theta=theta, v=V, lam=lam)
 
     def with_laplacian(self, L: Laplacian) -> "SpectralCache":
         """The same sample-side eigenpairs, paired with L's."""
@@ -91,8 +95,9 @@ def _checked_eta(cache: SpectralCache, alphas, betas):
         _, _, n, m = np.unravel_index(np.argmin(eta), eta.shape)
         raise SingularSystemError(
             f"near-singular system: eta={eta.min():.3e} at kernel eigenvalue "
-            f"theta={cache.theta[n]:.3e}, Laplacian eigenvalue lam={cache.lam[m]:.3e}"
-        )
+            f"theta={cache.theta[n]:.3e}, Laplacian eigenvalue "
+            f"lam={cache.lam[m]:.3e}; a rank-deficient kernel or feature "
+            "Gram needs alpha > 0")
     return eta
 
 
@@ -112,15 +117,6 @@ def solve_sylvester_grid(cache: SpectralCache, RHS, alphas, betas):
 def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
     """Solve (K + alpha I) X + beta K X L = RHS through the eigenbases."""
     return solve_sylvester_grid(cache, RHS, [hyper.alpha], [hyper.beta])[0, 0]
-
-
-def check_primal_rank(cache: SpectralCache, alphas):
-    """alpha = 0 needs full-rank features: the primal system is singular
-    otherwise, whatever beta is."""
-    if 0 in alphas and cache.theta.min() <= _ETA_FLOOR:
-        raise SingularSystemError(
-            "alpha=0 with rank-deficient features; the primal system is singular"
-        )
 
 
 def fit_krg(gram: GramMatrix, T, L: Laplacian, hyper: Hyperparams,
@@ -170,7 +166,6 @@ def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams,
         )
     if cache is None:
         cache = SpectralCache.build(Phi.T @ Phi, L)
-    check_primal_rank(cache, [hyper.alpha])
     w = solve_sylvester_spectral(cache, Phi.T @ T, hyper)
     return LrgModel(w=w, hyper=hyper, laplacian=L)
 
@@ -221,18 +216,9 @@ def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
 
 def fitted_smoother(gram: GramMatrix, L: Laplacian, hyper: Hyperparams, T,
                     cache: SpectralCache | None = None):
-    """Training-set fitted outputs Y = K Psi."""
+    """Training-set fitted outputs Y = K Psi; with the edgeless L and
+    beta = 0 this is the graph-free K (K + alpha I)^{-1} T."""
     return gram.matrix @ fit_krg(gram, T, L, hyper, cache=cache).psi
-
-
-def kr_fitted_shrinkage(gram: GramMatrix, alpha: float, T):
-    """Graph-free fitted outputs K (K + alpha I)^{-1} T via eigendecomposition."""
-    theta, U = np.linalg.eigh(gram.matrix)
-    theta = clamp_psd_eigenvalues(theta)
-    if alpha <= 0 and theta.min() <= _ETA_FLOOR:
-        raise SingularSystemError("alpha=0 requires a nonsingular Gram matrix")
-    factors = theta / (theta + alpha)
-    return U @ (factors[:, None] * (U.T @ np.asarray(T, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ class SynthConfig:
             raise KrgraphError("need at least 2 nodes")
         if self.graph_model not in ("erdos_renyi", "barabasi_albert"):
             raise KrgraphError(f"unknown graph model {self.graph_model!r}")
+        if not np.isfinite(self.graph_param):
+            raise KrgraphError(f"graph_param must be finite, got {self.graph_param}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,10 @@ def add_noise_snr(T0, snr_db: float, seed: int):
     signal_energy = float(np.sum(T0**2))
     if signal_energy == 0:
         raise KrgraphError("cannot calibrate noise against a zero signal")
-    noise_var = signal_energy / (T0.size * 10.0 ** (snr_db / 10.0))
+    try:
+        noise_var = signal_energy / (T0.size * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # |snr_db| beyond ~3000 dB
+        raise KrgraphError(f"snr_db={snr_db} is out of range") from None
     rng = np.random.default_rng(seed)
     return T0 + np.sqrt(noise_var) * rng.standard_normal(T0.shape)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -660,3 +663,160 @@ class TestFileBoundaryErrors:
         assert run([command, "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "DataFormatError", name)
         assert list(out.iterdir()) == []
+
+
+class TestUnreadKeysRejected:
+    """A config key that the command would not read is a ConfigError, and
+    nothing is written."""
+
+    def _fit_case(self, tmp_path, case):
+        cfg, *_ = fit_configs(tmp_path, beta=0.5, with_laplacian=True)
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        missing = str(tmp_path / "missing.csv")
+        if case == "graph_and_laplacian":
+            graph = tmp_path / "graph.json"
+            graph.write_text('{"nodes": 4, "edges": [[0, 1, 1.0]]}',
+                             encoding="utf-8")
+            return dict(doc, graph_json=str(graph), laplacian_csv=missing)
+        kernel = {"linear_sigma_sq": {"kind": "linear", "sigma_sq": 3},
+                  "linear_matrix_csv": {"kind": "linear", "matrix_csv": missing},
+                  "rbf_matrix_csv": {"kind": "rbf", "sigma_sq": 1.0,
+                                     "matrix_csv": missing},
+                  "precomputed_sigma_sq": {"kind": "precomputed", "sigma_sq": 1.0,
+                                           "matrix_csv": missing}}[case]
+        return dict(doc, kernel=kernel)
+
+    @pytest.mark.parametrize("case,words", [
+        ("graph_and_laplacian", "not both"),
+        ("linear_sigma_sq", "linear kernel does not read sigma_sq"),
+        ("linear_matrix_csv", "linear kernel does not read matrix_csv"),
+        ("rbf_matrix_csv", "rbf kernel does not read matrix_csv"),
+        ("precomputed_sigma_sq", "precomputed kernel does not read sigma_sq"),
+    ])
+    def test_fit(self, tmp_path, capsys, case, words):
+        cfg = write_config(tmp_path, "case.json", self._fit_case(tmp_path, case))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", words)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [{"graph_json": "g.json"}, {"tau": 0.5},
+                                       {"graph_json": "g.json", "tau": 0.5}],
+                             ids=["graph_json", "tau", "both"])
+    def test_krr_kernel_csv_with_heat_kernel_keys(self, tmp_path, capsys,
+                                                  extra):
+        save_matrix_csv(tmp_path / "K.csv", np.eye(3))
+        cfg = write_config(tmp_path, "krr.json", {
+            "kernel_csv": str(tmp_path / "K.csv"), "observed_idx": [0],
+            "x": [1.0], "mu": 0.5, **extra})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "not both")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["LR", "LRG"])
+    @pytest.mark.parametrize("kernel,sigma_sqs", [
+        ({"kind": "rbf", "sigma_sq": 3}, None), ({"kind": "linear"}, None),
+        (None, [0.5, 2.0]), ({"kind": "rbf"}, [0.5]),
+    ], ids=["rbf_kernel", "linear_kernel", "sigma_grid", "rbf_and_grid"])
+    def test_cv_primal_methods(self, tmp_path, capsys, method, kernel,
+                               sigma_sqs):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        grid = {"alphas": [0.1, 1.0], "betas": [0.0, 0.5], "folds": 3}
+        if sigma_sqs is not None:
+            grid["sigma_sqs"] = sigma_sqs
+        doc = {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+               "method": method, "grid": grid, "seed": 0}
+        if kernel is not None:
+            doc["kernel"] = kernel
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["cv", "--config", write_config(tmp_path, "cv.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", method, "raw features")
+        assert list(out.iterdir()) == []
+
+    def test_bench_sigma_grid(self, tmp_path, capsys):
+        doc = dict(BENCH_CFG, grid=dict(BENCH_CFG["grid"], sigma_sqs=[-5, 1e9]))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "sigma_sqs")
+        assert not out.exists()   # a schema error stops before --out-dir
+
+
+class TestInvalidValuesRejected:
+    def test_fit_nan_alpha(self, tmp_path, capsys):
+        cfg, *_ = fit_configs(tmp_path, beta=0.5, with_laplacian=True)
+        Path(cfg).write_text(Path(cfg).read_text(encoding="utf-8").replace(
+            '"alpha": 0.5', '"alpha": NaN'), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError",
+                               "alpha must be finite and >= 0")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["nu", "beta", "trace_budget", "tol"])
+    def test_learn_graph_nan(self, tmp_path, capsys, key):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        doc = dict(json.loads(Path(cfg).read_text(encoding="utf-8")),
+                   alpha=0.5, beta=1.0, nu=0.5, max_outer_iters=3)
+        text = json.dumps({**doc, key: float("nan")})
+        assert "NaN" in text
+        path = tmp_path / "lg.json"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["learn-graph", "--config", path, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError", key)
+        assert list(out.iterdir()) == []
+
+    def test_bench_negative_snr(self, tmp_path, capsys):
+        doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError", "snr_db >= 0", "-5.0")
+        assert list(out.iterdir()) == []
+
+    def test_eigh_failure_is_one_json_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        cfg, *_ = fit_configs(tmp_path, beta=0.5, with_laplacian=True)
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConvergenceError", "did not converge")
+        assert list(out.iterdir()) == []
+
+
+def test_overflow_stderr_is_one_json_line(tmp_path):
+    """Run in a subprocess: pytest's warning capture would hide a numpy
+    RuntimeWarning printed ahead of the JSON error."""
+    cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+    save_matrix_csv(tmp_path / "X_big.csv", np.array(
+        [[1e200, 1.0], [2e200, -1.0], [3.0, 1e200], [1.0, 2.0]]))
+    save_matrix_csv(tmp_path / "T4.csv", np.ones((4, 4)))
+    doc = dict(json.loads(Path(cfg).read_text(encoding="utf-8")),
+               x_csv=str(tmp_path / "X_big.csv"), t_csv=str(tmp_path / "T4.csv"))
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "krgraph", "fit",
+         "--config", write_config(tmp_path, "big.json", doc),
+         "--out-dir", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "DegenerateKernelError"

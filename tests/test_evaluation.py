@@ -361,6 +361,24 @@ class TestRunBenchmark:
         assert len(cv_calls) == cells * R
         assert len(laplacians) == len(set(laplacians)) == cells * R
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only a KrgraphError is a cell failure; anything else is a bug
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(evaluation, "cross_validate", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_benchmark(small_scenario())
+
+    @pytest.mark.parametrize("override", [
+        {"snr_db": (5.0, -5.0)}, {"snr_db": (np.nan,)}, {"snr_db": (np.inf,)},
+        {"master_seed": -1}, {"n_train": (8, -8)},
+    ], ids=["negative_snr", "nan_snr", "inf_snr", "negative_seed",
+            "negative_n_train"])
+    def test_values_the_cell_seed_cannot_take_rejected(self, override):
+        with pytest.raises(KrgraphError, match="master_seed >= 0"):
+            small_scenario(**override)
+
     def test_krr_rejected_in_scenario(self):
         # synthetic data has no features, so LR/LRG cells are rejected too
         for method in ("KRR", "LR", "LRG"):

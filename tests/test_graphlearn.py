@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from krgraph.errors import KrgraphError
 from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.graphlearn import (
     GraphLearnConfig,
@@ -353,3 +354,15 @@ class TestAlternatingFit:
         for rec in lines:
             assert {"iter", "cost_after_w_step", "cost_after_l_step",
                     "spectral_radius", "edge_sparsity"} <= set(rec)
+
+
+class TestGraphLearnConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("nu", np.nan), ("beta", np.nan), ("nu", -0.5), ("beta", np.inf),
+        ("max_outer_iters", 0), ("tol", 0.0), ("tol", np.nan),
+        ("trace_budget", 0.0), ("trace_budget", np.nan),
+        ("trace_budget", np.inf),
+    ])
+    def test_bad_value_is_krgraph_error(self, field, value):
+        with pytest.raises(KrgraphError, match=field):
+            GraphLearnConfig(**{"nu": 0.5, "beta": 1.0, field: value})

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krgraph.errors import DataFormatError, DimensionError, InvalidGraphError
+from krgraph.errors import (ConvergenceError, DataFormatError, DimensionError,
+                            InvalidGraphError)
 from krgraph.graphs import (
     Graph,
     Laplacian,
     barabasi_albert,
     build_laplacian,
     cartesian_product,
+    eigh_psd,
     erdos_renyi,
     geodesic_adjacency,
     graph_from_edge_json,
@@ -372,3 +374,31 @@ def test_json_reader_names_file(tmp_path, load, data):
         path.write_bytes(data)
     with pytest.raises(DataFormatError, match=r"doc\.json: cannot read JSON"):
         load(path)
+
+
+class TestEighPsd:
+    def test_sets_only_roundoff_negatives_to_zero(self, monkeypatch):
+        vals = np.array([-1e-9, -1e-10, -1e-12, 0.0, 2.0])
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: (vals.copy(), np.eye(5)))
+        lam, V = eigh_psd(np.eye(5))
+        assert lam.tolist() == [-1e-9, 0.0, 0.0, 0.0, 2.0]
+        assert np.array_equal(V, np.eye(5))
+
+    def test_equals_numpy_eigh_on_a_laplacian(self):
+        L = build_laplacian(erdos_renyi(12, 0.4, seed=3)).matrix
+        lam, V = eigh_psd(L)
+        ref_lam, ref_V = np.linalg.eigh(L)
+        assert np.array_equal(V, ref_V)
+        assert np.array_equal(lam, np.where(
+            (ref_lam < 0) & (ref_lam >= -1e-10), 0.0, ref_lam))
+
+    def test_nonconvergence_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match=r"\(4, 4\).*converge"):
+            eigh_psd(np.eye(4))
+        with pytest.raises(ConvergenceError, match=r"\(3, 3\)"):
+            build_laplacian(K3).eigendecomposition()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,10 @@ class TestGramMatrix:
         ("rbf", 1e-200, [[0.0], [1e-100]], "infinite"),
     ], ids=["linear", "rbf", "rbf_normalizer_overflow", "rbf_underflow"])
     def test_nonfinite_kernel_rejected(self, kind, sigma, X, message):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+        # and no floating-point warning ahead of the error
+        with warnings.catch_warnings(), \
                 pytest.raises(DegenerateKernelError, match=message):
+            warnings.simplefilter("error")
             gram_matrix(np.array(X), KernelSpec(kind=kind, sigma_sq=sigma))
 
     def test_rbf_entries_in_unit_interval(self):
@@ -199,6 +203,14 @@ class TestKernelCrossMatrix:
         with pytest.raises(DimensionError):
             kernel_cross_matrix(X_train, np.array(bad), spec, gram)
 
+    def test_overflow_rejected_without_warning(self):
+        small = np.array([[2.0, 2.0], [0.5, -1.0]])
+        spec = KernelSpec(kind="linear")
+        with warnings.catch_warnings(), pytest.raises(DegenerateKernelError):
+            warnings.simplefilter("error")
+            kernel_cross_matrix(small, [[1e308, 1e308]], spec,
+                                gram_matrix(small, spec))
+
     def test_dimension_mismatch(self):
         X = np.ones((4, 3))
         spec = KernelSpec(kind="linear")
@@ -217,3 +229,4 @@ class TestKernelCrossMatrix:
             X = rng.standard_normal((37, 4))
         gram = gram_matrix(X, spec)
         assert np.array_equal(gram.matrix, kernel_cross_matrix(X, X, spec, gram))
+

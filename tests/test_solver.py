@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from krgraph.errors import DimensionError, SingularSystemError
+from krgraph.errors import (ConvergenceError, DimensionError, KrgraphError,
+                            SingularSystemError)
 from krgraph.graphs import Laplacian
 from krgraph.kernels import GramMatrix, KernelSpec, gram_matrix
 from krgraph.solver import (
     Hyperparams,
     SpectralCache,
+    check_weights,
     cost_terms,
     dual_cost,
     dual_cost_gradient,
     fit_krg,
     fit_lrg,
     fitted_smoother,
-    kr_fitted_shrinkage,
     load_model,
     predict_krg,
     predict_lrg,
@@ -444,40 +445,39 @@ class TestSmoothing:
         assert all(a >= b - 1e-10 for a, b in zip(rough, rough[1:]))
 
 
+def kr_fitted(K, alpha, T):
+    """KR's graph-free fitted outputs K (K + alpha I)^{-1} T, through
+    fitted_smoother with the edgeless graph and beta = 0."""
+    M = np.shape(T)[1]
+    return fitted_smoother(GramMatrix(K), Laplacian(np.zeros((M, M))),
+                           Hyperparams(alpha, 0.0), T)
+
+
 class TestKrFittedShrinkage:
     def test_identity_kernel(self):
         T = np.random.default_rng(25).standard_normal((4, 3))
-        np.testing.assert_allclose(
-            kr_fitted_shrinkage(GramMatrix(np.eye(4)), 1.0, T), T / 2.0,
-            rtol=1e-12)
+        np.testing.assert_allclose(kr_fitted(np.eye(4), 1.0, T), T / 2.0,
+                                   rtol=1e-12)
 
     def test_alpha_zero_nonsingular(self):
         rng = np.random.default_rng(26)
         K = random_psd(rng, 5) + np.eye(5)
         T = rng.standard_normal((5, 2))
-        np.testing.assert_allclose(
-            kr_fitted_shrinkage(GramMatrix(K), 0.0, T), T, atol=1e-8)
+        np.testing.assert_allclose(kr_fitted(K, 0.0, T), T, atol=1e-8)
 
     def test_matches_direct_solve(self):
         rng = np.random.default_rng(27)
         K = random_psd(rng, 10)
         T = rng.standard_normal((10, 4))
-        out = kr_fitted_shrinkage(GramMatrix(K), 0.7, T)
+        out = kr_fitted(K, 0.7, T)
         expected = K @ np.linalg.solve(K + 0.7 * np.eye(10), T)
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
-    def test_alpha_zero_singular_raises_after_one_eigh(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a: calls.append(1) or eigh(a))
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: calls.append(2) or pytest.fail("eigvalsh"))
+    def test_alpha_zero_singular_raises(self):
         K = random_psd(np.random.default_rng(28), 6, rank=3)
-        with pytest.raises(SingularSystemError):
-            kr_fitted_shrinkage(GramMatrix(K), 0.0, np.ones((6, 2)))
-        kr_fitted_shrinkage(GramMatrix(K), 0.5, np.ones((6, 2)))
-        assert calls == [1, 1]
+        with pytest.raises(SingularSystemError, match="rank-deficient"):
+            kr_fitted(K, 0.0, np.ones((6, 2)))
+        assert np.isfinite(kr_fitted(K, 0.5, np.ones((6, 2)))).all()
 
 
 class TestModelSerialization:
@@ -497,3 +497,47 @@ class TestModelSerialization:
         np.testing.assert_allclose(loaded.gram.matrix, gram.matrix)
         x = rng.standard_normal(2)
         np.testing.assert_allclose(predict_krg(loaded, x), predict_krg(model, x))
+
+
+class TestCheckWeights:
+    @pytest.mark.parametrize("alpha,beta,name", [
+        (np.nan, 0.0, "alpha"), (0.1, np.nan, "beta"), (np.inf, 0.0, "alpha"),
+        (-0.1, 0.0, "alpha"), (0.1, -1.0, "beta"),
+    ])
+    def test_hyperparams_reject_nan_inf_and_negative(self, alpha, beta, name):
+        with pytest.raises(KrgraphError,
+                           match=f"{name} must be finite and >= 0, got"):
+            Hyperparams(alpha=alpha, beta=beta)
+
+    def test_scalars_and_grids(self):
+        check_weights(alpha=0, beta=0.0, alphas=(0.0, 1e300), betas=[2])
+        with pytest.raises(KrgraphError, match=r"nu must be finite and >= 0, "
+                                               r"got \[-1\]"):
+            check_weights(beta=1.0, nu=-1)
+        with pytest.raises(KrgraphError, match=r"betas must be finite and >= 0, "
+                                               r"got \[0.0, nan\]"):
+            check_weights(alphas=[0.1], betas=[0.0, float("nan")])
+
+
+class TestSingularityRule:
+    def test_lrg_rank_deficient_message_names_theta_and_alpha(self):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((7, 2)) @ np.ones((2, 4))    # rank 2 of 4
+        T = rng.standard_normal((7, 3))
+        L = Laplacian(random_laplacian_matrix(rng, 3))
+        with pytest.raises(SingularSystemError,
+                           match="theta=.*rank-deficient.*alpha > 0"):
+            fit_lrg(X, T, L, Hyperparams(alpha=0.0, beta=2.0))
+        assert np.isfinite(fit_lrg(X, T, L, Hyperparams(0.1, 2.0)).w).all()
+
+    def test_spectral_cache_eigh_failure_is_convergence_error(self,
+                                                              monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        L = Laplacian(np.zeros((2, 2)))
+        L.eigendecomposition()
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match=r"\(5, 5\)"):
+            fit_krg(GramMatrix(np.eye(5)), np.ones((5, 2)), L,
+                    Hyperparams(0.1, 0.0))

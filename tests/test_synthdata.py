@@ -152,6 +152,11 @@ class TestAddNoiseSnr:
         with pytest.raises(KrgraphError):
             add_noise_snr(np.zeros((2, 2)), 10.0, 0)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -np.inf])
+    def test_out_of_range_snr_rejected(self, snr_db):
+        with pytest.raises(KrgraphError, match="out of range"):
+            add_noise_snr(np.ones((2, 2)), snr_db, 0)
+
 
 class TestMakeSyntheticDataset:
     CFG = SynthConfig(num_nodes=12, num_samples=20, graph_model="erdos_renyi",
@@ -201,6 +206,12 @@ class TestMakeSyntheticDataset:
         a = make_synthetic_dataset(self.CFG)
         b = make_synthetic_dataset(cfg2)
         assert not np.array_equal(a[0].T, b[0].T)
+
+    @pytest.mark.parametrize("model", ["erdos_renyi", "barabasi_albert"])
+    def test_nonfinite_graph_param_rejected(self, model):
+        with pytest.raises(KrgraphError, match="graph_param"):
+            SynthConfig(num_nodes=6, num_samples=8, graph_model=model,
+                        graph_param=np.nan, snr_db=5.0, seed=0)
 
     def test_odd_sample_count_rejected(self):
         with pytest.raises(KrgraphError):

@@ -2,7 +2,7 @@
 
 Library layout:
   graphs      adjacency/Laplacian algebra, random generators, products
-  kernels     Gram matrices and test-point kernel vectors
+  kernels     Gram matrices and test-point cross-kernels
   solver      LR/LRG/KR/KRG fits via the spectral Sylvester solve
   graphlearn  joint Laplacian + coefficient estimation
   synthdata   seeded synthetic-experiment data generation
@@ -21,7 +21,7 @@ from .graphs import (
     quadratic_form,
     spectral_rescale,
 )
-from .kernels import GramMatrix, KernelSpec, gram_matrix, kernel_vector
+from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (
     Hyperparams,
     KrgModel,

@@ -20,7 +20,8 @@ import jsonschema
 
 from . import evaluation, graphlearn, graphs, solver, synthdata
 from .errors import ConfigError, DataFormatError, KrgraphError
-from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
+# kernel_cross_matrix is unused here; perfbench's tests expect cli to import it
+from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix  # noqa: F401
 
 log = logging.getLogger("krgraph")
 
@@ -257,28 +258,26 @@ def cmd_fit(cfg, out_dir):
     if cfg["beta"] > 0 and not {"graph_json", "laplacian_csv"} & cfg.keys():
         raise ConfigError("beta > 0 requires graph_json or laplacian_csv")
     L = _load_laplacian(cfg, T.shape[1])
-    spec = _kernel_spec(cfg["kernel"])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
-    gram = gram_matrix(X, spec)
-    model = solver.fit_krg(gram, T, L, hyper, x_train=X, spec=spec)
+    K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
+    model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec)
     out = Path(out_dir)
     solver.save_model(out / "model.json", model)
-    residual = solver.sylvester_residual(gram, model.psi, T, L, hyper.alpha,
+    residual = solver.sylvester_residual(K, model.psi, T, L, hyper.alpha,
                                          hyper.beta)
-    costs = solver.cost_terms(gram, model.psi, T, L, hyper.alpha, hyper.beta)
+    costs = solver.cost_terms(K, model.psi, T, L, hyper.alpha, hyper.beta)
     graphs.save_json(out / "fit_report.json", {
         "residual_norm": float(np.linalg.norm(residual, "fro")),
         "target_norm": float(np.linalg.norm(T, "fro")),
         **dict(zip(("data_cost", "coefficient_cost", "roughness_cost"), costs)),
     }, pretty=True)
-    log.info("fitted model on %d samples", gram.n)
+    log.info("fitted model on %d samples", K.shape[0])
 
 
 def cmd_predict(cfg, out_dir):
     model = solver.load_model(cfg["model_json"])
     X = graphs.load_matrix_csv(cfg["x_csv"])
-    K_cross = kernel_cross_matrix(model.x_train, X, model.spec, model.gram)
-    Y = K_cross @ model.psi
+    Y = solver.predict_krg(model, X)
     out = Path(out_dir)
     graphs.save_matrix_csv(out / "predictions.csv", Y)
     log.info("predicted %d rows", Y.shape[0])
@@ -287,8 +286,7 @@ def cmd_predict(cfg, out_dir):
 def cmd_learn_graph(cfg, out_dir):
     X = graphs.load_matrix_csv(cfg["x_csv"])
     T = graphs.load_matrix_csv(cfg["t_csv"])
-    spec = _kernel_spec(cfg["kernel"])
-    gram = gram_matrix(X, spec)
+    K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
     gl_cfg = graphlearn.GraphLearnConfig(
         **{f.name: cfg[f.name]
            for f in dataclasses.fields(graphlearn.GraphLearnConfig)
@@ -296,9 +294,9 @@ def cmd_learn_graph(cfg, out_dir):
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     out = Path(out_dir)
     model, L, cost_trace, _ = graphlearn.alternating_fit(
-        gram, T, hyper, gl_cfg, log_path=out / "iterations.jsonl")
+        K, T, hyper, gl_cfg, log_path=out / "iterations.jsonl")
     model = solver.KrgModel(psi=model.psi, x_train=X, spec=spec,
-                            gram=gram, laplacian=model.laplacian, hyper=hyper)
+                            laplacian=model.laplacian, hyper=hyper)
     solver.save_model(out / "model.json", model)
     graphs.save_matrix_csv(out / "laplacian.csv", L.matrix)
     graphs.save_json(out / "cost_trace.json",

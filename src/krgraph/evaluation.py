@@ -118,10 +118,10 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                 cache = SpectralCache.build(X_fit.T @ X_fit, L)
                 rhs, A_val = X_fit.T @ T_fit, X_val
             else:
-                spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
-                gram = gram_matrix(X_fit, spec)
-                cache = SpectralCache.build(gram.matrix, L)
-                rhs, A_val = T_fit, kernel_cross_matrix(X_fit, X_val, spec, gram)
+                K, spec = gram_matrix(X_fit, kernel_spec or KernelSpec(
+                    kind="rbf", sigma_sq=sigma_sq))
+                cache = SpectralCache.build(K, L)
+                rhs, A_val = T_fit, kernel_cross_matrix(X_fit, X_val, spec)
             Y = A_val @ solve_sylvester_grid(cache, rhs, distinct[0], distinct[1])
             scores[:, :, s, f] = nmse_db_from_energies(
                 np.sum((Y - T_val) ** 2, axis=(2, 3)), signal)
@@ -195,6 +195,9 @@ class BenchScenario:
                 )
         if self.realizations < 1:
             raise KrgraphError("need at least one realization")
+        if self.grid.sigma_sqs:
+            raise KrgraphError("bench does not read grid.sigma_sqs: its kernel "
+                               "is the synthetic precomputed covariance")
         # a cell's seeds come from (master_seed, n, round(1000 snr), r),
         # which SeedSequence takes only as non-negative integers
         if (self.master_seed < 0 or not all(n >= 1 for n in self.n_train)
@@ -263,9 +266,9 @@ def _run_cell(scenario, n, snr):
         spec = KernelSpec(kind="precomputed", precomputed=C_S)
         _, table = cross_validate(train, L, cv_grid, "KRG",
                                   seed=seed + 29, kernel_spec=spec)
-        gram = gram_matrix(train.X, spec)
-        cache = SpectralCache.build(gram.matrix, L)
-        blocks = (gram.matrix, kernel_cross_matrix(train.X, test.X, spec, gram))
+        K_train, spec = gram_matrix(train.X, spec)
+        cache = SpectralCache.build(K_train, L)
+        blocks = (K_train, kernel_cross_matrix(train.X, test.X, spec))
         refs = (train.T0, test.T0)
         signal = [float(np.sum(T0**2)) for T0 in refs]
         sig = [total + energy for total, energy in zip(sig, signal)]
@@ -274,7 +277,7 @@ def _run_cell(scenario, n, snr):
             best = min((row for row in table if row["params"]["beta"] in betas),
                        key=lambda row: row["nmse_db"])["params"]
             hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])
-            psi = fit_krg(gram, train.T, L, hyper, cache=cache).psi
+            psi = fit_krg(K_train, train.T, L, hyper, cache=cache).psi
             for k, (K, T0) in enumerate(zip(blocks, refs)):
                 energy = float(np.sum((K @ psi - T0) ** 2))
                 err[method][k] += energy

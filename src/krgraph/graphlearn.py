@@ -27,7 +27,6 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DimensionError, KrgraphError
 from .graphs import Laplacian, spectral_rescale
-from .kernels import GramMatrix
 from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
                      fit_krg)
 
@@ -128,16 +127,15 @@ def laplacian_step(Y, cfg: GraphLearnConfig) -> Laplacian:
     return spectral_rescale(L)
 
 
-def joint_cost(gram: GramMatrix, psi, L: Laplacian, T, hyper: Hyperparams,
+def joint_cost(K, psi, L: Laplacian, T, hyper: Hyperparams,
                cfg: GraphLearnConfig) -> float:
     """The regression objective (solver.cost_terms, with cfg.beta) plus
     nu ||L||_F^2."""
-    data, coefficient, roughness = cost_terms(gram, psi, T, L, hyper.alpha,
-                                              cfg.beta)
+    data, coefficient, roughness = cost_terms(K, psi, T, L, hyper.alpha, cfg.beta)
     return data + coefficient + roughness + cfg.nu * float(np.sum(L.matrix**2))
 
 
-def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
+def alternating_fit(K, T, hyper: Hyperparams,
                     cfg: GraphLearnConfig, log_path=None):
     """Alternate dual fits and L-steps starting from L = 0 (plain KR).
 
@@ -152,18 +150,17 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
     M = T.shape[1]
     fit_hyper = Hyperparams(alpha=hyper.alpha, beta=cfg.beta)
     L = Laplacian(np.zeros((M, M)))
-    cache = SpectralCache.build(gram.matrix, L)
+    cache = SpectralCache.build(K, L)
     cost_trace = []
     substep_costs = []  # (after-W, after-L) pairs at the L in force
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for it in range(cfg.max_outer_iters):
-            model = fit_krg(gram, T, L, fit_hyper,
-                            cache=cache.with_laplacian(L))
-            cost_w = joint_cost(gram, model.psi, L, T, fit_hyper, cfg)
-            Y = gram.matrix @ model.psi
+            model = fit_krg(K, T, L, fit_hyper, cache=cache.with_laplacian(L))
+            cost_w = joint_cost(K, model.psi, L, T, fit_hyper, cfg)
+            Y = K @ model.psi
             w, L_new = _laplacian_step_constrained(Y, cfg)
-            cost_l = joint_cost(gram, model.psi, L_new, T, fit_hyper, cfg)
+            cost_l = joint_cost(K, model.psi, L_new, T, fit_hyper, cfg)
             substep_costs.append((cost_w, cost_l))
             cost_trace.append(cost_l)
             if log_fh:
@@ -183,7 +180,7 @@ def alternating_fit(gram: GramMatrix, T, hyper: Hyperparams,
             if converged:
                 break
         # refit so the returned coefficients match the final Laplacian
-        model = fit_krg(gram, T, L, fit_hyper, cache=cache.with_laplacian(L))
+        model = fit_krg(K, T, L, fit_hyper, cache=cache.with_laplacian(L))
         return model, spectral_rescale(L), np.array(cost_trace), substep_costs
     finally:
         if log_fh:

@@ -1,17 +1,17 @@
-"""Kernel functions, Gram matrices, and test-point kernel vectors.
+"""Kernel functions, Gram matrices, and test-point cross-kernels.
 
 Supported kernels:
   linear       k(x, x') = x^T x'
   rbf          k(x, x') = exp(-||x - x'||^2 / (sigma_sq * Z)) with the
                dataset normalizer Z = sum_{m,n} ||x_m - x_n||^2 / N over
-               all ordered training pairs, frozen at training time
+               all ordered training pairs, frozen as spec.rbf_normalizer
   precomputed  entries looked up in a user-supplied PSD matrix; data
                matrices then hold integer sample indices into it
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,11 +24,13 @@ VALID_KINDS = ("linear", "rbf", "precomputed")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Declarative kernel choice plus hyperparameters."""
+    """Declarative kernel choice plus hyperparameters; a fitted rbf spec
+    also carries its training-set normalizer Z."""
 
     kind: str
     sigma_sq: Optional[float] = None
     precomputed: Optional[np.ndarray] = None
+    rbf_normalizer: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -36,6 +38,11 @@ class KernelSpec:
         if self.kind == "rbf":
             if self.sigma_sq is None or self.sigma_sq <= 0:
                 raise KrgraphError("rbf kernel requires sigma_sq > 0")
+        Z = self.rbf_normalizer
+        if Z is not None and not (self.kind == "rbf" and type(Z) is not bool
+                                  and isinstance(Z, (int, float)) and 0 < Z < np.inf):
+            raise KrgraphError(f"rbf_normalizer is a finite number > 0 on an rbf "
+                               f"kernel, got {Z!r} on {self.kind}")
         if self.kind == "precomputed":
             if self.precomputed is None:
                 raise KrgraphError("precomputed kernel requires a matrix")
@@ -58,6 +65,8 @@ class KernelSpec:
             doc["sigma_sq"] = self.sigma_sq
         if self.precomputed is not None:
             doc["precomputed"] = self.precomputed.tolist()
+        if self.rbf_normalizer is not None:
+            doc["rbf_normalizer"] = self.rbf_normalizer
         return doc
 
     @staticmethod
@@ -67,19 +76,8 @@ class KernelSpec:
             kind=doc["kind"],
             sigma_sq=doc.get("sigma_sq"),
             precomputed=None if pre is None else np.array(pre, dtype=float),
+            rbf_normalizer=doc.get("rbf_normalizer"),
         )
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Training Gram matrix; rbf_normalizer holds Z for test-time reuse."""
-
-    matrix: np.ndarray
-    rbf_normalizer: Optional[float] = None
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
 
 
 def _indices(X, spec: KernelSpec):
@@ -108,22 +106,23 @@ def _finite(block):
 
 
 @_QUIET_OVERFLOW
-def gram_matrix(X, spec: KernelSpec) -> GramMatrix:
-    """Assemble the N x N training Gram matrix for the given kernel."""
+def gram_matrix(X, spec: KernelSpec):
+    """(N x N training Gram matrix, spec fitted to X): an rbf spec gains X's
+    normalizer Z, any other spec is returned as it is."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if spec.kind == "linear":
-        return GramMatrix(_finite(X @ X.T))
+        return _finite(X @ X.T), spec
     if spec.kind == "precomputed":
         idx = _indices(X, spec)
-        return GramMatrix(spec.precomputed[np.ix_(idx, idx)])
+        return spec.precomputed[np.ix_(idx, idx)], spec
     # rbf
     sq = cdist(X, X, "sqeuclidean")
     Z = float(sq.sum()) / X.shape[0]
     if not 0 < Z < np.inf:
         raise DegenerateKernelError(
             f"rbf normalizer is {Z}: inputs all identical or too large")
-    return GramMatrix(_finite(_rbf_in_place(sq, spec.sigma_sq, Z)),
-                      rbf_normalizer=Z)
+    return (_finite(_rbf_in_place(sq, spec.sigma_sq, Z)),
+            replace(spec, rbf_normalizer=Z))
 
 
 def _rbf_in_place(sq, sigma_sq, Z):
@@ -132,15 +131,10 @@ def _rbf_in_place(sq, sigma_sq, Z):
     return np.exp(sq, out=sq)
 
 
-def kernel_vector(X_train, x, spec: KernelSpec, gram: GramMatrix):
-    """k(x) = [k(x_1, x), ..., k(x_N, x)] against the training set."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return kernel_cross_matrix(X_train, x, spec, gram)[0]
-
-
 @_QUIET_OVERFLOW
-def kernel_cross_matrix(X_train, X_test, spec: KernelSpec, gram: GramMatrix):
-    """N_test x N matrix of k(x_test, x_train) over the rows of X_test."""
+def kernel_cross_matrix(X_train, X_test, spec: KernelSpec):
+    """N_test x N matrix of k(x_test, x_train) over the rows of X_test; an
+    rbf spec needs the training Z, as gram_matrix(X_train, ...) returns it."""
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
     if spec.kind == "precomputed":
@@ -155,7 +149,7 @@ def kernel_cross_matrix(X_train, X_test, spec: KernelSpec, gram: GramMatrix):
         )
     if spec.kind == "linear":
         return _finite(X_test @ X_train.T)
-    if gram.rbf_normalizer is None:
+    if spec.rbf_normalizer is None:
         raise DegenerateKernelError("rbf cross-kernel needs the training normalizer")
     return _finite(_rbf_in_place(cdist(X_test, X_train, "sqeuclidean"),
-                                 spec.sigma_sq, gram.rbf_normalizer))
+                                 spec.sigma_sq, spec.rbf_normalizer))

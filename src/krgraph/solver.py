@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DataFormatError, DimensionError, KrgraphError,
                      SingularSystemError)
 from .graphs import Laplacian, eigh_psd, load_json, save_json
-from .kernels import GramMatrix, KernelSpec, kernel_vector
+from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 
 _ETA_FLOOR = 1e-14
 
@@ -46,9 +46,9 @@ class SpectralCache:
     """Eigenpairs of the sample-side matrix (kernel or feature Gram) and L."""
 
     u: np.ndarray       # N x N orthonormal
-    theta: np.ndarray   # N kernel eigenvalues, clamped >= 0
+    theta: np.ndarray   # N kernel eigenvalues, [-1e-10, 0) roundoff set to 0
     v: np.ndarray       # M x M orthonormal
-    lam: np.ndarray     # M Laplacian eigenvalues, clamped >= 0
+    lam: np.ndarray     # M Laplacian eigenvalues, [-1e-10, 0) roundoff set to 0
 
     @staticmethod
     def build(K, L: Laplacian) -> "SpectralCache":
@@ -69,7 +69,6 @@ class KrgModel:
     psi: np.ndarray
     x_train: np.ndarray
     spec: KernelSpec
-    gram: GramMatrix
     laplacian: Laplacian
     hyper: Hyperparams
 
@@ -119,36 +118,37 @@ def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
     return solve_sylvester_grid(cache, RHS, [hyper.alpha], [hyper.beta])[0, 0]
 
 
-def fit_krg(gram: GramMatrix, T, L: Laplacian, hyper: Hyperparams,
+def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
             x_train=None, spec: KernelSpec | None = None,
             cache: SpectralCache | None = None) -> KrgModel:
-    """Solve (K + alpha I) Psi + beta K Psi L = T for the dual coefficients."""
+    """Solve (K + alpha I) Psi + beta K Psi L = T for the dual coefficients;
+    spec is the one gram_matrix returned with K."""
     T = np.asarray(T, dtype=float)
-    if T.shape != (gram.n, L.num_nodes):
+    n = K.shape[0]
+    if T.shape != (n, L.num_nodes):
         raise DimensionError(
-            f"targets {T.shape} incompatible with N={gram.n}, M={L.num_nodes}"
+            f"targets {T.shape} incompatible with N={n}, M={L.num_nodes}"
         )
     if cache is None:
-        cache = SpectralCache.build(gram.matrix, L)
+        cache = SpectralCache.build(K, L)
     psi = solve_sylvester_spectral(cache, T, hyper)
     if x_train is None:
-        x_train = np.zeros((gram.n, 0))
+        x_train = np.zeros((n, 0))
     if spec is None:
         spec = KernelSpec(kind="linear")
     return KrgModel(
         psi=psi,
         x_train=np.asarray(x_train, dtype=float),
         spec=spec,
-        gram=gram,
         laplacian=L,
         hyper=hyper,
     )
 
 
-def predict_krg(model: KrgModel, x):
-    """y = Psi^T k(x)."""
-    k = kernel_vector(model.x_train, x, model.spec, model.gram)
-    return model.psi.T @ k
+def predict_krg(model: KrgModel, X):
+    """Psi^T k(x) for each row x of X; a 1-D X is one point, one y."""
+    Y = kernel_cross_matrix(model.x_train, X, model.spec) @ model.psi
+    return Y[0] if np.ndim(X) == 1 else Y
 
 
 def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams,
@@ -180,10 +180,9 @@ def predict_lrg(model: LrgModel, x):
     return model.w.T @ x
 
 
-def cost_terms(gram: GramMatrix, psi, T, L: Laplacian, alpha, beta):
+def cost_terms(K, psi, T, L: Laplacian, alpha, beta):
     """(||T - Y||_F^2, alpha tr(Psi^T K Psi), beta tr(Y L Y^T)) with Y = K Psi:
     the three terms of the objective that the fit minimizes."""
-    K = gram.matrix
     psi = np.asarray(psi, dtype=float)
     Y = K @ psi
     return (float(np.sum((np.asarray(T, dtype=float) - Y) ** 2)),
@@ -191,22 +190,20 @@ def cost_terms(gram: GramMatrix, psi, T, L: Laplacian, alpha, beta):
             float(beta * np.trace(Y @ L.matrix @ Y.T)))
 
 
-def sylvester_residual(gram: GramMatrix, psi, T, L: Laplacian, alpha, beta):
+def sylvester_residual(K, psi, T, L: Laplacian, alpha, beta):
     """(K + alpha I) Psi + beta K Psi L - T; zero at the exact fit."""
-    K = gram.matrix
-    return (K + alpha * np.eye(gram.n)) @ psi + beta * K @ psi @ L.matrix - T
+    return (K + alpha * np.eye(K.shape[0])) @ psi + beta * K @ psi @ L.matrix - T
 
 
-def dual_cost(gram: GramMatrix, psi, T, L: Laplacian, hyper: Hyperparams):
+def dual_cost(K, psi, T, L: Laplacian, hyper: Hyperparams):
     """The objective without its constant ||T||_F^2."""
-    return (sum(cost_terms(gram, psi, T, L, hyper.alpha, hyper.beta))
+    return (sum(cost_terms(K, psi, T, L, hyper.alpha, hyper.beta))
             - float(np.sum(np.asarray(T, dtype=float) ** 2)))
 
 
-def dual_cost_gradient(gram: GramMatrix, psi, T, L: Laplacian, hyper: Hyperparams):
+def dual_cost_gradient(K, psi, T, L: Laplacian, hyper: Hyperparams):
     """Analytic gradient of dual_cost: 2 K [(K + alpha I) Psi + beta K Psi L - T]."""
-    return 2.0 * gram.matrix @ sylvester_residual(gram, psi, T, L,
-                                                  hyper.alpha, hyper.beta)
+    return 2.0 * K @ sylvester_residual(K, psi, T, L, hyper.alpha, hyper.beta)
 
 
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
@@ -214,11 +211,11 @@ def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
     return cache.theta[:, None] / _checked_eta(cache, [hyper.alpha], [hyper.beta])[0, 0]
 
 
-def fitted_smoother(gram: GramMatrix, L: Laplacian, hyper: Hyperparams, T,
+def fitted_smoother(K, L: Laplacian, hyper: Hyperparams, T,
                     cache: SpectralCache | None = None):
     """Training-set fitted outputs Y = K Psi; with the edgeless L and
     beta = 0 this is the graph-free K (K + alpha I)^{-1} T."""
-    return gram.matrix @ fit_krg(gram, T, L, hyper, cache=cache).psi
+    return K @ fit_krg(K, T, L, hyper, cache=cache).psi
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +236,23 @@ def model_to_json(model: KrgModel) -> dict:
 
 
 def model_from_json(doc: dict) -> KrgModel:
-    from .kernels import gram_matrix
-
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise DataFormatError(f"unsupported model version {version!r}")
     spec = KernelSpec.from_json(doc["kernel_spec"])
     x_train = np.array(doc["x_train"], dtype=float)
     psi = np.array(doc["psi"], dtype=float)
-    gram = gram_matrix(x_train, spec)
     L = Laplacian(np.array(doc["laplacian"], dtype=float))
-    if psi.shape != (gram.n, L.num_nodes):
-        raise DataFormatError(f"psi shape {psi.shape} does not fit {gram.n} "
-                              f"training samples and {L.num_nodes} nodes")
-    return KrgModel(psi=psi, x_train=x_train, spec=spec, gram=gram,
-                    laplacian=L, hyper=Hyperparams(**doc["hyper"]))
+    if x_train.ndim != 2 or psi.shape != (x_train.shape[0], L.num_nodes):
+        raise DataFormatError(f"psi shape {psi.shape} does not fit x_train "
+                              f"shape {x_train.shape} and {L.num_nodes} nodes")
+    if not (np.isfinite(x_train).all() and np.isfinite(psi).all()):
+        raise DataFormatError("x_train or psi has NaN or infinite entries")
+    if spec.kind == "rbf" and spec.rbf_normalizer is None:
+        # a file written before specs carried Z: recompute it from x_train
+        _, spec = gram_matrix(x_train, spec)
+    return KrgModel(psi=psi, x_train=x_train, spec=spec, laplacian=L,
+                    hyper=Hyperparams(**doc["hyper"]))
 
 
 def save_model(path, model: KrgModel):

@@ -43,6 +43,10 @@ class SynthConfig:
             raise KrgraphError(f"unknown graph model {self.graph_model!r}")
         if not np.isfinite(self.graph_param):
             raise KrgraphError(f"graph_param must be finite, got {self.graph_param}")
+        if (self.graph_model == "barabasi_albert"
+                and self.graph_param != int(self.graph_param)):
+            raise KrgraphError("barabasi_albert graph_param is an attachment "
+                               f"count and must be an integer, got {self.graph_param}")
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,9 @@ def cv_table_refit(train, L, grid, method, seed, kernel_spec=None):
                 Y = X_val @ fit_lrg(X_fit, T_fit, fresh_L, hyper).w
             else:
                 spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
-                gram = gram_matrix(X_fit, spec)
-                psi = fit_krg(gram, T_fit, fresh_L, hyper).psi
-                Y = kernel_cross_matrix(X_fit, X_val, spec, gram) @ psi
+                K, spec = gram_matrix(X_fit, spec)
+                psi = fit_krg(K, T_fit, fresh_L, hyper).psi
+                Y = kernel_cross_matrix(X_fit, X_val, spec) @ psi
             scores.append(nmse_db(Y, T_ref[val_rows]))
         table.append({"params": {"alpha": alpha, "beta": beta,
                                  "sigma_sq": sigma_sq},

@@ -28,7 +28,7 @@ from krgraph.graphlearn import (
     _smoothness_costs,
     alternating_fit,
 )
-from krgraph.kernels import GramMatrix, KernelSpec, gram_matrix, kernel_vector
+from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from krgraph.solver import (
     Hyperparams,
     SpectralCache,
@@ -67,7 +67,7 @@ def test_criterion_1_kronecker_solve_oracle():
         K, L, T = _random_instance(rng)
         alpha, beta = combos[i % len(combos)]
         hyper = Hyperparams(alpha=alpha, beta=beta)
-        psi = fit_krg(GramMatrix(K), T, Laplacian(L), hyper).psi
+        psi = fit_krg(K, T, Laplacian(L), hyper).psi
         ref = dense_kron_dual_solve(K, L, T, alpha, beta)
         err = np.linalg.norm(psi - ref, "fro") / np.linalg.norm(ref, "fro")
         assert err <= 1e-8, f"instance {i}: relative error {err:.2e}"
@@ -87,21 +87,21 @@ def test_criterion_2_reduction_chain():
         L = Laplacian(random_laplacian_matrix(rng, m))
         alpha = float(rng.uniform(0.05, 2.0))
         spec = KernelSpec(kind="linear")
-        gram = gram_matrix(X, spec)
+        K, spec = gram_matrix(X, spec)
         x_new = rng.standard_normal(3)
 
         # beta = 0 collapses to plain kernel ridge
-        model0 = fit_krg(gram, T, L, Hyperparams(alpha=alpha, beta=0.0),
+        model0 = fit_krg(K, T, L, Hyperparams(alpha=alpha, beta=0.0),
                          x_train=X, spec=spec)
-        psi_kr = np.linalg.solve(gram.matrix + alpha * np.eye(n), T)
-        y_kr = psi_kr.T @ kernel_vector(X, x_new, spec, gram)
+        psi_kr = np.linalg.solve(K + alpha * np.eye(n), T)
+        y_kr = psi_kr.T @ kernel_cross_matrix(X, x_new, spec)[0]
         np.testing.assert_allclose(predict_krg(model0, x_new), y_kr,
                                    atol=1e-10)
 
         # linear-kernel dual agrees with the primal weight-space solve
         beta = float(rng.uniform(0.1, 2.0))
         hyper = Hyperparams(alpha=alpha, beta=beta)
-        krg = fit_krg(gram, T, L, hyper, x_train=X, spec=spec)
+        krg = fit_krg(K, T, L, hyper, x_train=X, spec=spec)
         lrg = fit_lrg(X, T, L, hyper)
         scale = max(1.0, np.abs(predict_lrg(lrg, x_new)).max())
         np.testing.assert_allclose(predict_krg(krg, x_new),
@@ -114,23 +114,23 @@ def test_criterion_2_reduction_chain():
 def test_criterion_3_gradient_and_stationarity():
     rng = np.random.default_rng(3)
     K, L_mat, T = _random_instance(rng, n_max=8, m_max=6)
-    gram, L = GramMatrix(K), Laplacian(L_mat)
+    L = Laplacian(L_mat)
     hyper = Hyperparams(alpha=0.4, beta=0.9)
     h = 1e-5
     for _ in range(10):
         psi = rng.standard_normal(T.shape)
-        analytic = dual_cost_gradient(gram, psi, T, L, hyper)
+        analytic = dual_cost_gradient(K, psi, T, L, hyper)
         fd = np.zeros_like(psi)
         for idx in np.ndindex(*psi.shape):
             e = np.zeros_like(psi)
             e[idx] = h
-            fd[idx] = (dual_cost(gram, psi + e, T, L, hyper)
-                       - dual_cost(gram, psi - e, T, L, hyper)) / (2 * h)
+            fd[idx] = (dual_cost(K, psi + e, T, L, hyper)
+                       - dual_cost(K, psi - e, T, L, hyper)) / (2 * h)
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         assert rel <= 1e-4, f"finite-difference mismatch {rel:.2e}"
-    model = fit_krg(gram, T, L, hyper)
+    model = fit_krg(K, T, L, hyper)
     gnorm = np.linalg.norm(
-        dual_cost_gradient(gram, model.psi, T, L, hyper), "fro")
+        dual_cost_gradient(K, model.psi, T, L, hyper), "fro")
     bound = 1e-6 * np.linalg.norm(T, "fro")
     assert gnorm <= bound, f"gradient at optimum {gnorm:.2e} > {bound:.2e}"
     print(f"PASS criterion 3: finite-difference gradient within 1e-4 at 10 "
@@ -142,14 +142,14 @@ def test_criterion_4_smoothing_properties():
     betas = [0.0, 0.1, 1.0, 10.0, 100.0]
     for i in range(10):
         K, L_mat, T = _random_instance(rng)
-        gram, L = GramMatrix(K), Laplacian(L_mat)
+        L = Laplacian(L_mat)
         cache = SpectralCache.build(K, L)
         prev = np.inf
         for beta in betas:
             hyper = Hyperparams(alpha=0.3, beta=beta)
             zeta = shrinkage_factors(cache, hyper)
             assert np.all(zeta >= 0.0) and np.all(zeta < 1.0)
-            Y = K @ fit_krg(gram, T, L, hyper, cache=cache).psi
+            Y = K @ fit_krg(K, T, L, hyper, cache=cache).psi
             rough = float(np.trace(Y @ L.matrix @ Y.T))
             assert rough <= prev * (1 + 1e-10) + 1e-12, \
                 f"instance {i}: roughness rose at beta={beta}"
@@ -192,7 +192,7 @@ def test_criterion_6_graph_learning():
         T = rng.standard_normal((12, 6))
         cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=8)
         _, _, _, substeps = alternating_fit(
-            GramMatrix(K), T, Hyperparams(alpha=0.3, beta=0.0), cfg)
+            K, T, Hyperparams(alpha=0.3, beta=0.0), cfg)
         for k in range(1, len(substeps)):
             prev_after_l = substeps[k - 1][1]
             cost_w, cost_l = substeps[k]
@@ -219,7 +219,7 @@ def test_criterion_6_graph_learning():
         T = np.linalg.solve(np.eye(10) + 2.0 * L_true.matrix, R.T).T
         cfg = GraphLearnConfig(nu=0.05, beta=2.0, max_outer_iters=10)
         model, _, _, _ = alternating_fit(
-            GramMatrix(K), T, Hyperparams(alpha=0.1, beta=0.0), cfg)
+            K, T, Hyperparams(alpha=0.1, beta=0.0), cfg)
         w_learned = -model.laplacian.matrix[np.triu_indices(10, 1)]
         w_true = g.adjacency[np.triu_indices(10, 1)]
         rho = spearmanr(w_learned, w_true).statistic

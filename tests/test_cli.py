@@ -10,7 +10,7 @@ import pytest
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
 from krgraph.graphs import Laplacian, load_matrix_csv, save_matrix_csv
-from krgraph.kernels import KernelSpec, gram_matrix
+from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from krgraph.solver import Hyperparams, cost_terms, fit_krg, load_model
 from oracles import dense_kron_dual_solve, random_laplacian_matrix
 
@@ -192,7 +192,8 @@ class TestFitPredict:
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 0
         report = json.loads((out / "fit_report.json").read_text())
         model = load_model(out / "model.json")
-        terms = cost_terms(model.gram, model.psi, T, Laplacian(L), 0.5, 0.8)
+        K, _ = gram_matrix(model.x_train, model.spec)
+        terms = cost_terms(K, model.psi, T, Laplacian(L), 0.5, 0.8)
         assert [report["data_cost"], report["coefficient_cost"],
                 report["roughness_cost"]] == list(terms)
 
@@ -212,10 +213,10 @@ class TestFitPredict:
         pout = tmp_path / "pred"
         assert run(["predict", "--config", pcfg, "--out-dir", pout]) == 0
         Y = load_matrix_csv(pout / "predictions.csv")
-        gram = gram_matrix(X, KernelSpec(kind="linear"))
-        model = fit_krg(gram, T, Laplacian(L),
+        K, _ = gram_matrix(X, KernelSpec(kind="linear"))
+        model = fit_krg(K, T, Laplacian(L),
                         Hyperparams(alpha=0.5, beta=0.3))
-        np.testing.assert_allclose(Y, gram.matrix @ model.psi, atol=1e-10)
+        np.testing.assert_allclose(Y, K @ model.psi, atol=1e-10)
 
     def test_predict_new_points(self, tmp_path):
         cfg, X, T, L = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
@@ -232,6 +233,55 @@ class TestFitPredict:
         Y = load_matrix_csv(pout / "predictions.csv")
         model = load_model(out / "model.json")
         np.testing.assert_allclose(Y, (Xnew @ X.T) @ model.psi, atol=1e-10)
+
+
+class TestRbfModelFile:
+    """An RBF model carries its training normalizer, so predict builds
+    only the test cross-kernel."""
+
+    def _fit(self, tmp_path, command, **extra):
+        cfg, X, T, _ = fit_configs(tmp_path, beta=0.6, with_laplacian=True)
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        if command == "learn-graph":
+            del doc["laplacian_csv"]
+        doc.update(kernel={"kind": "rbf", "sigma_sq": 0.8}, **extra)
+        out = tmp_path / command
+        assert run([command, "--config",
+                    write_config(tmp_path, "cmd.json", doc),
+                    "--out-dir", out]) == 0
+        return out / "model.json", X
+
+    def _predict(self, tmp_path, model_json, name):
+        Xnew = np.random.default_rng(13).standard_normal((5, 3))
+        save_matrix_csv(tmp_path / "Xnew.csv", Xnew)
+        pcfg = write_config(tmp_path, "predict.json", {
+            "model_json": str(model_json), "x_csv": str(tmp_path / "Xnew.csv")})
+        assert run(["predict", "--config", pcfg,
+                    "--out-dir", tmp_path / name]) == 0
+        return Xnew, tmp_path / name / "predictions.csv"
+
+    def test_file_without_normalizer_predicts_byte_identically(self, tmp_path):
+        model_json, X = self._fit(tmp_path, "fit")
+        doc = json.loads(model_json.read_text(encoding="utf-8"))
+        Z = doc["kernel_spec"].pop("rbf_normalizer")
+        assert Z == pytest.approx(
+            sum(np.sum((a - b) ** 2) for a in X for b in X) / len(X),
+            rel=1e-12)
+        legacy = tmp_path / "legacy_model.json"
+        legacy.write_text(json.dumps(doc), encoding="utf-8")
+        _, new = self._predict(tmp_path, model_json, "new")
+        _, old = self._predict(tmp_path, legacy, "old")
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_learn_graph_then_predict(self, tmp_path):
+        model_json, X = self._fit(tmp_path, "learn-graph", nu=0.5,
+                                  max_outer_iters=4)
+        model = load_model(model_json)
+        assert model.spec.kind == "rbf" and model.spec.rbf_normalizer > 0
+        Xnew, pred = self._predict(tmp_path, model_json, "pred")
+        np.testing.assert_array_equal(
+            load_matrix_csv(pred),
+            kernel_cross_matrix(X, Xnew, model.spec) @ model.psi)
 
 
 class TestLearnGraph:
@@ -640,6 +690,19 @@ def _bad_file_case(tmp_path, case):
             model["psi"] = model["psi"][:-1]
         elif case == "model_psi_cols":
             model["psi"] = [row[:-1] for row in model["psi"]]
+        elif case == "model_psi_nan":
+            model["psi"][1][0] = float("nan")
+        elif case == "model_x_train_inf":
+            model["x_train"][1][0] = float("inf")
+        elif case == "model_x_train_flat":
+            model["x_train"] = sum(model["x_train"], [])
+        elif case.startswith("model_rbf_normalizer_"):
+            z = case.removeprefix("model_rbf_normalizer_")
+            kernel = ({"kind": "linear"} if z == "on_linear"
+                      else {"kind": "rbf", "sigma_sq": 1.0})
+            model["kernel_spec"] = dict(kernel, rbf_normalizer={
+                "zero": 0.0, "negative": -1.0, "nan": float("nan"),
+                "string": "1.0", "on_linear": 1.0}[z])
         else:
             del model["kernel_spec"]
         bad.write_text(json.dumps(model), encoding="utf-8")
@@ -654,6 +717,11 @@ class TestFileBoundaryErrors:
         "graph_edge_fractional", "model_version_2", "model_not_json",
         "model_missing_kernel_spec", "model_psi_rows", "model_psi_cols",
         "graph_not_utf8", "model_not_utf8",
+        # Python's JSON reader accepts NaN and Infinity
+        "model_psi_nan", "model_x_train_inf", "model_x_train_flat",
+        "model_rbf_normalizer_zero",
+        "model_rbf_normalizer_negative", "model_rbf_normalizer_nan",
+        "model_rbf_normalizer_string", "model_rbf_normalizer_on_linear",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
         command, doc, name = _bad_file_case(tmp_path, case)

@@ -379,6 +379,13 @@ class TestRunBenchmark:
         with pytest.raises(KrgraphError, match="master_seed >= 0"):
             small_scenario(**override)
 
+    def test_sigma_grid_rejected_in_scenario(self):
+        # the benchmark kernel is the precomputed covariance, so a
+        # bandwidth grid would be accepted and never read
+        grid = CvGrid(alphas=[0.1], betas=[0.0], sigma_sqs=[1.0], folds=3)
+        with pytest.raises(KrgraphError, match="sigma_sqs"):
+            small_scenario(grid=grid)
+
     def test_krr_rejected_in_scenario(self):
         # synthetic data has no features, so LR/LRG cells are rejected too
         for method in ("KRR", "LR", "LRG"):

@@ -18,7 +18,6 @@ from krgraph.graphlearn import (
     project_simplex,
     weights_to_laplacian,
 )
-from krgraph.kernels import GramMatrix
 from krgraph.solver import Hyperparams, cost_terms, fit_krg
 from oracles import edge_overlap_matrix, random_psd
 
@@ -202,9 +201,9 @@ class TestJointCost:
     def test_zero_psi_zero_laplacian(self):
         rng = np.random.default_rng(8)
         T = rng.standard_normal((5, 3))
-        gram = GramMatrix(random_psd(rng, 5))
+        K = random_psd(rng, 5)
         cfg = GraphLearnConfig(nu=1.0, beta=1.0)
-        c = joint_cost(gram, np.zeros((5, 3)), Laplacian(np.zeros((3, 3))),
+        c = joint_cost(K, np.zeros((5, 3)), Laplacian(np.zeros((3, 3))),
                        T, Hyperparams(alpha=1.0, beta=1.0), cfg)
         assert c == pytest.approx(np.sum(T**2))
 
@@ -213,7 +212,7 @@ class TestJointCost:
         K = random_psd(rng, 4) + np.eye(4)
         T = rng.standard_normal((4, 2))
         psi = np.linalg.solve(K, T)  # Y = K psi = T
-        c = joint_cost(GramMatrix(K), psi, Laplacian(np.zeros((2, 2))), T,
+        c = joint_cost(K, psi, Laplacian(np.zeros((2, 2))), T,
                        Hyperparams(alpha=0.0, beta=0.0),
                        GraphLearnConfig(nu=0.0, beta=0.0))
         assert c == pytest.approx(0.0, abs=1e-16)
@@ -234,19 +233,19 @@ class TestJointCost:
         expected += hyper.alpha * sum(
             psi[:, m] @ K @ psi[:, m] for m in range(3))
         expected += cfg.nu * np.sum(Lmat**2)
-        got = joint_cost(GramMatrix(K), psi, Laplacian(Lmat), T, hyper, cfg)
+        got = joint_cost(K, psi, Laplacian(Lmat), T, hyper, cfg)
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_is_shared_cost_terms_plus_nu_norm(self):
         rng = np.random.default_rng(11)
-        gram = GramMatrix(random_psd(rng, 7))
+        K = random_psd(rng, 7)
         T = rng.standard_normal((7, 4))
         psi = rng.standard_normal((7, 4))
         L = weights_to_laplacian(rng.uniform(0, 1, 6), 4)
         hyper = Hyperparams(alpha=0.3, beta=2.0)   # joint_cost takes cfg.beta
         cfg = GraphLearnConfig(nu=0.7, beta=0.9)
-        data, coefficient, roughness = cost_terms(gram, psi, T, L, 0.3, 0.9)
-        assert joint_cost(gram, psi, L, T, hyper, cfg) == (
+        data, coefficient, roughness = cost_terms(K, psi, T, L, 0.3, 0.9)
+        assert joint_cost(K, psi, L, T, hyper, cfg) == (
             data + coefficient + roughness + 0.7 * np.sum(L.matrix**2))
 
 
@@ -255,24 +254,24 @@ class TestAlternatingFit:
         rng = np.random.default_rng(seed)
         K = random_psd(rng, N) + 0.1 * np.eye(N)
         T = rng.standard_normal((N, M))
-        return GramMatrix(K), T
+        return K, T
 
     def test_first_w_step_is_plain_kr(self):
-        gram, T = self._setup(11)
+        K, T = self._setup(11)
         hyper = Hyperparams(alpha=0.5, beta=0.0)
         cfg = GraphLearnConfig(nu=1.0, beta=2.0, max_outer_iters=1)
         # initialization L = 0 makes the first fit independent of beta
-        kr_psi = np.linalg.solve(gram.matrix + 0.5 * np.eye(10), T)
+        kr_psi = np.linalg.solve(K + 0.5 * np.eye(10), T)
         L0 = Laplacian(np.zeros((6, 6)))
-        first = fit_krg(gram, T, L0, Hyperparams(alpha=0.5, beta=cfg.beta)).psi
+        first = fit_krg(K, T, L0, Hyperparams(alpha=0.5, beta=cfg.beta)).psi
         np.testing.assert_allclose(first, kr_psi, rtol=1e-8)
 
     def test_substeps_monotone(self):
         for seed in range(10):
-            gram, T = self._setup(100 + seed)
+            K, T = self._setup(100 + seed)
             hyper = Hyperparams(alpha=0.3, beta=0.0)
             cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=8)
-            _, _, trace, substeps = alternating_fit(gram, T, hyper, cfg)
+            _, _, trace, substeps = alternating_fit(K, T, hyper, cfg)
             # from the first trace-constrained L on, no sub-step may
             # increase the joint cost
             for k in range(1, len(substeps)):
@@ -282,11 +281,11 @@ class TestAlternatingFit:
                 assert cost_l <= cost_w * (1 + 1e-10) + 1e-12
 
     def test_huge_nu_gives_uniform_weights(self):
-        gram, T = self._setup(12)
+        K, T = self._setup(12)
         hyper = Hyperparams(alpha=0.3, beta=0.0)
         cfg = GraphLearnConfig(nu=1e6, beta=1.0, max_outer_iters=3,
                                trace_budget=6.0)
-        model, L, _, _ = alternating_fit(gram, T, hyper, cfg)
+        model, L, _, _ = alternating_fit(K, T, hyper, cfg)
         w = -model.laplacian.matrix[np.triu_indices(6, 1)]
         np.testing.assert_allclose(w, np.full(15, 3.0 / 15), rtol=1e-3)
 
@@ -304,7 +303,7 @@ class TestAlternatingFit:
             T = np.linalg.solve(np.eye(10) + 2.0 * L_true.matrix, R.T).T
             cfg = GraphLearnConfig(nu=0.05, beta=2.0, max_outer_iters=10)
             model, _, _, _ = alternating_fit(
-                GramMatrix(K), T, Hyperparams(alpha=0.1, beta=0.0), cfg)
+                K, T, Hyperparams(alpha=0.1, beta=0.0), cfg)
             w_learned = -model.laplacian.matrix[np.triu_indices(10, 1)]
             w_true = g.adjacency[np.triu_indices(10, 1)]
             rho = spearmanr(w_learned, w_true).statistic
@@ -313,25 +312,25 @@ class TestAlternatingFit:
         assert np.mean(corrs) > 0
 
     def test_determinism_and_cost_trace(self):
-        gram, T = self._setup(13)
+        K, T = self._setup(13)
         hyper = Hyperparams(alpha=0.2, beta=0.0)
         cfg = GraphLearnConfig(nu=0.5, beta=1.5, max_outer_iters=6)
-        out1 = alternating_fit(gram, T, hyper, cfg)
-        out2 = alternating_fit(gram, T, hyper, cfg)
+        out1 = alternating_fit(K, T, hyper, cfg)
+        out2 = alternating_fit(K, T, hyper, cfg)
         np.testing.assert_array_equal(out1[2], out2[2])
         np.testing.assert_array_equal(out1[0].psi, out2[0].psi)
         assert len(out1[2]) >= 1
 
     def test_gram_eigendecomposed_once(self, monkeypatch):
         N, M = 10, 6
-        gram, T = self._setup(16, N=N, M=M)
+        K, T = self._setup(16, N=N, M=M)
         cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=5, tol=1e-12)
-        expected = alternating_fit(gram, T, Hyperparams(0.3, 0.0), cfg)
+        expected = alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg)
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: shapes.append(np.shape(a)) or eigh(a))
-        model, L, trace, _ = alternating_fit(gram, T, Hyperparams(0.3, 0.0), cfg)
+        model, L, trace, _ = alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg)
         assert len(trace) == 5
         assert shapes.count((N, N)) == 1
         assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
@@ -339,16 +338,16 @@ class TestAlternatingFit:
         np.testing.assert_array_equal(L.matrix, expected[1].matrix)
 
     def test_returned_laplacian_rescaled(self):
-        gram, T = self._setup(14)
+        K, T = self._setup(14)
         cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=3)
-        _, L, _, _ = alternating_fit(gram, T, Hyperparams(0.3, 0.0), cfg)
+        _, L, _, _ = alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg)
         assert np.linalg.norm(L.matrix, 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_jsonl_diagnostics(self, tmp_path):
-        gram, T = self._setup(15)
+        K, T = self._setup(15)
         cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=3)
         path = tmp_path / "iters.jsonl"
-        alternating_fit(gram, T, Hyperparams(0.3, 0.0), cfg, log_path=path)
+        alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg, log_path=path)
         lines = [json.loads(s) for s in path.read_text().splitlines()]
         assert lines
         for rec in lines:

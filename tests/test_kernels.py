@@ -8,7 +8,6 @@ from krgraph.kernels import (
     KernelSpec,
     gram_matrix,
     kernel_cross_matrix,
-    kernel_vector,
 )
 
 
@@ -39,30 +38,66 @@ class TestKernelSpec:
         spec = KernelSpec(kind="rbf", sigma_sq=2.5)
         assert KernelSpec.from_json(spec.to_json()) == spec
 
+    def test_fitted_json_roundtrip_keeps_normalizer(self):
+        spec = KernelSpec(kind="rbf", sigma_sq=2.5, rbf_normalizer=0.1 + 0.2)
+        assert spec.to_json()["rbf_normalizer"] == 0.1 + 0.2
+        assert KernelSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("kind,Z", [
+        ("rbf", 0.0), ("rbf", -1.0), ("rbf", np.nan), ("rbf", np.inf),
+        ("rbf", "1.0"), ("rbf", True), ("linear", 1.0), ("precomputed", 1.0),
+    ])
+    def test_rbf_normalizer_finite_positive_and_rbf_only(self, kind, Z):
+        extra = {"sigma_sq": 1.0} if kind == "rbf" else {}
+        if kind == "precomputed":
+            extra = {"precomputed": np.eye(2)}
+        with pytest.raises(KrgraphError, match="rbf_normalizer"):
+            KernelSpec(kind=kind, rbf_normalizer=Z, **extra)
+
 
 class TestGramMatrix:
     def test_linear_identity_inputs(self):
-        gram = gram_matrix(np.eye(2), KernelSpec(kind="linear"))
-        assert np.array_equal(gram.matrix, np.eye(2))
+        K, _ = gram_matrix(np.eye(2), KernelSpec(kind="linear"))
+        assert np.array_equal(K, np.eye(2))
 
     def test_linear_is_xxt_exactly(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 3))
-        gram = gram_matrix(X, KernelSpec(kind="linear"))
-        assert np.array_equal(gram.matrix, X @ X.T)
+        K, _ = gram_matrix(X, KernelSpec(kind="linear"))
+        assert np.array_equal(K, X @ X.T)
 
     def test_rbf_unit_diagonal(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((8, 4))
-        gram = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
-        np.testing.assert_allclose(np.diag(gram.matrix), 1.0, atol=1e-14)
+        K, _ = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
+        np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-14)
 
     def test_rbf_hand_example(self):
         # x1 = 0, x2 = 1: Z = (0 + 1 + 1 + 0) / 2 = 1, K12 = exp(-1)
         X = np.array([[0.0], [1.0]])
-        gram = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.0))
-        assert gram.rbf_normalizer == pytest.approx(1.0)
-        assert gram.matrix[0, 1] == pytest.approx(np.exp(-1.0))
+        K, spec = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.0))
+        assert spec.rbf_normalizer == pytest.approx(1.0)
+        assert K[0, 1] == pytest.approx(np.exp(-1.0))
+
+    @pytest.mark.parametrize("kind", ["linear", "precomputed"])
+    def test_non_rbf_spec_returned_as_it_is(self, kind):
+        # not a re-validated copy: a precomputed spec runs eigvalsh when
+        # it is validated
+        spec = (KernelSpec(kind="linear") if kind == "linear" else
+                KernelSpec(kind="precomputed", precomputed=np.eye(3)))
+        X = np.array([[0.0], [2.0]])
+        assert gram_matrix(X, spec)[1] is spec
+
+    def test_rbf_spec_gains_normalizer(self):
+        X = np.random.default_rng(14).standard_normal((5, 3))
+        spec = KernelSpec(kind="rbf", sigma_sq=0.4)
+        _, fitted = gram_matrix(X, spec)
+        Z = sum(np.sum((a - b) ** 2) for a in X for b in X) / 5
+        assert fitted.rbf_normalizer == pytest.approx(Z, rel=1e-12)
+        assert (fitted.kind, fitted.sigma_sq) == ("rbf", 0.4)
+        assert spec.rbf_normalizer is None
+        with pytest.raises(DegenerateKernelError, match="normalizer"):
+            kernel_cross_matrix(X, X, spec)
 
     def test_rbf_degenerate_inputs(self):
         X = np.ones((3, 2))
@@ -88,17 +123,17 @@ class TestGramMatrix:
     def test_rbf_entries_in_unit_interval(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((10, 2))
-        gram = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.3))
-        assert np.all(gram.matrix > 0)
-        assert np.all(gram.matrix <= 1 + 1e-15)
+        K, _ = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.3))
+        assert np.all(K > 0)
+        assert np.all(K <= 1 + 1e-15)
 
     @pytest.mark.parametrize("kind,sigma", [("linear", None), ("rbf", 0.9)])
     def test_psd_on_random_inputs(self, kind, sigma):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((100, 5))
-        gram = gram_matrix(X, KernelSpec(kind=kind, sigma_sq=sigma))
-        evals = np.linalg.eigvalsh(gram.matrix)
-        assert evals.min() >= -1e-8 * np.linalg.norm(gram.matrix, 2)
+        K, _ = gram_matrix(X, KernelSpec(kind=kind, sigma_sq=sigma))
+        evals = np.linalg.eigvalsh(K)
+        assert evals.min() >= -1e-8 * np.linalg.norm(K, 2)
 
     def test_precomputed_restriction(self):
         rng = np.random.default_rng(4)
@@ -106,8 +141,8 @@ class TestGramMatrix:
         full = B @ B.T
         spec = KernelSpec(kind="precomputed", precomputed=full)
         idx = np.array([[1.0], [3.0], [4.0]])
-        gram = gram_matrix(idx, spec)
-        assert np.array_equal(gram.matrix, full[np.ix_([1, 3, 4], [1, 3, 4])])
+        K, _ = gram_matrix(idx, spec)
+        assert np.array_equal(K, full[np.ix_([1, 3, 4], [1, 3, 4])])
 
 
 class TestKernelVector:
@@ -115,33 +150,33 @@ class TestKernelVector:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((7, 3))
         spec = KernelSpec(kind="rbf", sigma_sq=1.0)
-        gram = gram_matrix(X, spec)
-        k = kernel_vector(X, X[2], spec, gram)
+        _, spec = gram_matrix(X, spec)
+        k = kernel_cross_matrix(X, X[2], spec)[0]
         assert k[2] == pytest.approx(1.0)
 
     def test_linear_zero_input(self):
         X = np.random.default_rng(6).standard_normal((5, 2))
         spec = KernelSpec(kind="linear")
-        gram = gram_matrix(X, spec)
-        assert np.array_equal(kernel_vector(X, np.zeros(2), spec, gram),
+        _, spec = gram_matrix(X, spec)
+        assert np.array_equal(kernel_cross_matrix(X, np.zeros(2), spec)[0],
                               np.zeros(5))
 
     def test_rbf_hand_example(self):
         X = np.array([[0.0], [1.0]])
         spec = KernelSpec(kind="rbf", sigma_sq=1.0)
-        gram = gram_matrix(X, spec)
-        k = kernel_vector(X, np.array([0.0]), spec, gram)
+        _, spec = gram_matrix(X, spec)
+        k = kernel_cross_matrix(X, np.array([0.0]), spec)[0]
         np.testing.assert_allclose(k, [1.0, np.exp(-1.0)], rtol=1e-12)
 
     @pytest.mark.parametrize("kind,sigma", [("linear", None), ("rbf", 1.7)])
-    def test_gram_rows_match_kernel_vector(self, kind, sigma):
+    def test_gram_rows_match_cross_matrix(self, kind, sigma):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((9, 4))
         spec = KernelSpec(kind=kind, sigma_sq=sigma)
-        gram = gram_matrix(X, spec)
+        K, spec = gram_matrix(X, spec)
         for n in range(9):
-            k = kernel_vector(X, X[n], spec, gram)
-            np.testing.assert_allclose(gram.matrix[n], k, atol=1e-12)
+            k = kernel_cross_matrix(X, X[n], spec)[0]
+            np.testing.assert_allclose(K[n], k, atol=1e-12)
 
     def test_precomputed_cross(self):
         rng = np.random.default_rng(8)
@@ -149,8 +184,8 @@ class TestKernelVector:
         full = B @ B.T
         spec = KernelSpec(kind="precomputed", precomputed=full)
         X_train = np.array([[0.0], [2.0]])
-        gram = gram_matrix(X_train, spec)
-        k = kernel_vector(X_train, np.array([4.0]), spec, gram)
+        _, spec = gram_matrix(X_train, spec)
+        k = kernel_cross_matrix(X_train, np.array([4.0]), spec)[0]
         assert np.array_equal(k, full[[0, 2], 4])
 
     def test_cross_matrix_stacks_vectors(self):
@@ -158,10 +193,11 @@ class TestKernelVector:
         X = rng.standard_normal((6, 3))
         Xt = rng.standard_normal((4, 3))
         spec = KernelSpec(kind="rbf", sigma_sq=1.1)
-        gram = gram_matrix(X, spec)
-        K_cross = kernel_cross_matrix(X, Xt, spec, gram)
+        _, spec = gram_matrix(X, spec)
+        K_cross = kernel_cross_matrix(X, Xt, spec)
         assert K_cross.shape == (4, 6)
-        np.testing.assert_allclose(K_cross[1], kernel_vector(X, Xt[1], spec, gram))
+        np.testing.assert_allclose(K_cross[1],
+                                   kernel_cross_matrix(X, Xt[1], spec)[0])
 
 
 class TestKernelCrossMatrix:
@@ -171,7 +207,7 @@ class TestKernelCrossMatrix:
         X = rng.standard_normal((7, 3))
         Xt = rng.standard_normal((5, 3))
         spec = KernelSpec(kind=kind, sigma_sq=sigma)
-        gram = gram_matrix(X, spec)
+        _, spec = gram_matrix(X, spec)
         expected = np.empty((5, 7))
         for a in range(5):
             for b in range(7):
@@ -179,8 +215,8 @@ class TestKernelCrossMatrix:
                     expected[a, b] = Xt[a] @ X[b]
                 else:
                     d2 = np.sum((Xt[a] - X[b]) ** 2)
-                    expected[a, b] = np.exp(-d2 / (sigma * gram.rbf_normalizer))
-        np.testing.assert_allclose(kernel_cross_matrix(X, Xt, spec, gram),
+                    expected[a, b] = np.exp(-d2 / (sigma * spec.rbf_normalizer))
+        np.testing.assert_allclose(kernel_cross_matrix(X, Xt, spec),
                                    expected, rtol=1e-12, atol=1e-14)
 
     def test_precomputed_is_lookup(self):
@@ -189,9 +225,9 @@ class TestKernelCrossMatrix:
         full = B @ B.T
         spec = KernelSpec(kind="precomputed", precomputed=full)
         X_train = np.array([[5.0], [0.0], [3.0]])
-        gram = gram_matrix(X_train, spec)
+        _, spec = gram_matrix(X_train, spec)
         Xt = np.array([[1.0], [3.0]])
-        K_cross = kernel_cross_matrix(X_train, Xt, spec, gram)
+        K_cross = kernel_cross_matrix(X_train, Xt, spec)
         assert np.array_equal(K_cross, full[np.ix_([1, 3], [5, 0, 3])])
 
     @pytest.mark.parametrize("bad", [[[-1.0]], [[1.5]], [[6.0]], [[1.0, 2.0]]])
@@ -199,23 +235,22 @@ class TestKernelCrossMatrix:
         B = np.random.default_rng(12).standard_normal((6, 6))
         spec = KernelSpec(kind="precomputed", precomputed=B @ B.T)
         X_train = np.array([[0.0], [2.0]])
-        gram = gram_matrix(X_train, spec)
+        _, spec = gram_matrix(X_train, spec)
         with pytest.raises(DimensionError):
-            kernel_cross_matrix(X_train, np.array(bad), spec, gram)
+            kernel_cross_matrix(X_train, np.array(bad), spec)
 
     def test_overflow_rejected_without_warning(self):
         small = np.array([[2.0, 2.0], [0.5, -1.0]])
         spec = KernelSpec(kind="linear")
         with warnings.catch_warnings(), pytest.raises(DegenerateKernelError):
             warnings.simplefilter("error")
-            kernel_cross_matrix(small, [[1e308, 1e308]], spec,
-                                gram_matrix(small, spec))
+            kernel_cross_matrix(small, [[1e308, 1e308]], spec)
 
     def test_dimension_mismatch(self):
         X = np.ones((4, 3))
         spec = KernelSpec(kind="linear")
         with pytest.raises(DimensionError):
-            kernel_cross_matrix(X, np.ones((2, 2)), spec, gram_matrix(X, spec))
+            kernel_cross_matrix(X, np.ones((2, 2)), spec)
 
     @pytest.mark.parametrize("kind", ["linear", "rbf", "precomputed"])
     def test_gram_is_cross_kernel_of_training_set(self, kind):
@@ -227,6 +262,6 @@ class TestKernelCrossMatrix:
         else:
             spec = KernelSpec(kind=kind, sigma_sq=0.6 if kind == "rbf" else None)
             X = rng.standard_normal((37, 4))
-        gram = gram_matrix(X, spec)
-        assert np.array_equal(gram.matrix, kernel_cross_matrix(X, X, spec, gram))
+        K, spec = gram_matrix(X, spec)
+        assert np.array_equal(K, kernel_cross_matrix(X, X, spec))
 

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from krgraph import kernels, solver
 from krgraph.errors import (ConvergenceError, DimensionError, KrgraphError,
                             SingularSystemError)
 from krgraph.graphs import Laplacian
-from krgraph.kernels import GramMatrix, KernelSpec, gram_matrix
+from krgraph.kernels import KernelSpec, gram_matrix
 from krgraph.solver import (
     Hyperparams,
     SpectralCache,
@@ -151,7 +154,7 @@ class TestFitKrg:
         K = random_psd(rng, 10)
         T = rng.standard_normal((10, 4))
         L = Laplacian(random_laplacian_matrix(rng, 4))
-        model = fit_krg(GramMatrix(K), T, L, Hyperparams(alpha=0.5, beta=0.0))
+        model = fit_krg(K, T, L, Hyperparams(alpha=0.5, beta=0.0))
         expected = np.linalg.solve(K + 0.5 * np.eye(10), T)
         np.testing.assert_allclose(model.psi, expected, rtol=1e-8)
 
@@ -160,8 +163,8 @@ class TestFitKrg:
         K = random_psd(rng, 8)
         T = rng.standard_normal((8, 3))
         L0 = Laplacian(np.zeros((3, 3)))
-        a = fit_krg(GramMatrix(K), T, L0, Hyperparams(alpha=0.3, beta=5.0)).psi
-        b = fit_krg(GramMatrix(K), T, L0, Hyperparams(alpha=0.3, beta=0.0)).psi
+        a = fit_krg(K, T, L0, Hyperparams(alpha=0.3, beta=5.0)).psi
+        b = fit_krg(K, T, L0, Hyperparams(alpha=0.3, beta=0.0)).psi
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_matches_dense_oracle(self):
@@ -169,7 +172,7 @@ class TestFitKrg:
         K = random_psd(rng, 12)
         L = Laplacian(random_laplacian_matrix(rng, 8))
         T = rng.standard_normal((12, 8))
-        model = fit_krg(GramMatrix(K), T, L, Hyperparams(alpha=0.1, beta=0.7))
+        model = fit_krg(K, T, L, Hyperparams(alpha=0.1, beta=0.7))
         expected = dense_kron_dual_solve(K, L.matrix, T, 0.1, 0.7)
         np.testing.assert_allclose(model.psi, expected, rtol=1e-8)
 
@@ -177,7 +180,7 @@ class TestFitKrg:
         rng = np.random.default_rng(7)
         K = random_psd(rng, 6)
         L = Laplacian(random_laplacian_matrix(rng, 4))
-        model = fit_krg(GramMatrix(K), np.zeros((6, 4)), L,
+        model = fit_krg(K, np.zeros((6, 4)), L,
                         Hyperparams(alpha=0.1, beta=1.0))
         assert np.allclose(model.psi, 0)
 
@@ -189,7 +192,7 @@ class TestFitKrg:
             T = rng.standard_normal((11, 7))
             hyper = Hyperparams(alpha=10.0 ** rng.uniform(-2, 1),
                                 beta=10.0 ** rng.uniform(-2, 1))
-            psi = fit_krg(GramMatrix(K), T, L, hyper).psi
+            psi = fit_krg(K, T, L, hyper).psi
             resid = (K + hyper.alpha * np.eye(11)) @ psi \
                 + hyper.beta * K @ psi @ L.matrix - T
             assert np.linalg.norm(resid, "fro") <= 1e-8 * np.linalg.norm(T, "fro")
@@ -198,7 +201,7 @@ class TestFitKrg:
         K = np.zeros((4, 4))
         L = Laplacian(np.zeros((3, 3)))
         with pytest.raises(SingularSystemError):
-            fit_krg(GramMatrix(K), np.ones((4, 3)), L, Hyperparams(alpha=0.0, beta=0.0))
+            fit_krg(K, np.ones((4, 3)), L, Hyperparams(alpha=0.0, beta=0.0))
 
 
 class TestPredictKrg:
@@ -208,19 +211,19 @@ class TestPredictKrg:
         T = rng.standard_normal((10, 5))
         L = Laplacian(random_laplacian_matrix(rng, 5))
         spec = KernelSpec(kind="rbf", sigma_sq=1.0)
-        gram = gram_matrix(X, spec)
-        model = fit_krg(gram, T, L, Hyperparams(alpha=alpha, beta=beta),
+        K, spec = gram_matrix(X, spec)
+        model = fit_krg(K, T, L, Hyperparams(alpha=alpha, beta=beta),
                         x_train=X, spec=spec)
-        return model, X, T, gram
+        return model, X, T, K
 
     def test_beta_zero_matches_kr_closed_form(self):
-        model, X, T, gram = self._fitted(8, beta=0.0)
+        model, X, T, K = self._fitted(8, beta=0.0)
         rng = np.random.default_rng(88)
         for _ in range(20):
             x = rng.standard_normal(3)
-            k = np.exp(-np.sum((X - x) ** 2, axis=1) / gram.rbf_normalizer)
+            k = np.exp(-np.sum((X - x) ** 2, axis=1) / model.spec.rbf_normalizer)
             expected = T.T @ np.linalg.solve(
-                gram.matrix + 0.2 * np.eye(10), k)
+                K + 0.2 * np.eye(10), k)
             np.testing.assert_allclose(predict_krg(model, x), expected,
                                        rtol=1e-10, atol=1e-12)
 
@@ -230,13 +233,13 @@ class TestPredictKrg:
         T = rng.standard_normal((8, 4))
         L = Laplacian(random_laplacian_matrix(rng, 4))
         spec = KernelSpec(kind="rbf", sigma_sq=1.0)
-        gram = gram_matrix(X, spec)
-        model = fit_krg(gram, T, L, Hyperparams(alpha=1e-10, beta=0.0),
+        K, spec = gram_matrix(X, spec)
+        model = fit_krg(K, T, L, Hyperparams(alpha=1e-10, beta=0.0),
                         x_train=X, spec=spec)
         y = predict_krg(model, X[3])
         np.testing.assert_allclose(y, T[3], atol=1e-5)
 
-    def test_zero_kernel_vector_gives_zero(self):
+    def test_zero_cross_kernel_gives_zero(self):
         model, *_ = self._fitted(10)
         y = model.psi.T @ np.zeros(10)
         assert np.array_equal(y, np.zeros(5))
@@ -305,19 +308,18 @@ class TestDualCostGradient:
         K = random_psd(rng, 7)
         L = Laplacian(random_laplacian_matrix(rng, 5))
         T = rng.standard_normal((7, 5))
-        gram = GramMatrix(K)
         hyper = Hyperparams(alpha=0.3, beta=0.8)
         for _ in range(10):
             psi = rng.standard_normal((7, 5))
-            analytic = dual_cost_gradient(gram, psi, T, L, hyper)
+            analytic = dual_cost_gradient(K, psi, T, L, hyper)
             fd = np.zeros_like(psi)
             h = 1e-5
             for i in range(7):
                 for j in range(5):
                     dp = np.zeros_like(psi)
                     dp[i, j] = h
-                    fd[i, j] = (dual_cost(gram, psi + dp, T, L, hyper)
-                                - dual_cost(gram, psi - dp, T, L, hyper)) / (2 * h)
+                    fd[i, j] = (dual_cost(K, psi + dp, T, L, hyper)
+                                - dual_cost(K, psi - dp, T, L, hyper)) / (2 * h)
             assert np.linalg.norm(fd - analytic) <= \
                 1e-4 * max(np.linalg.norm(analytic), 1.0)
 
@@ -326,10 +328,9 @@ class TestDualCostGradient:
         K = random_psd(rng, 9)
         L = Laplacian(random_laplacian_matrix(rng, 6))
         T = rng.standard_normal((9, 6))
-        gram = GramMatrix(K)
         hyper = Hyperparams(alpha=0.2, beta=1.5)
-        psi = fit_krg(gram, T, L, hyper).psi
-        grad = dual_cost_gradient(gram, psi, T, L, hyper)
+        psi = fit_krg(K, T, L, hyper).psi
+        grad = dual_cost_gradient(K, psi, T, L, hyper)
         assert np.linalg.norm(grad, "fro") <= 1e-6 * np.linalg.norm(T, "fro")
 
     def test_built_from_the_shared_cost_and_residual(self):
@@ -338,14 +339,13 @@ class TestDualCostGradient:
         L = Laplacian(random_laplacian_matrix(rng, 4))
         T = rng.standard_normal((6, 4))
         psi = rng.standard_normal((6, 4))
-        gram = GramMatrix(K)
         hyper = Hyperparams(alpha=0.4, beta=1.1)
         resid = (K + 0.4 * np.eye(6)) @ psi + 1.1 * K @ psi @ L.matrix - T
         assert np.array_equal(
-            sylvester_residual(gram, psi, T, L, 0.4, 1.1), resid)
-        assert np.array_equal(dual_cost_gradient(gram, psi, T, L, hyper),
+            sylvester_residual(K, psi, T, L, 0.4, 1.1), resid)
+        assert np.array_equal(dual_cost_gradient(K, psi, T, L, hyper),
                               2.0 * K @ resid)
-        data, coefficient, roughness = cost_terms(gram, psi, T, L, 0.4, 1.1)
+        data, coefficient, roughness = cost_terms(K, psi, T, L, 0.4, 1.1)
         Y = K @ psi
         assert data == np.sum((T - Y) ** 2)
         assert coefficient == 0.4 * np.trace(psi.T @ K @ psi)
@@ -353,7 +353,7 @@ class TestDualCostGradient:
         # the dual form drops the constant ||T||_F^2 of the data term
         expanded = (-2.0 * np.trace(T.T @ Y) + np.trace(Y.T @ Y)
                     + coefficient + roughness)
-        assert dual_cost(gram, psi, T, L, hyper) == pytest.approx(
+        assert dual_cost(K, psi, T, L, hyper) == pytest.approx(
             expanded, rel=1e-12, abs=1e-12 * np.sum(T**2))
 
 
@@ -367,8 +367,8 @@ class TestLrgKrgEquivalence:
             hyper = Hyperparams(alpha=0.3, beta=0.9)
             lrg = fit_lrg(X, T, L, hyper)
             spec = KernelSpec(kind="linear")
-            gram = gram_matrix(X, spec)
-            krg = fit_krg(gram, T, L, hyper, x_train=X, spec=spec)
+            K, spec = gram_matrix(X, spec)
+            krg = fit_krg(K, T, L, hyper, x_train=X, spec=spec)
             for _ in range(4):
                 x = rng.standard_normal(4)
                 y_l = predict_lrg(lrg, x)
@@ -411,17 +411,16 @@ class TestSmoothing:
         K = random_psd(rng, 9)
         L = Laplacian(random_laplacian_matrix(rng, 5))
         T = rng.standard_normal((9, 5))
-        gram = GramMatrix(K)
         hyper = Hyperparams(alpha=0.4, beta=0.7)
-        Y = fitted_smoother(gram, L, hyper, T)
-        psi = fit_krg(gram, T, L, hyper).psi
+        Y = fitted_smoother(K, L, hyper, T)
+        psi = fit_krg(K, T, L, hyper).psi
         np.testing.assert_allclose(Y, K @ psi, atol=1e-10)
 
     def test_fitted_smoother_identity_kernel_beta_zero(self):
-        gram = GramMatrix(np.eye(5))
+        K = np.eye(5)
         L = Laplacian(np.zeros((3, 3)))
         T = np.random.default_rng(22).standard_normal((5, 3))
-        Y = fitted_smoother(gram, L, Hyperparams(alpha=0.5, beta=0.0), T)
+        Y = fitted_smoother(K, L, Hyperparams(alpha=0.5, beta=0.0), T)
         np.testing.assert_allclose(Y, T / 1.5, rtol=1e-12)
 
     def test_huge_alpha_kills_output(self):
@@ -429,7 +428,7 @@ class TestSmoothing:
         K = random_psd(rng, 6)
         L = Laplacian(random_laplacian_matrix(rng, 4))
         T = rng.standard_normal((6, 4))
-        Y = fitted_smoother(GramMatrix(K), L, Hyperparams(alpha=1e12, beta=1.0), T)
+        Y = fitted_smoother(K, L, Hyperparams(alpha=1e12, beta=1.0), T)
         assert np.abs(Y).max() < 1e-9
 
     def test_roughness_nonincreasing_in_beta(self):
@@ -437,10 +436,9 @@ class TestSmoothing:
         K = random_psd(rng, 10)
         L = Laplacian(random_laplacian_matrix(rng, 6))
         T = rng.standard_normal((10, 6))
-        gram = GramMatrix(K)
         rough = []
         for beta in [0.0, 0.1, 1.0, 10.0, 100.0]:
-            Y = fitted_smoother(gram, L, Hyperparams(alpha=0.2, beta=beta), T)
+            Y = fitted_smoother(K, L, Hyperparams(alpha=0.2, beta=beta), T)
             rough.append(np.trace(Y @ L.matrix @ Y.T))
         assert all(a >= b - 1e-10 for a, b in zip(rough, rough[1:]))
 
@@ -449,7 +447,7 @@ def kr_fitted(K, alpha, T):
     """KR's graph-free fitted outputs K (K + alpha I)^{-1} T, through
     fitted_smoother with the edgeless graph and beta = 0."""
     M = np.shape(T)[1]
-    return fitted_smoother(GramMatrix(K), Laplacian(np.zeros((M, M))),
+    return fitted_smoother(K, Laplacian(np.zeros((M, M))),
                            Hyperparams(alpha, 0.0), T)
 
 
@@ -487,16 +485,57 @@ class TestModelSerialization:
         T = rng.standard_normal((6, 4))
         L = Laplacian(random_laplacian_matrix(rng, 4))
         spec = KernelSpec(kind="rbf", sigma_sq=1.2)
-        gram = gram_matrix(X, spec)
-        model = fit_krg(gram, T, L, Hyperparams(alpha=0.3, beta=0.4),
+        K, spec = gram_matrix(X, spec)
+        model = fit_krg(K, T, L, Hyperparams(alpha=0.3, beta=0.4),
                         x_train=X, spec=spec)
         path = tmp_path / "model.json"
         save_model(path, model)
         loaded = load_model(path)
         np.testing.assert_allclose(loaded.psi, model.psi)
-        np.testing.assert_allclose(loaded.gram.matrix, gram.matrix)
+        assert loaded.spec == model.spec
         x = rng.standard_normal(2)
         np.testing.assert_allclose(predict_krg(loaded, x), predict_krg(model, x))
+
+    def test_load_builds_no_gram_unless_the_file_lacks_the_normalizer(
+            self, tmp_path, monkeypatch):
+        X, T, L = make_instance(29, N=9, M=4, d=3)
+        K, spec = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
+        path = tmp_path / "model.json"
+        save_model(path, fit_krg(K, T, L, Hyperparams(alpha=0.2, beta=0.5),
+                                 x_train=X, spec=spec))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gram_matrix(*args)
+
+        monkeypatch.setattr(kernels, "gram_matrix", counting)
+        monkeypatch.setattr(solver, "gram_matrix", counting)
+        loaded = load_model(path)
+        assert calls == []
+        assert loaded.spec == spec
+        # a file written before kernel specs carried Z: recomputed once
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["kernel_spec"]["rbf_normalizer"]
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_model(legacy).spec == spec
+        assert len(calls) == 1
+
+    def test_predict_batch_rows_are_single_point_predictions(self):
+        X, T, L = make_instance(31, N=9, M=4, d=3)
+        K, spec = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
+        model = fit_krg(K, T, L, Hyperparams(alpha=0.2, beta=0.5),
+                        x_train=X, spec=spec)
+        Xt = np.random.default_rng(32).standard_normal((5, 3))
+        Y = predict_krg(model, Xt)
+        assert Y.shape == (5, 4)
+        for x, y in zip(Xt, Y):
+            assert predict_krg(model, x).shape == (4,)
+            np.testing.assert_allclose(predict_krg(model, x), y, rtol=1e-12)
+        # on the training inputs the prediction is the fitted K Psi
+        np.testing.assert_allclose(predict_krg(model, X), K @ model.psi,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestCheckWeights:
@@ -539,5 +578,5 @@ class TestSingularityRule:
         L.eigendecomposition()
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match=r"\(5, 5\)"):
-            fit_krg(GramMatrix(np.eye(5)), np.ones((5, 2)), L,
+            fit_krg(np.eye(5), np.ones((5, 2)), L,
                     Hyperparams(0.1, 0.0))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from krgraph.errors import KrgraphError
-from krgraph.graphs import Graph, Laplacian, build_laplacian, quadratic_form
+from krgraph.graphs import (Graph, Laplacian, barabasi_albert, build_laplacian,
+                            quadratic_form)
 from krgraph.synthdata import (
     Dataset,
     SynthConfig,
@@ -217,6 +218,19 @@ class TestMakeSyntheticDataset:
         with pytest.raises(KrgraphError):
             SynthConfig(num_nodes=5, num_samples=7, graph_model="erdos_renyi",
                         graph_param=0.5, snr_db=0.0, seed=0)
+
+    @pytest.mark.parametrize("param", [2, 2.0, 2.9])
+    def test_ba_graph_param_is_an_integer(self, param):
+        cfg = dict(num_nodes=10, num_samples=8, graph_model="barabasi_albert",
+                   snr_db=10.0, seed=1)
+        if param == 2.9:   # int() would build the graph of 2
+            with pytest.raises(KrgraphError, match="integer"):
+                SynthConfig(graph_param=param, **cfg)
+            return
+        _, _, graph, _ = make_synthetic_dataset(SynthConfig(graph_param=param,
+                                                            **cfg))
+        assert np.array_equal(graph.adjacency,
+                              barabasi_albert(10, 2, seed=1).adjacency)
 
     def test_ba_model(self):
         cfg = SynthConfig(num_nodes=10, num_samples=8,

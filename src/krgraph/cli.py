@@ -293,15 +293,14 @@ def cmd_learn_graph(cfg, out_dir):
            if f.name in cfg})
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     out = Path(out_dir)
-    model, L, cost_trace, _ = graphlearn.alternating_fit(
+    model, L, costs = graphlearn.alternating_fit(
         K, T, hyper, gl_cfg, log_path=out / "iterations.jsonl")
-    model = solver.KrgModel(psi=model.psi, x_train=X, spec=spec,
-                            laplacian=model.laplacian, hyper=hyper)
-    solver.save_model(out / "model.json", model)
+    solver.save_model(out / "model.json",
+                      dataclasses.replace(model, x_train=X, spec=spec))
     graphs.save_matrix_csv(out / "laplacian.csv", L.matrix)
     graphs.save_json(out / "cost_trace.json",
-                     {"cost_trace": cost_trace.tolist()}, pretty=True)
-    log.info("graph learning finished after %d iterations", len(cost_trace))
+                     {"cost_trace": costs[:, 1].tolist()}, pretty=True)
+    log.info("graph learning finished after %d iterations", len(costs))
 
 
 def cmd_cv(cfg, out_dir):
@@ -311,15 +310,12 @@ def cmd_cv(cfg, out_dir):
     L = _load_laplacian(cfg, T.shape[1])
     train = synthdata.Dataset(X=X, T=T, T0=T0)
     grid = evaluation.CvGrid(**cfg["grid"])
-    if cfg["method"] in ("LR", "LRG") and ("kernel" in cfg or grid.sigma_sqs):
+    # {"kind": "rbf"} is also the default, so only cfg shows it was given
+    if cfg["method"] in ("LR", "LRG") and "kernel" in cfg:
         raise ConfigError(f"{cfg['method']} fits the raw features and reads "
-                          "neither kernel nor grid.sigma_sqs")
+                          "no kernel")
     kernel = cfg.get("kernel", {"kind": "rbf"})
-    sigma_from_grid = kernel == {"kind": "rbf"}
-    if grid.sigma_sqs and not sigma_from_grid:
-        raise ConfigError("grid.sigma_sqs is read only for an rbf kernel "
-                          f"without sigma_sq, not for {kernel}")
-    spec = None if sigma_from_grid else _kernel_spec(kernel)
+    spec = None if kernel == {"kind": "rbf"} else _kernel_spec(kernel)
     best, table = evaluation.cross_validate(
         train, L, grid, cfg["method"], seed=cfg["seed"], kernel_spec=spec)
     out = Path(out_dir)

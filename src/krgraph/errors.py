@@ -30,7 +30,7 @@ class ConvergenceError(KrgraphError):
 
 
 class ConfigError(KrgraphError):
-    """Config document failed schema validation."""
+    """Invalid config or settings, or a setting the call would not read."""
 
 
 class DataFormatError(KrgraphError):

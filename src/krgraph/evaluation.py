@@ -10,7 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, KrgraphError, SingularSystemError
+from .errors import (ConfigError, DimensionError, KrgraphError,
+                     SingularSystemError)
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (Hyperparams, SpectralCache, check_weights, fit_krg,
@@ -87,22 +88,27 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     """Grid search by k-fold CV on the training set.
 
     Validation scores use clean targets (train.T0) when available, the
-    noisy ones otherwise. Returns (best_params, cv_table) where
-    best_params is a dict with alpha/beta/sigma_sq and cv_table lists a
-    (params, mean NMSE dB) record per grid point. Ties break toward
-    smaller (alpha, beta, sigma_sq). Each fold and sigma_sq solves its
-    whole (alpha, beta) grid at once (solver.solve_sylvester_grid).
+    noisy ones otherwise. KR and KRG use kernel_spec, else an rbf kernel
+    per grid.sigma_sqs; a setting the method would not read is a
+    ConfigError. Returns (best_params, cv_table): the alpha/beta/sigma_sq
+    dict that scores best, ties broken toward smaller values, and a
+    (params, mean NMSE dB) record per grid point. Each fold and sigma_sq
+    solves its whole (alpha, beta) grid at once (solve_sylvester_grid).
     """
     if method not in METHODS or method == "KRR":
         raise KrgraphError(f"cross_validate does not handle method {method!r}")
+    if method in _PRIMAL and (kernel_spec is not None or grid.sigma_sqs):
+        raise ConfigError(f"{method} fits the raw features and reads neither "
+                          "kernel_spec nor grid.sigma_sqs")
+    if kernel_spec is not None and grid.sigma_sqs:
+        raise ConfigError("grid.sigma_sqs is read only for an rbf kernel "
+                          f"without sigma_sq, not for a {kernel_spec.kind} "
+                          "kernel_spec")
+    if method not in _PRIMAL and kernel_spec is None and not grid.sigma_sqs:
+        raise KrgraphError("rbf kernel needs a sigma_sq grid")
     folds = fold_assignment(train.n, grid.folds, seed)
     betas = (0.0,) if method in _GRAPH_FREE else tuple(grid.betas)
-    if method in _PRIMAL or kernel_spec is not None:
-        sigmas = (None,)
-    else:
-        if not grid.sigma_sqs:
-            raise KrgraphError("rbf kernel needs a sigma_sq grid")
-        sigmas = tuple(grid.sigma_sqs)
+    sigmas = tuple(grid.sigma_sqs) or (None,)
     T_ref = train.T0 if train.T0 is not None else train.T
     # scores[a, b, s, fold] over the distinct grid values, fold last so
     # that the mean adds the folds in order
@@ -260,8 +266,7 @@ def _run_cell(scenario, n, snr):
             raise KrgraphError(f"n_train={n} exceeds training pool {train_full.n}")
         sub = np.sort(np.random.default_rng(seed + 17).permutation(train_full.n)[:n])
         train = Dataset(X=train_full.X[sub], T=train_full.T[sub],
-                        T0=train_full.T0[sub],
-                        indices=train_full.indices[sub])
+                        T0=train_full.T0[sub])
         L = build_laplacian(graph)
         spec = KernelSpec(kind="precomputed", precomputed=C_S)
         _, table = cross_validate(train, L, cv_grid, "KRG",

@@ -30,17 +30,22 @@ from .graphs import Laplacian, spectral_rescale
 from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
                      fit_krg)
 
+# the edge-weight QP stops at this KKT residual, or fails after this many steps
+_KKT_TOL = 1e-6
+_MAX_QP_ITERS = 20000
+
 
 @dataclass(frozen=True)
 class GraphLearnConfig:
+    """Graph-learning settings; alpha and beta come from Hyperparams."""
+
     nu: float
-    beta: float
     max_outer_iters: int = 20
     tol: float = 1e-4
     trace_budget: float | None = None  # defaults to M at call time
 
     def __post_init__(self):
-        check_weights(nu=self.nu, beta=self.beta)
+        check_weights(nu=self.nu)
         if not self.max_outer_iters >= 1:
             raise KrgraphError("max_outer_iters must be >= 1")
         if not self.tol > 0:
@@ -83,7 +88,7 @@ def _smoothness_costs(Y, beta):
     return beta * cdist(Y.T, Y.T, "sqeuclidean")[np.triu_indices(M, 1)]
 
 
-def minimize_edge_weights(c, M, radius, nu, kkt_tol=1e-6, max_iters=20000):
+def minimize_edge_weights(c, M, radius, nu):
     """Projected gradient descent for min c.w + nu w^T Q w over the scaled
     simplex, with Q applied through the degree vector (module docstring)."""
     i, j = np.triu_indices(M, 1)
@@ -94,75 +99,71 @@ def minimize_edge_weights(c, M, radius, nu, kkt_tol=1e-6, max_iters=20000):
     else:
         # linear objective; step scale only affects the convergence rate
         step = radius / (np.abs(c).max() + 1.0)
-    for _ in range(max_iters):
+    for _ in range(_MAX_QP_ITERS):
         grad = c + 2.0 * nu * _overlap_product(w, i, j, M)
         w_next = project_simplex(w - step * grad, radius)
         residual = np.abs(w_next - w).max() / step
         w = w_next
-        if residual <= kkt_tol:
+        if residual <= _KKT_TOL:
             return w
     raise ConvergenceError(
-        f"edge-weight QP did not reach KKT tolerance {kkt_tol:g} "
-        f"in {max_iters} iterations (residual {residual:.3e})",
+        f"edge-weight QP did not reach KKT tolerance {_KKT_TOL:g} "
+        f"in {_MAX_QP_ITERS} iterations (residual {residual:.3e})",
         residual=residual,
     )
 
 
-def _laplacian_step_constrained(Y, cfg: GraphLearnConfig):
+def _laplacian_step_constrained(Y, beta, cfg: GraphLearnConfig):
     """Trace-constrained minimizer, before spectral rescaling."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise DimensionError("Y must be an N x M matrix")
     M = Y.shape[1]
     budget = cfg.trace_budget if cfg.trace_budget is not None else float(M)
-    c = _smoothness_costs(Y, cfg.beta)
+    c = _smoothness_costs(Y, beta)
     w = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
     return w, weights_to_laplacian(w, M)
 
 
-def laplacian_step(Y, cfg: GraphLearnConfig) -> Laplacian:
+def laplacian_step(Y, beta, cfg: GraphLearnConfig) -> Laplacian:
     """Minimize the L-step cost over valid Laplacians, then rescale to
     unit spectral radius."""
-    _, L = _laplacian_step_constrained(Y, cfg)
+    check_weights(beta=beta)
+    _, L = _laplacian_step_constrained(Y, beta, cfg)
     return spectral_rescale(L)
 
 
 def joint_cost(K, psi, L: Laplacian, T, hyper: Hyperparams,
                cfg: GraphLearnConfig) -> float:
-    """The regression objective (solver.cost_terms, with cfg.beta) plus
-    nu ||L||_F^2."""
-    data, coefficient, roughness = cost_terms(K, psi, T, L, hyper.alpha, cfg.beta)
-    return data + coefficient + roughness + cfg.nu * float(np.sum(L.matrix**2))
+    """The regression objective (solver.cost_terms) plus nu ||L||_F^2."""
+    return (sum(cost_terms(K, psi, T, L, hyper.alpha, hyper.beta))
+            + cfg.nu * float(np.sum(L.matrix**2)))
 
 
 def alternating_fit(K, T, hyper: Hyperparams,
                     cfg: GraphLearnConfig, log_path=None):
     """Alternate dual fits and L-steps starting from L = 0 (plain KR).
 
-    Both sub-steps minimize the same joint cost with the trace-constrained
-    L, so the cost is nonincreasing across each sub-step; spectral
-    rescaling is applied only to the returned Laplacian. Returns (model,
-    rescaled Laplacian, cost trace, per-iteration (after-W, after-L) cost
-    pairs). The model's hyper.beta is cfg.beta. K is eigendecomposed
-    once; each new L brings only its own eigenpairs.
+    hyper weighs the coefficient and roughness terms of both sub-steps,
+    and cfg.nu weighs ||L||_F^2 in the trace-constrained L-step, so the
+    joint cost is nonincreasing across each sub-step. Returns (model, with
+    model.hyper = hyper; the final L rescaled to unit spectral radius; an
+    (iterations, 2) array of the joint costs after each W- and L-step).
+    K is eigendecomposed once; each new L brings only its own eigenpairs.
     """
     T = np.asarray(T, dtype=float)
     M = T.shape[1]
-    fit_hyper = Hyperparams(alpha=hyper.alpha, beta=cfg.beta)
     L = Laplacian(np.zeros((M, M)))
     cache = SpectralCache.build(K, L)
-    cost_trace = []
-    substep_costs = []  # (after-W, after-L) pairs at the L in force
+    costs = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for it in range(cfg.max_outer_iters):
-            model = fit_krg(K, T, L, fit_hyper, cache=cache.with_laplacian(L))
-            cost_w = joint_cost(K, model.psi, L, T, fit_hyper, cfg)
-            Y = K @ model.psi
-            w, L_new = _laplacian_step_constrained(Y, cfg)
-            cost_l = joint_cost(K, model.psi, L_new, T, fit_hyper, cfg)
-            substep_costs.append((cost_w, cost_l))
-            cost_trace.append(cost_l)
+            model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
+            cost_w = joint_cost(K, model.psi, L, T, hyper, cfg)
+            w, L_new = _laplacian_step_constrained(K @ model.psi, hyper.beta, cfg)
+            cost_l = joint_cost(K, model.psi, L_new, T, hyper, cfg)
+            costs.append((cost_w, cost_l))
             if log_fh:
                 log_fh.write(json.dumps({
                     "iter": it,
@@ -172,16 +173,16 @@ def alternating_fit(K, T, hyper: Hyperparams,
                     "edge_sparsity": float(np.mean(w > 1e-10)),
                 }) + "\n")
             converged = (
-                len(cost_trace) > 1
-                and abs(cost_trace[-2] - cost_trace[-1])
-                <= cfg.tol * max(abs(cost_trace[-2]), 1e-30)
+                len(costs) > 1
+                and abs(costs[-2][1] - cost_l)
+                <= cfg.tol * max(abs(costs[-2][1]), 1e-30)
             )
             L = L_new
             if converged:
                 break
         # refit so the returned coefficients match the final Laplacian
-        model = fit_krg(K, T, L, fit_hyper, cache=cache.with_laplacian(L))
-        return model, spectral_rescale(L), np.array(cost_trace), substep_costs
+        model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
+        return model, spectral_rescale(L), np.array(costs)
     finally:
         if log_fh:
             log_fh.close()

@@ -258,12 +258,9 @@ def load_matrix_csv(path, header=False):
 
 
 def graph_to_edge_json(g: Graph) -> dict:
-    iu = np.triu_indices(g.num_nodes, 1)
-    edges = [
-        [int(i), int(j), float(g.adjacency[i, j])]
-        for i, j in zip(*iu)
-        if g.adjacency[i, j] != 0
-    ]
+    i, j = np.nonzero(np.triu(g.adjacency, 1))
+    edges = [list(edge) for edge in zip(i.tolist(), j.tolist(),
+                                        g.adjacency[i, j].tolist())]
     return {"nodes": g.num_nodes, "edges": edges}
 
 

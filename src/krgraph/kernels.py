@@ -59,6 +59,14 @@ class KernelSpec:
                 raise KrgraphError("precomputed kernel matrix must be PSD")
             object.__setattr__(self, "precomputed", P)
 
+    def __eq__(self, other):
+        """Field-wise, with the precomputed matrices compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.sigma_sq, self.rbf_normalizer)
+                == (other.kind, other.sigma_sq, other.rbf_normalizer)
+                and np.array_equal(self.precomputed, other.precomputed))
+
     def to_json(self):
         doc = {"kind": self.kind}
         if self.sigma_sq is not None:

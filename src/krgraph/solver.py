@@ -151,8 +151,7 @@ def predict_krg(model: KrgModel, X):
     return Y[0] if np.ndim(X) == 1 else Y
 
 
-def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams,
-            cache: SpectralCache | None = None) -> LrgModel:
+def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams) -> LrgModel:
     """Solve (Phi^T Phi + alpha I) W + beta Phi^T Phi W L = Phi^T T.
 
     Solved through the eigendecomposition of the K_feat x K_feat feature
@@ -164,8 +163,7 @@ def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams,
         raise DimensionError(
             f"targets {T.shape} incompatible with N={Phi.shape[0]}, M={L.num_nodes}"
         )
-    if cache is None:
-        cache = SpectralCache.build(Phi.T @ Phi, L)
+    cache = SpectralCache.build(Phi.T @ Phi, L)
     w = solve_sylvester_spectral(cache, Phi.T @ T, hyper)
     return LrgModel(w=w, hyper=hyper, laplacian=L)
 
@@ -211,11 +209,10 @@ def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
     return cache.theta[:, None] / _checked_eta(cache, [hyper.alpha], [hyper.beta])[0, 0]
 
 
-def fitted_smoother(K, L: Laplacian, hyper: Hyperparams, T,
-                    cache: SpectralCache | None = None):
+def fitted_smoother(K, L: Laplacian, hyper: Hyperparams, T):
     """Training-set fitted outputs Y = K Psi; with the edgeless L and
     beta = 0 this is the graph-free K (K + alpha I)^{-1} T."""
-    return K @ fit_krg(K, T, L, hyper, cache=cache).psi
+    return K @ fit_krg(K, T, L, hyper).psi
 
 
 # ---------------------------------------------------------------------------

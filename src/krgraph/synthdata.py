@@ -56,7 +56,6 @@ class Dataset:
     X: np.ndarray
     T: np.ndarray
     T0: Optional[np.ndarray] = None
-    indices: Optional[np.ndarray] = None  # sample ids into a shared kernel
 
     def __post_init__(self):
         if self.X.shape[0] != self.T.shape[0]:
@@ -144,13 +143,11 @@ def make_synthetic_dataset(cfg: SynthConfig):
         X=tr_idx[:, None].astype(float),
         T=T_train,
         T0=T0_all[tr_idx],
-        indices=tr_idx,
     )
     test = Dataset(
         X=ts_idx[:, None].astype(float),
         T=T0_all[ts_idx].copy(),
         T0=T0_all[ts_idx],
-        indices=ts_idx,
     )
     return train, test, graph, C_S
 

@@ -190,20 +190,20 @@ def test_criterion_6_graph_learning():
     for run in range(10):
         K = random_psd(rng, 12) + 0.5 * np.eye(12)
         T = rng.standard_normal((12, 6))
-        cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=8)
-        _, _, _, substeps = alternating_fit(
-            K, T, Hyperparams(alpha=0.3, beta=0.0), cfg)
-        for k in range(1, len(substeps)):
-            prev_after_l = substeps[k - 1][1]
-            cost_w, cost_l = substeps[k]
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=8)
+        _, _, costs = alternating_fit(
+            K, T, Hyperparams(alpha=0.3, beta=1.0), cfg)
+        for k in range(1, len(costs)):
+            prev_after_l = costs[k - 1][1]
+            cost_w, cost_l = costs[k]
             assert cost_w <= prev_after_l * (1 + 1e-10) + 1e-12
             assert cost_l <= cost_w * (1 + 1e-10) + 1e-12
 
     # (b) M=3 edge-weight step against an exhaustive simplex grid
     Y = rng.standard_normal((6, 3))
-    cfg = GraphLearnConfig(nu=0.7, beta=2.0, trace_budget=3.0)
-    w, _ = _laplacian_step_constrained(Y, cfg)
-    c = _smoothness_costs(Y, cfg.beta)
+    cfg = GraphLearnConfig(nu=0.7, trace_budget=3.0)
+    w, _ = _laplacian_step_constrained(Y, 2.0, cfg)
+    c = _smoothness_costs(Y, 2.0)
     Q = edge_overlap_matrix(3)
     w_star, _ = simplex_grid_oracle(c, Q, cfg.nu, 1.5, steps=1000)
     np.testing.assert_allclose(w, w_star, atol=1.5e-3)
@@ -217,9 +217,9 @@ def test_criterion_6_graph_learning():
         K = random_psd(rng_s, 20) + 0.5 * np.eye(20)
         R = rng_s.standard_normal((20, 10))
         T = np.linalg.solve(np.eye(10) + 2.0 * L_true.matrix, R.T).T
-        cfg = GraphLearnConfig(nu=0.05, beta=2.0, max_outer_iters=10)
-        model, _, _, _ = alternating_fit(
-            K, T, Hyperparams(alpha=0.1, beta=0.0), cfg)
+        cfg = GraphLearnConfig(nu=0.05, max_outer_iters=10)
+        model, _, _ = alternating_fit(
+            K, T, Hyperparams(alpha=0.1, beta=2.0), cfg)
         w_learned = -model.laplacian.matrix[np.triu_indices(10, 1)]
         w_true = g.adjacency[np.triu_indices(10, 1)]
         rho = spearmanr(w_learned, w_true).statistic

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krgraph import evaluation, solver
-from krgraph.errors import KrgraphError, SingularSystemError
+from krgraph.errors import ConfigError, KrgraphError, SingularSystemError
 from krgraph.evaluation import (
     BenchScenario,
     CvGrid,
@@ -160,13 +160,17 @@ class TestCrossValidate:
                 wins += 1
         assert wins >= 0.8 * reps
 
-    @pytest.mark.parametrize("method", ["LR", "LRG", "KR", "KRG"])
-    @pytest.mark.parametrize("kernel_spec", [None, KernelSpec(kind="linear")],
-                             ids=["rbf_sigma_grid", "fixed_linear"])
+    @pytest.mark.parametrize("method,kernel_spec", [
+        *(pytest.param(m, None, id=f"rbf_sigma_grid-{m}")
+          for m in ("LR", "LRG", "KR", "KRG")),
+        *(pytest.param(m, KernelSpec(kind="linear"), id=f"fixed_linear-{m}")
+          for m in ("KR", "KRG")),
+    ])
     def test_matches_refit_oracle(self, method, kernel_spec):
         train, L = _toy_dataset(5, n=18, M=4)
+        reads_sigma = method in ("KR", "KRG") and kernel_spec is None
         grid = CvGrid(alphas=[0.01, 0.5], betas=[0.0, 0.3, 2.0],
-                      sigma_sqs=[0.5, 2.0], folds=3)
+                      sigma_sqs=[0.5, 2.0] if reads_sigma else (), folds=3)
         best, table = cross_validate(train, L, grid, method, seed=1,
                                      kernel_spec=kernel_spec)
         expected = cv_table_refit(train, L, grid, method, seed=1,
@@ -181,7 +185,7 @@ class TestCrossValidate:
     def test_unsorted_repeated_grid_matches_refit_oracle(self, method):
         train, L = _toy_dataset(7, n=15, M=4)
         grid = CvGrid(alphas=[1.0, 0.01, 0.3, 0.01], betas=[2.0, 0.0, 2.0],
-                      sigma_sqs=[3.0, 0.7], folds=3)
+                      sigma_sqs=[3.0, 0.7] if method == "KRG" else (), folds=3)
         best, table = cross_validate(train, L, grid, method, seed=4)
         expected = cv_table_refit(train, L, grid, method, seed=4)
         assert len(table) == 4 * 3 * (1 if method == "LRG" else 2)
@@ -190,6 +194,21 @@ class TestCrossValidate:
                                    [r["nmse_db"] for r in expected],
                                    rtol=0, atol=1e-9)
         assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
+    @pytest.mark.parametrize("method,kernel_spec,sigma_sqs,words", [
+        ("LR", KernelSpec(kind="linear"), (), "LR fits the raw features"),
+        ("LRG", None, (1.0,), "LRG fits the raw features"),
+        ("KRG", KernelSpec(kind="linear"), (1.0,), "grid.sigma_sqs"),
+        ("KR", KernelSpec(kind="rbf", sigma_sq=2.0), (1.0,), "grid.sigma_sqs"),
+    ], ids=["primal_kernel", "primal_sigma_grid", "linear_sigma_grid",
+            "rbf_sigma_twice"])
+    def test_unread_setting_is_config_error(self, method, kernel_spec,
+                                            sigma_sqs, words):
+        train, L = _toy_dataset(11)
+        grid = CvGrid(alphas=[0.1], betas=[0.0], sigma_sqs=sigma_sqs, folds=3)
+        with pytest.raises(ConfigError, match=words):
+            cross_validate(train, L, grid, method, seed=0,
+                           kernel_spec=kernel_spec)
 
     def test_krg_singular_grid_point_raises(self):
         # a linear kernel on 3 features has rank 3 < n_fit: alpha = 0 is
@@ -220,7 +239,8 @@ class TestCrossValidate:
                         lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
         train, L = _toy_dataset(10)
         grid = CvGrid(alphas=[0.01, 0.1, 1.0], betas=[0.0, 0.5],
-                      sigma_sqs=[1.0, 2.0], folds=4)
+                      sigma_sqs=[1.0, 2.0] if method in ("KR", "KRG") else (),
+                      folds=4)
         _, table = cross_validate(train, L, grid, method, seed=0)
         assert table and calls == []
 

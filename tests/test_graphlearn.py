@@ -93,16 +93,16 @@ class TestLaplacianStep:
 
     def test_m2_single_weight(self):
         Y = np.random.default_rng(3).standard_normal((5, 2))
-        cfg = GraphLearnConfig(nu=0.5, beta=1.0, trace_budget=4.0)
-        w, L = _laplacian_step_constrained(Y, cfg)
+        cfg = GraphLearnConfig(nu=0.5, trace_budget=4.0)
+        w, L = _laplacian_step_constrained(Y, 1.0, cfg)
         assert w[0] == pytest.approx(2.0)  # trace_budget / 2
         assert np.trace(L.matrix) == pytest.approx(4.0)
 
     def test_constant_signal_gives_uniform_weights(self):
         # every node sees the same value per sample: all c_e equal (zero)
         Y = np.outer(np.arange(4.0), np.ones(3))
-        cfg = GraphLearnConfig(nu=1.0, beta=1.0, trace_budget=3.0)
-        w, _ = _laplacian_step_constrained(Y, cfg)
+        cfg = GraphLearnConfig(nu=1.0, trace_budget=3.0)
+        w, _ = _laplacian_step_constrained(Y, 1.0, cfg)
         np.testing.assert_allclose(w, np.full(3, 0.5), atol=1e-6)
         # brute-force grid agrees
         c = _smoothness_costs(Y, 1.0)
@@ -116,31 +116,37 @@ class TestLaplacianStep:
         base = rng.standard_normal(8)
         Y = np.stack([base, base + 0.01 * rng.standard_normal(8),
                       base + 5.0], axis=1)
-        cfg = GraphLearnConfig(nu=0.3, beta=1.0, trace_budget=3.0)
-        w, _ = _laplacian_step_constrained(Y, cfg)
+        cfg = GraphLearnConfig(nu=0.3, trace_budget=3.0)
+        w, _ = _laplacian_step_constrained(Y, 1.0, cfg)
         assert w[0] > w[1]  # edge (0,1) beats (0,2)
         assert w[0] > w[2]  # and (1,2)
 
     def test_matches_grid_oracle_m3(self):
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((6, 3))
-        cfg = GraphLearnConfig(nu=0.7, beta=2.0, trace_budget=3.0)
-        w, _ = _laplacian_step_constrained(Y, cfg)
-        c = _smoothness_costs(Y, cfg.beta)
+        cfg = GraphLearnConfig(nu=0.7, trace_budget=3.0)
+        w, _ = _laplacian_step_constrained(Y, 2.0, cfg)
+        c = _smoothness_costs(Y, 2.0)
         Q = edge_overlap_matrix(3)
         w_star, _ = simplex_grid_oracle(c, Q, cfg.nu, 1.5, steps=1000)
         np.testing.assert_allclose(w, w_star, atol=1.5e-3)
 
     def test_public_step_rescaled(self):
         Y = np.random.default_rng(6).standard_normal((5, 4))
-        L = laplacian_step(Y, GraphLearnConfig(nu=0.5, beta=1.0))
+        L = laplacian_step(Y, 1.0, GraphLearnConfig(nu=0.5))
         assert np.linalg.norm(L.matrix, 2) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -1.0])
+    def test_public_step_rejects_bad_beta(self, beta):
+        Y = np.random.default_rng(6).standard_normal((5, 4))
+        with pytest.raises(KrgraphError, match="beta"):
+            laplacian_step(Y, beta, GraphLearnConfig(nu=0.5))
 
     def test_determinism(self):
         Y = np.random.default_rng(7).standard_normal((5, 4))
-        cfg = GraphLearnConfig(nu=0.5, beta=1.0)
-        a = laplacian_step(Y, cfg).matrix
-        b = laplacian_step(Y, cfg).matrix
+        cfg = GraphLearnConfig(nu=0.5)
+        a = laplacian_step(Y, 1.0, cfg).matrix
+        b = laplacian_step(Y, 1.0, cfg).matrix
         assert np.array_equal(a, b)
 
 
@@ -202,7 +208,7 @@ class TestJointCost:
         rng = np.random.default_rng(8)
         T = rng.standard_normal((5, 3))
         K = random_psd(rng, 5)
-        cfg = GraphLearnConfig(nu=1.0, beta=1.0)
+        cfg = GraphLearnConfig(nu=1.0)
         c = joint_cost(K, np.zeros((5, 3)), Laplacian(np.zeros((3, 3))),
                        T, Hyperparams(alpha=1.0, beta=1.0), cfg)
         assert c == pytest.approx(np.sum(T**2))
@@ -214,7 +220,7 @@ class TestJointCost:
         psi = np.linalg.solve(K, T)  # Y = K psi = T
         c = joint_cost(K, psi, Laplacian(np.zeros((2, 2))), T,
                        Hyperparams(alpha=0.0, beta=0.0),
-                       GraphLearnConfig(nu=0.0, beta=0.0))
+                       GraphLearnConfig(nu=0.0))
         assert c == pytest.approx(0.0, abs=1e-16)
 
     def test_matches_naive_term_sums(self):
@@ -223,13 +229,13 @@ class TestJointCost:
         T = rng.standard_normal((6, 3))
         psi = rng.standard_normal((6, 3))
         Lmat = weights_to_laplacian(rng.uniform(0, 1, 3), 3).matrix
-        hyper = Hyperparams(alpha=0.4, beta=0.0)
-        cfg = GraphLearnConfig(nu=0.6, beta=1.3)
+        hyper = Hyperparams(alpha=0.4, beta=1.3)
+        cfg = GraphLearnConfig(nu=0.6)
         Y = K @ psi
         expected = 0.0
         for n in range(6):
             expected += np.sum((T[n] - Y[n]) ** 2)
-            expected += cfg.beta * (Y[n] @ Lmat @ Y[n])
+            expected += hyper.beta * (Y[n] @ Lmat @ Y[n])
         expected += hyper.alpha * sum(
             psi[:, m] @ K @ psi[:, m] for m in range(3))
         expected += cfg.nu * np.sum(Lmat**2)
@@ -242,8 +248,8 @@ class TestJointCost:
         T = rng.standard_normal((7, 4))
         psi = rng.standard_normal((7, 4))
         L = weights_to_laplacian(rng.uniform(0, 1, 6), 4)
-        hyper = Hyperparams(alpha=0.3, beta=2.0)   # joint_cost takes cfg.beta
-        cfg = GraphLearnConfig(nu=0.7, beta=0.9)
+        hyper = Hyperparams(alpha=0.3, beta=0.9)
+        cfg = GraphLearnConfig(nu=0.7)
         data, coefficient, roughness = cost_terms(K, psi, T, L, 0.3, 0.9)
         assert joint_cost(K, psi, L, T, hyper, cfg) == (
             data + coefficient + roughness + 0.7 * np.sum(L.matrix**2))
@@ -258,34 +264,44 @@ class TestAlternatingFit:
 
     def test_first_w_step_is_plain_kr(self):
         K, T = self._setup(11)
-        hyper = Hyperparams(alpha=0.5, beta=0.0)
-        cfg = GraphLearnConfig(nu=1.0, beta=2.0, max_outer_iters=1)
+        hyper = Hyperparams(alpha=0.5, beta=2.0)
         # initialization L = 0 makes the first fit independent of beta
         kr_psi = np.linalg.solve(K + 0.5 * np.eye(10), T)
         L0 = Laplacian(np.zeros((6, 6)))
-        first = fit_krg(K, T, L0, Hyperparams(alpha=0.5, beta=cfg.beta)).psi
+        first = fit_krg(K, T, L0, hyper).psi
         np.testing.assert_allclose(first, kr_psi, rtol=1e-8)
 
     def test_substeps_monotone(self):
         for seed in range(10):
             K, T = self._setup(100 + seed)
-            hyper = Hyperparams(alpha=0.3, beta=0.0)
-            cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=8)
-            _, _, trace, substeps = alternating_fit(K, T, hyper, cfg)
+            hyper = Hyperparams(alpha=0.3, beta=1.0)
+            cfg = GraphLearnConfig(nu=0.5, max_outer_iters=8)
+            _, _, costs = alternating_fit(K, T, hyper, cfg)
             # from the first trace-constrained L on, no sub-step may
             # increase the joint cost
-            for k in range(1, len(substeps)):
-                prev_after_l = substeps[k - 1][1]
-                cost_w, cost_l = substeps[k]
+            for k in range(1, len(costs)):
+                prev_after_l = costs[k - 1][1]
+                cost_w, cost_l = costs[k]
                 assert cost_w <= prev_after_l * (1 + 1e-10) + 1e-12
                 assert cost_l <= cost_w * (1 + 1e-10) + 1e-12
 
+    def test_fits_and_learns_with_hyper_beta(self):
+        K, T = self._setup(17)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=4)
+        fits = {b: alternating_fit(K, T, Hyperparams(0.3, b), cfg)
+                for b in (0.0, 7.0)}
+        for b, (model, _, _) in fits.items():
+            assert model.hyper == Hyperparams(0.3, b)
+            refit = fit_krg(K, T, model.laplacian, Hyperparams(0.3, b)).psi
+            np.testing.assert_allclose(model.psi, refit, rtol=1e-10)
+        assert not np.array_equal(fits[0.0][0].psi, fits[7.0][0].psi)
+        assert not np.array_equal(fits[0.0][1].matrix, fits[7.0][1].matrix)
+
     def test_huge_nu_gives_uniform_weights(self):
         K, T = self._setup(12)
-        hyper = Hyperparams(alpha=0.3, beta=0.0)
-        cfg = GraphLearnConfig(nu=1e6, beta=1.0, max_outer_iters=3,
-                               trace_budget=6.0)
-        model, L, _, _ = alternating_fit(K, T, hyper, cfg)
+        hyper = Hyperparams(alpha=0.3, beta=1.0)
+        cfg = GraphLearnConfig(nu=1e6, max_outer_iters=3, trace_budget=6.0)
+        model, L, _ = alternating_fit(K, T, hyper, cfg)
         w = -model.laplacian.matrix[np.triu_indices(6, 1)]
         np.testing.assert_allclose(w, np.full(15, 3.0 / 15), rtol=1e-3)
 
@@ -301,9 +317,9 @@ class TestAlternatingFit:
             K = random_psd(rng, 20) + 0.5 * np.eye(20)
             R = rng.standard_normal((20, 10))
             T = np.linalg.solve(np.eye(10) + 2.0 * L_true.matrix, R.T).T
-            cfg = GraphLearnConfig(nu=0.05, beta=2.0, max_outer_iters=10)
-            model, _, _, _ = alternating_fit(
-                K, T, Hyperparams(alpha=0.1, beta=0.0), cfg)
+            cfg = GraphLearnConfig(nu=0.05, max_outer_iters=10)
+            model, _, _ = alternating_fit(
+                K, T, Hyperparams(alpha=0.1, beta=2.0), cfg)
             w_learned = -model.laplacian.matrix[np.triu_indices(10, 1)]
             w_true = g.adjacency[np.triu_indices(10, 1)]
             rho = spearmanr(w_learned, w_true).statistic
@@ -313,8 +329,8 @@ class TestAlternatingFit:
 
     def test_determinism_and_cost_trace(self):
         K, T = self._setup(13)
-        hyper = Hyperparams(alpha=0.2, beta=0.0)
-        cfg = GraphLearnConfig(nu=0.5, beta=1.5, max_outer_iters=6)
+        hyper = Hyperparams(alpha=0.2, beta=1.5)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=6)
         out1 = alternating_fit(K, T, hyper, cfg)
         out2 = alternating_fit(K, T, hyper, cfg)
         np.testing.assert_array_equal(out1[2], out2[2])
@@ -324,14 +340,14 @@ class TestAlternatingFit:
     def test_gram_eigendecomposed_once(self, monkeypatch):
         N, M = 10, 6
         K, T = self._setup(16, N=N, M=M)
-        cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=5, tol=1e-12)
-        expected = alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=5, tol=1e-12)
+        expected = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: shapes.append(np.shape(a)) or eigh(a))
-        model, L, trace, _ = alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg)
-        assert len(trace) == 5
+        model, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
+        assert len(costs) == 5
         assert shapes.count((N, N)) == 1
         assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
         np.testing.assert_array_equal(model.psi, expected[0].psi)
@@ -339,15 +355,15 @@ class TestAlternatingFit:
 
     def test_returned_laplacian_rescaled(self):
         K, T = self._setup(14)
-        cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=3)
-        _, L, _, _ = alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=3)
+        _, L, _ = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
         assert np.linalg.norm(L.matrix, 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_jsonl_diagnostics(self, tmp_path):
         K, T = self._setup(15)
-        cfg = GraphLearnConfig(nu=0.5, beta=1.0, max_outer_iters=3)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=3)
         path = tmp_path / "iters.jsonl"
-        alternating_fit(K, T, Hyperparams(0.3, 0.0), cfg, log_path=path)
+        alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg, log_path=path)
         lines = [json.loads(s) for s in path.read_text().splitlines()]
         assert lines
         for rec in lines:
@@ -357,11 +373,14 @@ class TestAlternatingFit:
 
 class TestGraphLearnConfig:
     @pytest.mark.parametrize("field,value", [
-        ("nu", np.nan), ("beta", np.nan), ("nu", -0.5), ("beta", np.inf),
-        ("max_outer_iters", 0), ("tol", 0.0), ("tol", np.nan),
+        ("nu", np.nan), ("nu", -0.5), ("max_outer_iters", 0), ("tol", 0.0), ("tol", np.nan),
         ("trace_budget", 0.0), ("trace_budget", np.nan),
         ("trace_budget", np.inf),
     ])
     def test_bad_value_is_krgraph_error(self, field, value):
         with pytest.raises(KrgraphError, match=field):
-            GraphLearnConfig(**{"nu": 0.5, "beta": 1.0, field: value})
+            GraphLearnConfig(**{"nu": 0.5, field: value})
+
+    def test_beta_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            GraphLearnConfig(nu=0.5, beta=1.0)

@@ -314,6 +314,14 @@ def test_edge_json_roundtrip():
     assert np.allclose(graph_from_edge_json(doc).adjacency, g.adjacency)
 
 
+@pytest.mark.parametrize("M", [1, 2, 7])
+def test_edge_json_lists_upper_triangle_row_major(M):
+    A = random_graph_adjacency(np.random.default_rng(M), M)
+    expected = [[int(i), int(j), float(A[i, j])]
+                for i, j in zip(*np.triu_indices(M, 1)) if A[i, j] != 0]
+    assert graph_to_edge_json(Graph(A)) == {"nodes": M, "edges": expected}
+
+
 # The file writers replaced a csv.writer loop and json.dump calls; those
 # expressions stay here as the byte-for-byte reference.
 

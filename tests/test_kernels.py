@@ -43,6 +43,16 @@ class TestKernelSpec:
         assert spec.to_json()["rbf_normalizer"] == 0.1 + 0.2
         assert KernelSpec.from_json(spec.to_json()) == spec
 
+    def test_equality_compares_matrices_by_value(self):
+        eye = KernelSpec(kind="precomputed", precomputed=np.eye(3))
+        assert eye == KernelSpec(kind="precomputed", precomputed=np.eye(3))
+        assert eye != KernelSpec(kind="precomputed", precomputed=2 * np.eye(3))
+        assert eye != KernelSpec(kind="precomputed", precomputed=np.eye(2))
+        assert eye != KernelSpec(kind="linear")
+        rbf = KernelSpec(kind="rbf", sigma_sq=1.5, rbf_normalizer=0.7)
+        assert rbf == KernelSpec(kind="rbf", sigma_sq=1.5, rbf_normalizer=0.7)
+        assert rbf != KernelSpec(kind="rbf", sigma_sq=1.5, rbf_normalizer=0.8)
+
     @pytest.mark.parametrize("kind,Z", [
         ("rbf", 0.0), ("rbf", -1.0), ("rbf", np.nan), ("rbf", np.inf),
         ("rbf", "1.0"), ("rbf", True), ("linear", 1.0), ("precomputed", 1.0),

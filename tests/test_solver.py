@@ -541,7 +541,7 @@ class TestModelSerialization:
 class TestCheckWeights:
     @pytest.mark.parametrize("alpha,beta,name", [
         (np.nan, 0.0, "alpha"), (0.1, np.nan, "beta"), (np.inf, 0.0, "alpha"),
-        (-0.1, 0.0, "alpha"), (0.1, -1.0, "beta"),
+        (0.1, np.inf, "beta"), (-0.1, 0.0, "alpha"), (0.1, -1.0, "beta"),
     ])
     def test_hyperparams_reject_nan_inf_and_negative(self, alpha, beta, name):
         with pytest.raises(KrgraphError,

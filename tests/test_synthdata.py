@@ -165,7 +165,7 @@ class TestMakeSyntheticDataset:
 
     def test_split_partitions_samples(self):
         train, test, _, _ = make_synthetic_dataset(self.CFG)
-        both = np.concatenate([train.indices, test.indices])
+        both = np.concatenate([train.X[:, 0], test.X[:, 0]])
         assert sorted(both) == list(range(20))
         assert train.n == test.n == 10
 
@@ -184,7 +184,8 @@ class TestMakeSyntheticDataset:
         L = build_laplacian(graph)
         from krgraph.synthdata import generate_correlated_rows
         R = generate_correlated_rows(C_S, 12, seed=self.CFG.seed + 2)
-        for row, t0 in [(train.indices, train.T0), (test.indices, test.T0)]:
+        for row, t0 in [(train.X[:, 0].astype(int), train.T0),
+                        (test.X[:, 0].astype(int), test.T0)]:
             for i, idx in enumerate(row):
                 assert quadratic_form(L, t0[i]) <= \
                     quadratic_form(L, R[idx]) + 1e-10

@@ -14,6 +14,7 @@ import pytest
 from krgraph.cli import SCHEMAS
 from krgraph.evaluation import BenchScenario, CvGrid
 from krgraph.graphlearn import GraphLearnConfig
+from krgraph.solver import Hyperparams
 from krgraph.synthdata import SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,11 +38,14 @@ def test_shipped_config_validates(path):
     (BenchScenario, SCHEMAS["bench"]["properties"]),
     (CvGrid, SCHEMAS["cv"]["properties"]["grid"]["properties"]),
     (GraphLearnConfig, set(SCHEMAS["learn-graph"]["properties"])
-     - {"x_csv", "t_csv", "kernel", "alpha"}),
-], ids=["synth", "bench", "grid", "learn_graph"])
+     - {"x_csv", "t_csv", "kernel"} - {"alpha", "beta"}),
+    (Hyperparams, set(SCHEMAS["fit"]["properties"])
+     & set(SCHEMAS["learn-graph"]["properties"]) - {"x_csv", "t_csv", "kernel"}),
+], ids=["synth", "bench", "grid", "learn_graph", "hyperparams"])
 def test_config_keys_are_field_names(cls, keys):
     """The CLI builds these dataclasses from the config's own keys, so each
-    default is stated only on the dataclass."""
+    default is stated only on the dataclass; alpha and beta fill
+    Hyperparams in fit and learn-graph alike."""
     assert {f.name for f in dataclasses.fields(cls)} == set(keys)
 
 

@@ -59,6 +59,9 @@ class CvGrid:
         if not self.alphas or not self.betas:
             raise KrgraphError("alpha and beta grids must be nonempty")
         check_weights(alphas=self.alphas, betas=self.betas)
+        if not all(0 < s < np.inf for s in self.sigma_sqs):
+            raise KrgraphError("sigma_sqs must be finite and > 0, "
+                               f"got {list(self.sigma_sqs)}")
         if self.folds < 2:
             raise KrgraphError("need at least 2 folds")
 

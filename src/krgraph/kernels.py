@@ -36,8 +36,9 @@ class KernelSpec:
         if self.kind not in VALID_KINDS:
             raise KrgraphError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.sigma_sq is None or self.sigma_sq <= 0:
-                raise KrgraphError("rbf kernel requires sigma_sq > 0")
+            if self.sigma_sq is None or not 0 < self.sigma_sq < np.inf:
+                raise KrgraphError("rbf kernel requires a finite sigma_sq > 0, "
+                                   f"got {self.sigma_sq}")
         Z = self.rbf_normalizer
         if Z is not None and not (self.kind == "rbf" and type(Z) is not bool
                                   and isinstance(Z, (int, float)) and 0 < Z < np.inf):

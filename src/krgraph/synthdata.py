@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import invwishart
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DimensionError, KrgraphError
 from .graphs import (
@@ -47,6 +47,10 @@ class SynthConfig:
                 and self.graph_param != int(self.graph_param)):
             raise KrgraphError("barabasi_albert graph_param is an attachment "
                                f"count and must be an integer, got {self.graph_param}")
+        offset = self.wishart_dof_offset
+        if not (offset >= 1 and float(offset).is_integer()):
+            raise KrgraphError("wishart_dof_offset must be an integer >= 1, "
+                               f"got {offset}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,26 @@ def sample_inverse_wishart_covariance(S: int, seed: int, dof_offset: int = 2):
     """One S x S draw from InvWishart(dof=S+dof_offset, scale=I).
 
     The default dof S+2 is the smallest with a finite mean, which is then
-    exactly the identity.
+    exactly the identity. Bartlett's construction (Smith & Hocking 1972,
+    AS 53) as scipy.stats.invwishart runs it, so the draws equal its
+    rvs(df, np.eye(S), random_state=np.random.default_rng(seed)): A is
+    lower triangular with N(0, 1) below the diagonal and chi(df - S + 1 + i)
+    on it, and the sample is A^{-1} A^{-T}.
     """
     if S < 2:
         raise KrgraphError("covariance dimension must be >= 2")
+    df = S + dof_offset
+    if not df > S - 1:
+        raise KrgraphError(f"inverse Wishart needs dof > S - 1 = {S - 1}, "
+                           f"got S + dof_offset = {df}")
     rng = np.random.default_rng(seed)
-    return invwishart.rvs(df=S + dof_offset, scale=np.eye(S), random_state=rng)
+    A = np.zeros((S, S))
+    A[np.tril_indices(S, -1)] = rng.normal(size=S * (S - 1) // 2)
+    chi_dfs = df - S + 1 + np.arange(S)
+    A[np.diag_indices(S)] = rng.chisquare(chi_dfs, size=S) ** 0.5
+    trsm, trmm = get_blas_funcs(("trsm", "trmm"), (A,))
+    A_inv = trsm(1.0, A, np.eye(S), side=1, lower=True)
+    return trmm(1.0, A_inv, A_inv, side=1, lower=True, trans_a=True)
 
 
 def generate_correlated_rows(C_S, M: int, seed: int):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
@@ -366,6 +367,20 @@ class TestCv:
                                   sigma_sqs=[0.5])
         assert code == 1
         _assert_one_json_error(capsys, "ConfigError", "sigma_sq")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kernel, sigma_sqs, message", [
+        (None, [float("inf")], "sigma_sqs must be finite and > 0"),  # 1e400
+        (None, [0.5, float("nan")], "sigma_sqs must be finite and > 0"),
+        ({"kind": "rbf", "sigma_sq": float("inf")}, None, "finite sigma_sq > 0"),
+        ({"kind": "rbf", "sigma_sq": float("nan")}, None, "finite sigma_sq > 0"),
+    ], ids=["grid_inf", "grid_nan", "kernel_inf", "kernel_nan"])
+    def test_nonfinite_bandwidth_rejected(self, tmp_path, capsys, kernel,
+                                          sigma_sqs, message):
+        capsys.readouterr()
+        code, path = self._rbf_cv(tmp_path, "bad", kernel, sigma_sqs=sigma_sqs)
+        assert code == 1
+        _assert_one_json_error(capsys, "KrgraphError", message)
         assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["linear", "precomputed"])
@@ -857,10 +872,10 @@ class TestInvalidValuesRejected:
                                             monkeypatch):
         cfg, *_ = fit_configs(tmp_path, beta=0.5, with_laplacian=True)
 
-        def fail(a):
+        def fail(a, **kw):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krgraph import evaluation, solver
 from krgraph.errors import ConfigError, KrgraphError, SingularSystemError
@@ -93,6 +94,13 @@ class TestFoldAssignment:
     def test_too_many_folds(self):
         with pytest.raises(KrgraphError):
             fold_assignment(3, 5, seed=0)
+
+
+@pytest.mark.parametrize("sigma_sqs", [(1.0, np.inf), (np.nan,), (0.0,), (-1.0,)],
+                         ids=["inf", "nan", "zero", "negative"])
+def test_grid_bandwidths_finite_and_positive(sigma_sqs):
+    with pytest.raises(KrgraphError, match="sigma_sqs must be finite and > 0"):
+        CvGrid(alphas=[0.1], betas=[0.0], sigma_sqs=sigma_sqs)
 
 
 def _toy_dataset(seed=0, n=20, M=5):
@@ -364,14 +372,14 @@ class TestRunBenchmark:
         cv = evaluation.cross_validate
         monkeypatch.setattr(evaluation, "cross_validate",
                             lambda *a, **k: cv_calls.append(1) or cv(*a, **k))
-        eigh = np.linalg.eigh
+        eigh = scipy.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
             if np.shape(a) == (M, M):
                 laplacians.append(np.asarray(a).tobytes())
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
         results, failures = run_benchmark(small_scenario(
             methods=("KR", "KRG"), realizations=R, snr_db=(0.0, 5.0),
             num_nodes=M))

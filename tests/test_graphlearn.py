@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import spearmanr
 
 from krgraph.errors import KrgraphError
@@ -343,9 +344,10 @@ class TestAlternatingFit:
         cfg = GraphLearnConfig(nu=0.5, max_outer_iters=5, tol=1e-12)
         expected = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
         shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a: shapes.append(np.shape(a)) or eigh(a))
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(
+            scipy.linalg, "eigh",
+            lambda a, **kw: shapes.append(np.shape(a)) or eigh(a, **kw))
         model, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
         assert len(costs) == 5
         assert shapes.count((N, N)) == 1

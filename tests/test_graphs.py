@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from krgraph.errors import (ConvergenceError, DataFormatError, DimensionError,
@@ -47,6 +48,20 @@ class TestGraphValidation:
         with pytest.raises(InvalidGraphError):
             Graph(np.eye(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, value):
+        with pytest.raises(InvalidGraphError,
+                           match="adjacency has NaN or infinite entries"):
+            Graph(np.array([[0.0, value], [value, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_laplacian_rejected(self, value):
+        # [[inf, -inf], [-inf, inf]] passed every other check (each compares
+        # against NaN) and fit_krg then returned an all-NaN psi
+        with pytest.raises(InvalidGraphError,
+                           match="Laplacian has NaN or infinite entries"):
+            Laplacian(np.array([[value, -value], [-value, value]]))
+
 
 class TestBuildLaplacian:
     def test_empty_graph(self):
@@ -67,9 +82,9 @@ class TestBuildLaplacian:
     def test_eigendecomposition_computed_once_and_read_only(self, monkeypatch):
         L = build_laplacian(K3)
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a: calls.append(1) or eigh(a))
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda a, **kw: calls.append(1) or eigh(a, **kw))
         lam, V = L.eigendecomposition()
         again = L.eigendecomposition()
         assert len(calls) == 1
@@ -387,11 +402,26 @@ def test_json_reader_names_file(tmp_path, load, data):
 class TestEighPsd:
     def test_sets_only_roundoff_negatives_to_zero(self, monkeypatch):
         vals = np.array([-1e-9, -1e-10, -1e-12, 0.0, 2.0])
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a: (vals.copy(), np.eye(5)))
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda a, **kw: (vals.copy(), np.eye(5)))
         lam, V = eigh_psd(np.eye(5))
         assert lam.tolist() == [-1e-9, 0.0, 0.0, 0.0, 2.0]
         assert np.array_equal(V, np.eye(5))
+
+    @pytest.mark.parametrize("kind", ["gram", "laplacian"])
+    @pytest.mark.parametrize("n", [2, 7, 40, 150])
+    def test_bitwise_equal_to_numpy_eigh(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "gram":  # rank-deficient for n > 5: a repeated zero
+            X = rng.standard_normal((n, 5))
+            A = X @ X.T
+        else:  # sparse enough for repeated eigenvalues
+            A = build_laplacian(erdos_renyi(n, 2.0 / n, seed=n)).matrix
+        lam, V = eigh_psd(A)
+        ref_lam, ref_V = np.linalg.eigh(A)
+        assert np.array_equal(V, ref_V) and V.flags.c_contiguous
+        assert np.array_equal(lam, np.where(
+            (ref_lam < 0) & (ref_lam >= -1e-10), 0.0, ref_lam))
 
     def test_equals_numpy_eigh_on_a_laplacian(self):
         L = build_laplacian(erdos_renyi(12, 0.4, seed=3)).matrix
@@ -402,10 +432,10 @@ class TestEighPsd:
             (ref_lam < 0) & (ref_lam >= -1e-10), 0.0, ref_lam))
 
     def test_nonconvergence_is_convergence_error(self, monkeypatch):
-        def fail(a):
+        def fail(a, **kw):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match=r"\(4, 4\).*converge"):
             eigh_psd(np.eye(4))
         with pytest.raises(ConvergenceError, match=r"\(3, 3\)"):

@@ -18,6 +18,11 @@ class TestKernelSpec:
         with pytest.raises(KrgraphError):
             KernelSpec(kind="rbf")
 
+    @pytest.mark.parametrize("sigma_sq", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rbf_sigma_finite_and_positive(self, sigma_sq):
+        with pytest.raises(KrgraphError, match="finite sigma_sq > 0"):
+            KernelSpec(kind="rbf", sigma_sq=sigma_sq)
+
     def test_unknown_kind(self):
         with pytest.raises(KrgraphError):
             KernelSpec(kind="polynomial")

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krgraph import kernels, solver
 from krgraph.errors import (ConvergenceError, DimensionError, KrgraphError,
@@ -571,12 +572,12 @@ class TestSingularityRule:
 
     def test_spectral_cache_eigh_failure_is_convergence_error(self,
                                                               monkeypatch):
-        def fail(a):
+        def fail(a, **kw):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         L = Laplacian(np.zeros((2, 2)))
         L.eigendecomposition()
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match=r"\(5, 5\)"):
             fit_krg(np.eye(5), np.ones((5, 2)), L,
                     Hyperparams(0.1, 0.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import invwishart
 
 from krgraph.errors import KrgraphError
 from krgraph.graphs import (Graph, Laplacian, barabasi_albert, build_laplacian,
@@ -55,6 +56,20 @@ class TestInverseWishart:
         a = sample_inverse_wishart_covariance(5, 3)
         b = sample_inverse_wishart_covariance(5, 3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("S", [2, 3, 4, 20, 100])
+    @pytest.mark.parametrize("dof_offset", [1, 2, 5])
+    def test_equals_scipy_invwishart(self, S, dof_offset):
+        for seed in range(50):
+            expected = invwishart.rvs(df=S + dof_offset, scale=np.eye(S),
+                                      random_state=np.random.default_rng(seed))
+            assert np.array_equal(
+                sample_inverse_wishart_covariance(S, seed, dof_offset), expected)
+
+    @pytest.mark.parametrize("dof_offset", [-1, -4, np.nan])
+    def test_dof_at_most_s_minus_one_rejected(self, dof_offset):
+        with pytest.raises(KrgraphError, match="dof > S - 1 = 3"):
+            sample_inverse_wishart_covariance(4, 0, dof_offset)
 
 
 class TestCorrelatedRows:
@@ -214,6 +229,14 @@ class TestMakeSyntheticDataset:
         with pytest.raises(KrgraphError, match="graph_param"):
             SynthConfig(num_nodes=6, num_samples=8, graph_model=model,
                         graph_param=np.nan, snr_db=5.0, seed=0)
+
+    @pytest.mark.parametrize("offset", [0, -1, 1.5, np.nan, np.inf])
+    def test_wishart_dof_offset_is_an_integer_at_least_one(self, offset):
+        cfg = dict(num_nodes=6, num_samples=8, graph_model="erdos_renyi",
+                   graph_param=0.5, snr_db=5.0, seed=0)
+        with pytest.raises(KrgraphError, match="wishart_dof_offset"):
+            SynthConfig(wishart_dof_offset=offset, **cfg)
+        assert SynthConfig(wishart_dof_offset=1, **cfg).wishart_dof_offset == 1
 
     def test_odd_sample_count_rejected(self):
         with pytest.raises(KrgraphError):

@@ -49,6 +49,16 @@ def test_config_keys_are_field_names(cls, keys):
     assert {f.name for f in dataclasses.fields(cls)} == set(keys)
 
 
+def test_cli_import_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, krgraph.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_sweep_script_smoke(tmp_path):
     cfg = json.loads((ROOT / "configs" / "bench_snr_sweep.json").read_text())
     cfg.update(n_train=[12], snr_db=[20.0, 0.0], realizations=2,

@@ -19,9 +19,8 @@ import numpy as np
 import jsonschema
 
 from . import evaluation, graphlearn, graphs, solver, synthdata
-from .errors import ConfigError, DataFormatError, KrgraphError
-# kernel_cross_matrix is unused here; perfbench's tests expect cli to import it
-from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix  # noqa: F401
+from .errors import ConfigError, DataFormatError, DimensionError, KrgraphError
+from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 
 log = logging.getLogger("krgraph")
 
@@ -179,11 +178,32 @@ SCHEMAS = {
 }
 
 
+def _non_finite_number(doc, path="config"):
+    """The key path of the first number in doc that is NaN, infinite, or
+    too large for a float, else None; JSON's reader accepts NaN and
+    Infinity, and reads 1e400 as infinity."""
+    if isinstance(doc, dict):
+        items = ((f"{path}.{key}", v) for key, v in doc.items())
+    elif isinstance(doc, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        is_number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+        return path if is_number and not abs(doc) <= sys.float_info.max else None
+    for item_path, value in items:
+        found = _non_finite_number(value, item_path)
+        if found is not None:
+            return found
+    return None
+
+
 def load_config(path, command):
     try:
         cfg = graphs.load_json(path)
     except DataFormatError as exc:
         raise ConfigError(f"config {exc}") from exc
+    bad = _non_finite_number(cfg)
+    if bad is not None:
+        raise ConfigError(f"{bad} is not a finite number")
     try:
         jsonschema.validate(cfg, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
@@ -260,7 +280,17 @@ def cmd_fit(cfg, out_dir):
     L = _load_laplacian(cfg, T.shape[1])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
-    model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec)
+    # fit_krg's check, made before K is overwritten
+    if T.shape != (K.shape[0], L.num_nodes):
+        raise DimensionError(f"targets {T.shape} incompatible with "
+                             f"N={K.shape[0]}, M={L.num_nodes}")
+    # LAPACK works in K's buffer, so K holds no Gram after the build; the
+    # report builds the Gram again, bit for bit, once the cache's N x N
+    # eigenvectors are freed
+    cache = solver.SpectralCache.build(K, L, overwrite=True)
+    model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
+    del K, cache
+    K = kernel_cross_matrix(X, X, spec)
     out = Path(out_dir)
     solver.save_model(out / "model.json", model)
     residual = solver.sylvester_residual(K, model.psi, T, L, hyper.alpha,

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -94,7 +94,7 @@ class Laplacian:
         return lam, V
 
 
-def eigh_psd(A):
+def eigh_psd(A, overwrite=False):
     """Eigenpairs of a symmetric PSD matrix, roundoff negatives in [-1e-10, 0)
     set to 0; an eigensolver that does not converge is a ConvergenceError.
 
@@ -103,12 +103,23 @@ def eigh_psd(A):
     peak. The eigenvectors are copied to C order, numpy's layout, once
     that workspace is freed: BLAS rounds products with the Fortran-order
     array differently.
+
+    With `overwrite`, LAPACK works in the buffer of a C-order float64 A,
+    one N x N copy less again, and A's contents are undefined on return.
+    A's lower triangle is first mirrored into its upper one, which is the
+    triangle LAPACK reads there: the eigenpairs are the same bit for bit
+    as without `overwrite`, also for a matrix symmetric only to roundoff.
     """
+    A = np.asarray(A, dtype=float)
+    if overwrite:  # row by row: no N x N temporary
+        for i in range(A.shape[0] - 1):
+            A[i, i + 1:] = A[i + 1:, i]
     try:
-        vals, vecs = scipy.linalg.eigh(np.asarray(A, dtype=float), driver="evd",
-                                       check_finite=False)
+        # A.T is the Fortran-order view that LAPACK can work in unchanged
+        vals, vecs = scipy.linalg.eigh(A.T if overwrite else A, driver="evd",
+                                       overwrite_a=overwrite, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh of a {np.shape(A)} matrix: {exc}") from exc
+        raise ConvergenceError(f"eigh of a {A.shape} matrix: {exc}") from exc
     vals[(vals < 0) & (vals >= -_EIG_CLAMP)] = 0.0
     return vals, np.ascontiguousarray(vecs)
 
@@ -282,7 +293,8 @@ def _is_int(v):
 
 
 def graph_from_edge_json(doc: dict) -> Graph:
-    """Graph from {"nodes": M, "edges": [[i, j, weight], ...]}, 0-based i, j."""
+    """Graph from {"nodes": M, "edges": [[i, j, weight], ...]}, 0-based i, j;
+    of repeated edges between two nodes, the last sets their weight."""
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise DataFormatError('graph needs "nodes" and an "edges" list')
     M = doc.get("nodes")
@@ -296,8 +308,9 @@ def graph_from_edge_json(doc: dict) -> Graph:
         if not (_is_int(i) and _is_int(j) and 0 <= i < M and 0 <= j < M):
             raise DataFormatError(
                 f"edge {edge!r}: endpoints must be integers in 0..{M - 1}")
+        # false for NaN, infinities, and integers too large for a float
         if not (isinstance(w, numbers.Real) and not isinstance(w, bool)
-                and math.isfinite(w)):
+                and abs(w) <= sys.float_info.max):
             raise DataFormatError(f"edge {edge!r}: weight must be a finite number")
         A[i, j] = A[j, i] = float(w)
     return Graph(A)

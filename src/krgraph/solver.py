@@ -51,8 +51,10 @@ class SpectralCache:
     lam: np.ndarray     # M Laplacian eigenvalues, [-1e-10, 0) roundoff set to 0
 
     @staticmethod
-    def build(K, L: Laplacian) -> "SpectralCache":
-        theta, U = eigh_psd(K)
+    def build(K, L: Laplacian, overwrite=False) -> "SpectralCache":
+        """With `overwrite`, K is eigendecomposed in its own buffer and
+        holds no Gram afterwards (graphs.eigh_psd)."""
+        theta, U = eigh_psd(K, overwrite=overwrite)
         lam, V = L.eigendecomposition()
         return SpectralCache(u=U, theta=theta, v=V, lam=lam)
 
@@ -180,17 +182,22 @@ def predict_lrg(model: LrgModel, x):
 
 def cost_terms(K, psi, T, L: Laplacian, alpha, beta):
     """(||T - Y||_F^2, alpha tr(Psi^T K Psi), beta tr(Y L Y^T)) with Y = K Psi:
-    the three terms of the objective that the fit minimizes."""
+    the three terms of the objective that the fit minimizes. The traces
+    are summed entrywise, as sum(Psi * Y) and sum((Y L) * Y): no N x N
+    temporary."""
     psi = np.asarray(psi, dtype=float)
     Y = K @ psi
     return (float(np.sum((np.asarray(T, dtype=float) - Y) ** 2)),
-            float(alpha * np.trace(psi.T @ K @ psi)),
-            float(beta * np.trace(Y @ L.matrix @ Y.T)))
+            float(alpha * np.sum(psi * Y)),
+            float(beta * np.sum((Y @ L.matrix) * Y)))
 
 
 def sylvester_residual(K, psi, T, L: Laplacian, alpha, beta):
-    """(K + alpha I) Psi + beta K Psi L - T; zero at the exact fit."""
-    return (K + alpha * np.eye(K.shape[0])) @ psi + beta * K @ psi @ L.matrix - T
+    """(K + alpha I) Psi + beta K Psi L - T; zero at the exact fit. Formed
+    as Y + alpha Psi + beta Y L - T with Y = K Psi: no N x N temporary."""
+    psi = np.asarray(psi, dtype=float)
+    Y = K @ psi
+    return Y + alpha * psi + beta * (Y @ L.matrix) - T
 
 
 def dual_cost(K, psi, T, L: Laplacian, hyper: Hyperparams):

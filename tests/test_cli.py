@@ -2,17 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from krgraph import solver
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
 from krgraph.graphs import Laplacian, load_matrix_csv, save_matrix_csv
 from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
-from krgraph.solver import Hyperparams, cost_terms, fit_krg, load_model
+from krgraph.solver import (Hyperparams, cost_terms, fit_krg, load_model,
+                            sylvester_residual)
 from oracles import dense_kron_dual_solve, random_laplacian_matrix
 
 
@@ -188,15 +191,93 @@ class TestFitPredict:
         assert report["residual_norm"] <= 1e-8 * report["target_norm"]
 
     def test_fit_report_costs_are_the_shared_cost_terms(self, tmp_path):
+        """fit eigendecomposes K in its own buffer and builds K again for the
+        report: for each kernel kind, model and report are those of
+        gram_matrix's K, bit for bit."""
         cfg, X, T, L = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
-        out = tmp_path / "fit"
-        assert run(["fit", "--config", cfg, "--out-dir", out]) == 0
-        report = json.loads((out / "fit_report.json").read_text())
-        model = load_model(out / "model.json")
-        K, _ = gram_matrix(model.x_train, model.spec)
-        terms = cost_terms(K, model.psi, T, Laplacian(L), 0.5, 0.8)
-        assert [report["data_cost"], report["coefficient_cost"],
-                report["roughness_cost"]] == list(terms)
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        # symmetric only to roundoff, which the precomputed kernel accepts
+        P = X @ X.T + np.eye(8)
+        P += 1e-12 * np.abs(P).max() * np.random.default_rng(5).standard_normal(
+            (8, 8))
+        save_matrix_csv(tmp_path / "P.csv", P)
+        idx = np.array([[5.0], [0.0], [7.0], [2.0], [1.0], [6.0], [3.0], [4.0]])
+        save_matrix_csv(tmp_path / "idx.csv", idx)
+        hyper, L = Hyperparams(alpha=0.5, beta=0.8), Laplacian(L)
+        for kernel, spec, x, x_csv in [
+            ({"kind": "linear"}, KernelSpec(kind="linear"), X, "X.csv"),
+            ({"kind": "rbf", "sigma_sq": 0.7},
+             KernelSpec(kind="rbf", sigma_sq=0.7), X, "X.csv"),
+            ({"kind": "precomputed", "matrix_csv": str(tmp_path / "P.csv")},
+             KernelSpec(kind="precomputed", precomputed=P), idx, "idx.csv"),
+        ]:
+            fit_doc = dict(doc, kernel=kernel, x_csv=str(tmp_path / x_csv))
+            out = tmp_path / kernel["kind"]
+            assert run(["fit", "--config", write_config(
+                tmp_path, kernel["kind"] + ".json", fit_doc),
+                "--out-dir", out]) == 0
+            report = json.loads((out / "fit_report.json").read_text())
+            model = load_model(out / "model.json")
+            K, _ = gram_matrix(x, spec)
+            assert np.array_equal(model.psi, fit_krg(K, T, L, hyper).psi)
+            residual = sylvester_residual(K, model.psi, T, L, 0.5, 0.8)
+            assert report["residual_norm"] == np.linalg.norm(residual, "fro")
+            terms = cost_terms(K, model.psi, T, L, 0.5, 0.8)
+            assert [report["data_cost"], report["coefficient_cost"],
+                    report["roughness_cost"]] == list(terms)
+
+    def test_precomputed_indices_in_a_row_write_nothing(self, tmp_path, capsys):
+        """Sample indices for a precomputed kernel are one column; a row of
+        them would give a model file that predict cannot read."""
+        cfg, X, T, L = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        save_matrix_csv(tmp_path / "P.csv", X @ X.T + np.eye(8))
+        save_matrix_csv(tmp_path / "X.csv", np.arange(8.0)[None, :])
+        doc = dict(json.loads(Path(cfg).read_text(encoding="utf-8")), kernel={
+            "kind": "precomputed", "matrix_csv": str(tmp_path / "P.csv")})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["fit", "--config", write_config(tmp_path, "p.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "DimensionError", "one index column")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("shape", [(7, 4), (8, 3)])
+    def test_targets_of_another_shape_stop_before_the_fit(
+            self, tmp_path, capsys, monkeypatch, shape):
+        cfg, *_ = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
+        save_matrix_csv(tmp_path / "T.csv", np.ones(shape))
+        calls = []
+        monkeypatch.setattr(solver, "eigh_psd",
+                            lambda *a, **kw: calls.append(a))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "DimensionError",
+                               f"targets {shape} incompatible with N=8, M=4")
+        assert calls == [] and list(out.iterdir()) == []
+
+    def test_fit_peaks_at_three_gram_sizes(self, tmp_path):
+        """The Gram is eigendecomposed in its own buffer, and the report
+        needs no N x N temporary besides the rebuilt Gram: the peak is K
+        plus syevd's 1 + 6N + 2N^2 workspace, about 3 N^2 doubles."""
+        N = 600
+        rng = np.random.default_rng(21)
+        save_matrix_csv(tmp_path / "X.csv", rng.standard_normal((N, 3)))
+        save_matrix_csv(tmp_path / "T.csv", rng.standard_normal((N, 4)))
+        save_matrix_csv(tmp_path / "L.csv", random_laplacian_matrix(rng, 4))
+        cfg = write_config(tmp_path, "fit.json", {
+            "x_csv": str(tmp_path / "X.csv"), "t_csv": str(tmp_path / "T.csv"),
+            "laplacian_csv": str(tmp_path / "L.csv"),
+            "kernel": {"kind": "rbf", "sigma_sq": 1.0}, "alpha": 0.5,
+            "beta": 0.8})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (8 * N**2) <= 3.5
 
     def test_positive_beta_without_graph_fails(self, tmp_path, capsys):
         cfg, *_ = fit_configs(tmp_path, beta=0.8, with_laplacian=False)
@@ -370,17 +451,19 @@ class TestCv:
         assert not path.exists()
 
     @pytest.mark.parametrize("kernel, sigma_sqs, message", [
-        (None, [float("inf")], "sigma_sqs must be finite and > 0"),  # 1e400
-        (None, [0.5, float("nan")], "sigma_sqs must be finite and > 0"),
-        ({"kind": "rbf", "sigma_sq": float("inf")}, None, "finite sigma_sq > 0"),
-        ({"kind": "rbf", "sigma_sq": float("nan")}, None, "finite sigma_sq > 0"),
+        (None, [float("inf")], "config.grid.sigma_sqs[0] is not"),  # 1e400
+        (None, [0.5, float("nan")], "config.grid.sigma_sqs[1] is not"),
+        ({"kind": "rbf", "sigma_sq": float("inf")}, None,
+         "config.kernel.sigma_sq is not"),
+        ({"kind": "rbf", "sigma_sq": float("nan")}, None,
+         "config.kernel.sigma_sq is not"),
     ], ids=["grid_inf", "grid_nan", "kernel_inf", "kernel_nan"])
     def test_nonfinite_bandwidth_rejected(self, tmp_path, capsys, kernel,
                                           sigma_sqs, message):
         capsys.readouterr()
         code, path = self._rbf_cv(tmp_path, "bad", kernel, sigma_sqs=sigma_sqs)
         assert code == 1
-        _assert_one_json_error(capsys, "KrgraphError", message)
+        _assert_one_json_error(capsys, "ConfigError", message)
         assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["linear", "precomputed"])
@@ -637,13 +720,16 @@ def _assert_one_json_error(capsys, error, *in_message):
 
 class TestGridValues:
     @pytest.mark.parametrize("command", ["cv", "bench"])
-    @pytest.mark.parametrize("grid_text", [
-        '"alphas": [-0.1, 1.0], "betas": [0.0]',
-        '"alphas": [0.1], "betas": [0.0, -1.0]',
-        '"alphas": [0.1], "betas": [NaN]',
+    @pytest.mark.parametrize("grid_text, error, message", [
+        ('"alphas": [-0.1, 1.0], "betas": [0.0]', "KrgraphError",
+         "must be finite and >= 0"),
+        ('"alphas": [0.1], "betas": [0.0, -1.0]', "KrgraphError",
+         "must be finite and >= 0"),
+        ('"alphas": [0.1], "betas": [NaN]', "ConfigError",
+         "config.grid.betas[0] is not a finite number"),
     ], ids=["negative_alpha", "negative_beta", "nan_beta"])
     def test_bad_grid_values_rejected(self, tmp_path, capsys, command,
-                                      grid_text):
+                                      grid_text, error, message):
         if command == "cv":
             out_data = make_dataset_dir(tmp_path)
             doc = {"x_csv": str(out_data / "X_train.csv"),
@@ -661,8 +747,8 @@ class TestGridValues:
         capsys.readouterr()
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, "KrgraphError", "must be finite and >= 0")
-        assert list(out.iterdir()) == []
+        _assert_one_json_error(capsys, error, message)
+        assert list(out.glob("*")) == []
 
 
 def _valid_model_doc(tmp_path):
@@ -840,9 +926,47 @@ class TestInvalidValuesRejected:
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, "KrgraphError",
-                               "alpha must be finite and >= 0")
-        assert list(out.iterdir()) == []
+        _assert_one_json_error(capsys, "ConfigError",
+                               "config.alpha is not a finite number")
+        assert not out.exists()   # rejected before --out-dir is made
+
+    @pytest.mark.parametrize("command, key, text, where", [
+        ("krr", "tau", "NaN", "config.tau"),
+        ("krr", "tau", "1e400", "config.tau"),
+        ("krr", "mu", "Infinity", "config.mu"),
+        ("krr", "mu", "1" + "0" * 400, "config.mu"),
+        ("krr", "x", "[1.0, NaN]", "config.x[1]"),
+        ("fit", "alpha", "-Infinity", "config.alpha"),
+        ("fit", "alpha", "1e400", "config.alpha"),
+        ("cv", "grid", '{"alphas": [0.1, 1e400], "betas": [0.0]}',
+         "config.grid.alphas[1]"),
+    ])
+    def test_non_finite_config_number(self, tmp_path, capsys, command, key,
+                                      text, where):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"nodes": 4, "edges": [[0, 1, 1.0], [1, 2, 0.5]]}',
+                         encoding="utf-8")
+        doc = {
+            "fit": fit_doc,
+            "cv": {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+                   "method": "KR", "kernel": {"kind": "linear"}, "seed": 0,
+                   "grid": {"alphas": [0.1, 1.0], "betas": [0.0]}},
+            "krr": {"graph_json": str(graph), "tau": 0.5, "observed_idx": [0, 2],
+                    "x": [1.0, -2.0], "mu": 0.3},
+        }[command]
+        assert run([command, "--config", write_config(tmp_path, "ok.json", doc),
+                    "--out-dir", tmp_path / "ok"]) == 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, key: "@"}).replace('"@"', text),
+                        encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([command, "--config", path, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError",
+                               f"{where} is not a finite number")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["nu", "beta", "trace_budget", "tol"])
     def test_learn_graph_nan(self, tmp_path, capsys, key):
@@ -856,8 +980,8 @@ class TestInvalidValuesRejected:
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["learn-graph", "--config", path, "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, "KrgraphError", key)
-        assert list(out.iterdir()) == []
+        _assert_one_json_error(capsys, "ConfigError", f"config.{key} is not")
+        assert not out.exists()
 
     def test_bench_negative_snr(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])

@@ -329,6 +329,44 @@ def test_edge_json_roundtrip():
     assert np.allclose(graph_from_edge_json(doc).adjacency, g.adjacency)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1, 1.0], [0, 1]], "edge [0, 1] is not [i, j, weight]"),
+    ([[0, 1, 1.0], 5], "edge 5 is not [i, j, weight]"),
+    ([[0, 1, 1.0, 2.0]], "edge [0, 1, 1.0, 2.0] is not [i, j, weight]"),
+    ([[0, 1.5, 1.0]], "edge [0, 1.5, 1.0]: endpoints must be integers in 0..3"),
+    ([[0, "1", 1.0]], "edge [0, '1', 1.0]: endpoints must be integers in 0..3"),
+    ([[True, 1, 1.0]], "edge [True, 1, 1.0]: endpoints must be integers in 0..3"),
+    ([[0, [1], 1.0]], "edge [0, [1], 1.0]: endpoints must be integers in 0..3"),
+    ([[0, 4, 1.0]], "edge [0, 4, 1.0]: endpoints must be integers in 0..3"),
+    ([[-1, 2, 1.0]], "edge [-1, 2, 1.0]: endpoints must be integers in 0..3"),
+    ([[0, 10**30, 1.0]],
+     f"edge [0, {10**30}, 1.0]: endpoints must be integers in 0..3"),
+    ([[0, 1, True]], "edge [0, 1, True]: weight must be a finite number"),
+    ([[0, 1, "1.0"]], "edge [0, 1, '1.0']: weight must be a finite number"),
+    ([[0, 1, float("nan")]], "edge [0, 1, nan]: weight must be a finite number"),
+    ([[0, 1, float("-inf")]], "edge [0, 1, -inf]: weight must be a finite number"),
+    ([[0, 1, 10**400]], "weight must be a finite number"),  # 1e400 as an int
+    # the first malformed edge is named, whatever the later ones hold
+    ([[0, 1, 1.0], [0, 9, 1.0], [1]], "edge [0, 9, 1.0]: endpoints"),
+], ids=["arity_short", "not_a_list", "arity_long", "fractional_endpoint",
+        "string_endpoint", "bool_endpoint", "list_endpoint", "endpoint_high",
+        "endpoint_negative", "endpoint_huge", "bool_weight", "string_weight",
+        "nan_weight", "inf_weight", "huge_int_weight", "first_bad_edge"])
+def test_edge_json_rejections_name_the_edge(edges, message):
+    with pytest.raises(DataFormatError) as info:
+        graph_from_edge_json({"nodes": 4, "edges": edges})
+    assert message in str(info.value)
+
+
+def test_edge_json_last_repeated_edge_sets_the_weight():
+    edges = [[0, 1, 1.0], [2, 3, 4], [1, 0, 2.5], [3, 2, 0.5]]
+    A = graph_from_edge_json({"nodes": 4, "edges": edges}).adjacency
+    expected = np.zeros((4, 4))
+    expected[0, 1] = expected[1, 0] = 2.5
+    expected[2, 3] = expected[3, 2] = 0.5
+    assert np.array_equal(A, expected)
+
+
 @pytest.mark.parametrize("M", [1, 2, 7])
 def test_edge_json_lists_upper_triangle_row_major(M):
     A = random_graph_adjacency(np.random.default_rng(M), M)
@@ -408,20 +446,30 @@ class TestEighPsd:
         assert lam.tolist() == [-1e-9, 0.0, 0.0, 0.0, 2.0]
         assert np.array_equal(V, np.eye(5))
 
-    @pytest.mark.parametrize("kind", ["gram", "laplacian"])
+    @pytest.mark.parametrize("kind", ["gram", "laplacian", "asymmetric"])
     @pytest.mark.parametrize("n", [2, 7, 40, 150])
     def test_bitwise_equal_to_numpy_eigh(self, kind, n):
+        """Both calls read the lower triangle, also of a matrix that is
+        symmetric only to roundoff, as a precomputed kernel may be."""
         rng = np.random.default_rng(n)
-        if kind == "gram":  # rank-deficient for n > 5: a repeated zero
+        if kind != "laplacian":  # rank-deficient for n > 5: a repeated zero
             X = rng.standard_normal((n, 5))
             A = X @ X.T
+            if kind == "asymmetric":
+                A += 1e-12 * np.abs(A).max() * rng.standard_normal((n, n))
         else:  # sparse enough for repeated eigenvalues
             A = build_laplacian(erdos_renyi(n, 2.0 / n, seed=n)).matrix
-        lam, V = eigh_psd(A)
         ref_lam, ref_V = np.linalg.eigh(A)
-        assert np.array_equal(V, ref_V) and V.flags.c_contiguous
-        assert np.array_equal(lam, np.where(
-            (ref_lam < 0) & (ref_lam >= -1e-10), 0.0, ref_lam))
+        for overwrite in (False, True):
+            B = A.copy()
+            lam, V = eigh_psd(B, overwrite=overwrite)
+            assert np.array_equal(V, ref_V) and V.flags.c_contiguous
+            if overwrite:  # LAPACK left the eigenvectors in B's own buffer
+                assert np.array_equal(B.T, V)
+            else:
+                assert np.array_equal(B, A)
+            assert np.array_equal(lam, np.where(
+                (ref_lam < 0) & (ref_lam >= -1e-10), 0.0, ref_lam))
 
     def test_equals_numpy_eigh_on_a_laplacian(self):
         L = build_laplacian(erdos_renyi(12, 0.4, seed=3)).matrix

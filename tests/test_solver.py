@@ -60,6 +60,26 @@ class TestSpectralCache:
         assert cache.theta.min() >= 0
         assert cache.lam.min() >= 0
 
+    def test_only_an_opt_in_overwrites_the_kernel(self):
+        """Only the fit command lets LAPACK work in K's buffer; every
+        other caller reads its K again after the build."""
+        from krgraph.graphlearn import GraphLearnConfig, alternating_fit
+
+        rng = np.random.default_rng(1)
+        K = random_psd(rng, 9, rank=4)
+        L = Laplacian(random_laplacian_matrix(rng, 5))
+        T = rng.standard_normal((9, 5))
+        K0, L0 = K.copy(), L.matrix.copy()
+        hyper = Hyperparams(alpha=0.3, beta=0.5)
+        cache = SpectralCache.build(K, L)
+        fit_krg(K, T, L, hyper)
+        alternating_fit(K, T, hyper, GraphLearnConfig(nu=0.5, max_outer_iters=2))
+        assert np.array_equal(K, K0) and np.array_equal(L.matrix, L0)
+        in_place = SpectralCache.build(K, L, overwrite=True)
+        assert not np.array_equal(K, K0)
+        for name in ("u", "theta", "v", "lam"):
+            assert np.array_equal(getattr(in_place, name), getattr(cache, name))
+
 
 class TestSylvesterSpectral:
     def test_identity_kernel_zero_laplacian(self):
@@ -341,16 +361,22 @@ class TestDualCostGradient:
         T = rng.standard_normal((6, 4))
         psi = rng.standard_normal((6, 4))
         hyper = Hyperparams(alpha=0.4, beta=1.1)
-        resid = (K + 0.4 * np.eye(6)) @ psi + 1.1 * K @ psi @ L.matrix - T
-        assert np.array_equal(
-            sylvester_residual(K, psi, T, L, 0.4, 1.1), resid)
+        # the residual and the traces are evaluated from Y = K Psi, in
+        # another order than the textbook forms: equal to roundoff
+        rtol = 1e-12
+        resid = sylvester_residual(K, psi, T, L, 0.4, 1.1)
+        np.testing.assert_allclose(
+            resid, (K + 0.4 * np.eye(6)) @ psi + 1.1 * K @ psi @ L.matrix - T,
+            rtol=0, atol=rtol * np.abs(resid).max())
         assert np.array_equal(dual_cost_gradient(K, psi, T, L, hyper),
                               2.0 * K @ resid)
         data, coefficient, roughness = cost_terms(K, psi, T, L, 0.4, 1.1)
         Y = K @ psi
         assert data == np.sum((T - Y) ** 2)
-        assert coefficient == 0.4 * np.trace(psi.T @ K @ psi)
-        assert roughness == 1.1 * np.trace(Y @ L.matrix @ Y.T)
+        assert coefficient == pytest.approx(
+            0.4 * np.trace(psi.T @ K @ psi), rel=rtol)
+        assert roughness == pytest.approx(
+            1.1 * np.trace(Y @ L.matrix @ Y.T), rel=rtol)
         # the dual form drops the constant ||T||_F^2 of the data term
         expanded = (-2.0 * np.trace(T.T @ Y) + np.trace(Y.T @ Y)
                     + coefficient + roughness)

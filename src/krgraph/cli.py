@@ -258,14 +258,20 @@ def cmd_ingest(cfg, out_dir):
         raise DataFormatError(
             f"row count mismatch: {X.shape[0]} inputs vs {T.shape[0]} targets"
         )
+    g = None
+    if "distances_csv" in cfg:
+        D = graphs.load_matrix_csv(cfg["distances_csv"])
+        if D.shape != (T.shape[1], T.shape[1]):
+            raise DataFormatError(
+                f"distances_csv is {D.shape[0]} x {D.shape[1]}, but the "
+                f"targets have {T.shape[1]} columns, one per node")
+        g = graphs.geodesic_adjacency(D)
     out = Path(out_dir)
     graphs.save_matrix_csv(out / "X.csv", X)
     graphs.save_matrix_csv(out / "T.csv", T)
     manifest = {"config": cfg, "n": int(X.shape[0]),
                 "input_dim": int(X.shape[1]), "num_nodes": int(T.shape[1])}
-    if "distances_csv" in cfg:
-        D = graphs.load_matrix_csv(cfg["distances_csv"])
-        g = graphs.geodesic_adjacency(D)
+    if g is not None:
         graphs.save_graph_json(out / "graph.json", g)
         manifest["graph"] = "graph.json"
     graphs.save_json(out / "manifest.json", manifest, pretty=True)
@@ -370,28 +376,27 @@ def cmd_bench(cfg, out_dir):
 
 
 def _write_plot_data(out, results, scenario):
-    """Per-curve files: NMSE (test) against SNR and against n_train."""
-    test = [r for r in results if r.split == "test"]
+    """Per-curve files, each a slice of the test rows: NMSE against SNR at
+    each n_train, and against n_train at each SNR."""
+    nmse = {(r.method, r.n_train, r.snr_db): r.nmse_db
+            for r in results if r.split == "test"}
 
-    def table(path, xs, x_name, key):
+    def table(path, x_name, cells):
         rows = [[x_name, *scenario.methods]]
-        for x in xs:
-            row = [repr(float(x))]
-            for m in scenario.methods:
-                vals = [r.nmse_db for r in test
-                        if r.method == m and key(r) == x]
-                row.append(repr(float(vals[0])) if vals else "")
-            rows.append(row)
+        for x, n, snr in cells:
+            rows.append([repr(float(x)), *(
+                repr(float(nmse[m, n, snr])) if (m, n, snr) in nmse else ""
+                for m in scenario.methods)])
         graphs.save_csv_rows(path, rows)
 
     if len(scenario.snr_db) > 1:
         for n in scenario.n_train:
-            table(out / f"plot_nmse_vs_snr_n{n}.csv", scenario.snr_db,
-                  "snr_db", lambda r: r.snr_db)
+            table(out / f"plot_nmse_vs_snr_n{n}.csv", "snr_db",
+                  [(snr, n, snr) for snr in scenario.snr_db])
     if len(scenario.n_train) > 1:
         for snr in scenario.snr_db:
-            table(out / f"plot_nmse_vs_n_snr{snr:g}.csv", scenario.n_train,
-                  "n_train", lambda r: r.n_train)
+            table(out / f"plot_nmse_vs_n_snr{snr:g}.csv", "n_train",
+                  [(n, n, snr) for n in scenario.n_train])
 
 
 def cmd_krr(cfg, out_dir):

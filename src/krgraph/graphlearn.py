@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DimensionError, KrgraphError
-from .graphs import Laplacian, spectral_rescale
+from .graphs import Graph, Laplacian, build_laplacian, spectral_rescale
 from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
                      fit_krg)
 
@@ -66,7 +66,7 @@ def weights_to_laplacian(w, M) -> Laplacian:
     i, j = np.triu_indices(M, 1)
     A = np.zeros((M, M))
     A[i, j] = A[j, i] = w
-    return Laplacian(np.diag(A.sum(axis=1)) - A)
+    return build_laplacian(Graph(A))
 
 
 def project_simplex(v, radius):
@@ -113,12 +113,18 @@ def minimize_edge_weights(c, M, radius, nu):
     )
 
 
+def _num_nodes(Y):
+    """M of an N x M signal matrix; a graph to learn needs an edge, M >= 2."""
+    if Y.ndim != 2 or Y.shape[1] < 2:
+        raise DimensionError("graph learning needs an N x M signal matrix "
+                             f"with M >= 2 nodes, got shape {Y.shape}")
+    return Y.shape[1]
+
+
 def _laplacian_step_constrained(Y, beta, cfg: GraphLearnConfig):
     """Trace-constrained minimizer, before spectral rescaling."""
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise DimensionError("Y must be an N x M matrix")
-    M = Y.shape[1]
+    M = _num_nodes(Y)
     budget = cfg.trace_budget if cfg.trace_budget is not None else float(M)
     c = _smoothness_costs(Y, beta)
     w = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
@@ -152,7 +158,7 @@ def alternating_fit(K, T, hyper: Hyperparams,
     K is eigendecomposed once; each new L brings only its own eigenpairs.
     """
     T = np.asarray(T, dtype=float)
-    M = T.shape[1]
+    M = _num_nodes(T)
     L = Laplacian(np.zeros((M, M)))
     cache = SpectralCache.build(K, L)
     costs = []
@@ -169,7 +175,8 @@ def alternating_fit(K, T, hyper: Hyperparams,
                     "iter": it,
                     "cost_after_w_step": cost_w,
                     "cost_after_l_step": cost_l,
-                    "spectral_radius": float(np.linalg.norm(L_new.matrix, 2)),
+                    # the eigendecomposition the next fit reuses
+                    "spectral_radius": float(L_new.eigendecomposition()[0][-1]),
                     "edge_sparsity": float(np.mean(w > 1e-10)),
                 }) + "\n")
             converged = (

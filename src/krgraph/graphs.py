@@ -126,8 +126,7 @@ def eigh_psd(A, overwrite=False):
 
 def build_laplacian(g: Graph) -> Laplacian:
     """L = D - A with D the diagonal degree matrix."""
-    A = g.adjacency
-    return Laplacian(np.diag(A.sum(axis=1)) - A)
+    return Laplacian(np.diag(g.degrees()) - g.adjacency)
 
 
 def quadratic_form(L: Laplacian, x) -> float:
@@ -212,8 +211,9 @@ def cartesian_product(gA: Graph, gB: Graph) -> Graph:
 
 
 def spectral_rescale(L: Laplacian) -> Laplacian:
-    """Divide by the spectral radius so the largest eigenvalue is 1."""
-    rho = float(np.linalg.norm(L.matrix, 2))
+    """Divide by the spectral radius, L's largest eigenvalue since L is PSD,
+    so that it becomes 1; L's cached eigendecomposition supplies it."""
+    rho = float(L.eigendecomposition()[0][-1])
     if rho <= 0:
         raise InvalidGraphError("cannot rescale the zero Laplacian")
     return Laplacian(L.matrix / rho)

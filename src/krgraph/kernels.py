@@ -90,8 +90,10 @@ class KernelSpec:
 
 
 def _indices(X, spec: KernelSpec):
-    """Interpret X as sample indices into the precomputed kernel matrix."""
-    idx = np.asarray(X).reshape(-1)
+    """X's one column as sample indices into the precomputed kernel matrix."""
+    if X.shape[1:] != (1,):
+        raise DimensionError("precomputed kernel expects one index column")
+    idx = X[:, 0]
     out = idx.astype(int)
     if np.any(out != idx):
         raise DimensionError("precomputed kernel expects integer sample indices")
@@ -147,8 +149,6 @@ def kernel_cross_matrix(X_train, X_test, spec: KernelSpec):
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
     if spec.kind == "precomputed":
-        if X_test.shape[1] != 1:
-            raise DimensionError("precomputed kernel expects one index column")
         return spec.precomputed[np.ix_(_indices(X_test, spec),
                                        _indices(X_train, spec))]
     if X_test.shape[1] != X_train.shape[1]:

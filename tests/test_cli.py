@@ -157,6 +157,20 @@ class TestIngest:
         assert {i, j} == {0, 1}
         assert w == pytest.approx(np.exp(-0.5))
 
+    def test_distances_of_another_size_write_nothing(self, tmp_path, capsys):
+        save_matrix_csv(tmp_path / "targets.csv", np.ones((3, 4)))
+        save_matrix_csv(tmp_path / "dist.csv", 1.0 - np.eye(5))
+        cfg = write_config(tmp_path, "ingest.json", {
+            "inputs_csv": self._write_inputs(tmp_path, np.ones((3, 2))),
+            "targets_csv": str(tmp_path / "targets.csv"),
+            "distances_csv": str(tmp_path / "dist.csv"),
+        })
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["ingest", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "DataFormatError", "5 x 5", "4 columns")
+        assert list(out.iterdir()) == []
+
 
 def fit_configs(tmp_path, beta, with_laplacian):
     rng = np.random.default_rng(11)
@@ -226,14 +240,20 @@ class TestFitPredict:
             assert [report["data_cost"], report["coefficient_cost"],
                     report["roughness_cost"]] == list(terms)
 
-    def test_precomputed_indices_in_a_row_write_nothing(self, tmp_path, capsys):
+    def test_precomputed_indices_in_a_row_write_nothing(
+            self, tmp_path, capsys, monkeypatch):
         """Sample indices for a precomputed kernel are one column; a row of
-        them would give a model file that predict cannot read."""
+        them would give a model file that predict cannot read. The Gram
+        rejects it, before any eigendecomposition."""
         cfg, X, T, L = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
         save_matrix_csv(tmp_path / "P.csv", X @ X.T + np.eye(8))
         save_matrix_csv(tmp_path / "X.csv", np.arange(8.0)[None, :])
         doc = dict(json.loads(Path(cfg).read_text(encoding="utf-8")), kernel={
             "kind": "precomputed", "matrix_csv": str(tmp_path / "P.csv")})
+
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigendecomposition before the index check")
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["fit", "--config", write_config(tmp_path, "p.json", doc),
@@ -389,6 +409,33 @@ class TestLearnGraph:
         L = load_matrix_csv(out / "laplacian.csv")
         np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-8)
 
+    def _precomputed_config(self, tmp_path, X, T):
+        B = np.random.default_rng(4).standard_normal((6, 6))
+        save_matrix_csv(tmp_path / "P.csv", B @ B.T + np.eye(6))
+        save_matrix_csv(tmp_path / "X.csv", X)
+        save_matrix_csv(tmp_path / "T.csv", T)
+        return write_config(tmp_path, "lg.json", {
+            "x_csv": str(tmp_path / "X.csv"), "t_csv": str(tmp_path / "T.csv"),
+            "kernel": {"kind": "precomputed",
+                       "matrix_csv": str(tmp_path / "P.csv")},
+            "alpha": 0.1, "beta": 1.0, "nu": 0.5, "max_outer_iters": 3,
+        })
+
+    @pytest.mark.parametrize("X, T, error, message", [
+        (np.arange(6.0)[None, :], np.ones((6, 3)), "DimensionError",
+         "one index column"),
+        (np.arange(6.0)[:, None], np.ones((6, 1)), "DimensionError",
+         "M >= 2 nodes, got shape (6, 1)"),
+    ], ids=["indices_in_a_row", "one_node"])
+    def test_rejected_before_any_file(self, tmp_path, capsys, X, T, error,
+                                      message):
+        cfg = self._precomputed_config(tmp_path, X, T)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, error, message)
+        assert list(out.iterdir()) == []
+
 
 class TestCv:
     def test_writes_best_params(self, tmp_path):
@@ -524,6 +571,31 @@ class TestBench:
         lines = plot.read_text().splitlines()
         assert lines[0] == "n_train,KR,KRG"
         assert len(lines) == 3
+
+    def test_plot_tables_are_slices_of_results(self, tmp_path):
+        """With both axes swept, each table holds its own n_train's (or
+        SNR's) cells, as results.csv gives them."""
+        doc = dict(BENCH_CFG, n_train=[6, 8], snr_db=[0.0, 20.0],
+                   realizations=1)
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 0
+
+        def rows(name):
+            return [line.split(",")
+                    for line in (out / name).read_text().splitlines()[1:]]
+
+        test = {(m, int(n), float(snr)): db
+                for m, n, snr, split, db, *_ in rows("results.csv")
+                if split == "test"}
+        plotted = [((m, n, float(snr)), db) for n in (6, 8)
+                   for snr, *dbs in rows(f"plot_nmse_vs_snr_n{n}.csv")
+                   for m, db in zip(("KR", "KRG"), dbs)]
+        plotted += [((m, int(float(n)), float(snr)), db) for snr in (0, 20)
+                    for n, *dbs in rows(f"plot_nmse_vs_n_snr{snr}.csv")
+                    for m, db in zip(("KR", "KRG"), dbs)]
+        assert len(test) == 8 and len(plotted) == 16
+        assert [db for _, db in plotted] == [test[cell] for cell, _ in plotted]
 
 
 class TestKrr:

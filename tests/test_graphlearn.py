@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import spearmanr
 
-from krgraph.errors import KrgraphError
+from krgraph.errors import DimensionError, KrgraphError
 from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.graphlearn import (
     GraphLearnConfig,
@@ -142,6 +142,11 @@ class TestLaplacianStep:
         Y = np.random.default_rng(6).standard_normal((5, 4))
         with pytest.raises(KrgraphError, match="beta"):
             laplacian_step(Y, beta, GraphLearnConfig(nu=0.5))
+
+    def test_one_node_rejected(self):
+        Y = np.random.default_rng(7).standard_normal((5, 1))
+        with pytest.raises(DimensionError, match="M >= 2"):
+            laplacian_step(Y, 1.0, GraphLearnConfig(nu=0.5))
 
     def test_determinism(self):
         Y = np.random.default_rng(7).standard_normal((5, 4))
@@ -338,7 +343,9 @@ class TestAlternatingFit:
         np.testing.assert_array_equal(out1[0].psi, out2[0].psi)
         assert len(out1[2]) >= 1
 
-    def test_gram_eigendecomposed_once(self, monkeypatch):
+    def test_gram_eigendecomposed_once(self, monkeypatch, tmp_path):
+        """Also with the log on: its spectral radius and the final rescale
+        read the eigendecompositions that the fits use."""
         N, M = 10, 6
         K, T = self._setup(16, N=N, M=M)
         cfg = GraphLearnConfig(nu=0.5, max_outer_iters=5, tol=1e-12)
@@ -348,12 +355,36 @@ class TestAlternatingFit:
         monkeypatch.setattr(
             scipy.linalg, "eigh",
             lambda a, **kw: shapes.append(np.shape(a)) or eigh(a, **kw))
-        model, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
+        model, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg,
+                                          log_path=tmp_path / "iters.jsonl")
         assert len(costs) == 5
         assert shapes.count((N, N)) == 1
         assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
         np.testing.assert_array_equal(model.psi, expected[0].psi)
         np.testing.assert_array_equal(L.matrix, expected[1].matrix)
+
+    def test_no_svd_of_a_laplacian(self, monkeypatch, tmp_path):
+        def svd(*args, **kwargs):
+            raise AssertionError("SVD called")
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", svd)  # norm(., 2)'s
+        K, T = self._setup(15)
+        path = tmp_path / "iters.jsonl"
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=3)
+        _, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg,
+                                      log_path=path)
+        radii = [json.loads(s)["spectral_radius"]
+                 for s in path.read_text().splitlines()]
+        assert len(radii) == len(costs) and min(radii) > 0
+        assert L.eigendecomposition()[0][-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_node_rejected_before_the_log_is_opened(self, tmp_path):
+        K, T = self._setup(15, M=1)
+        path = tmp_path / "iters.jsonl"
+        with pytest.raises(DimensionError, match="M >= 2"):
+            alternating_fit(K, T, Hyperparams(0.3, 1.0),
+                            GraphLearnConfig(nu=0.5), log_path=path)
+        assert not path.exists()
 
     def test_returned_laplacian_rescaled(self):
         K, T = self._setup(14)

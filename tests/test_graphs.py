@@ -28,7 +28,8 @@ from krgraph.graphs import (
     save_matrix_csv,
     spectral_rescale,
 )
-from oracles import edge_sum_quadratic_form, random_graph_adjacency
+from oracles import (edge_sum_quadratic_form, random_graph_adjacency,
+                     random_laplacian_matrix)
 
 K3 = Graph(np.ones((3, 3)) - np.eye(3))
 
@@ -269,6 +270,14 @@ class TestSpectralRescale:
     def test_zero_rejected(self):
         with pytest.raises(InvalidGraphError):
             spectral_rescale(Laplacian(np.zeros((3, 3))))
+
+    def test_radius_is_the_top_eigenvalue_of_the_one_decomposition(self):
+        """Here the SVD's 2-norm differs from L's top eigenvalue in the last
+        bit; the rescale divides by the eigenvalue, read from the cache."""
+        L = Laplacian(random_laplacian_matrix(np.random.default_rng(0), 8))
+        top = L.eigendecomposition()[0][-1]
+        assert top != np.linalg.norm(L.matrix, 2)
+        assert np.array_equal(spectral_rescale(L).matrix, L.matrix / top)
 
 
 @settings(max_examples=30, deadline=None)

@@ -159,6 +159,14 @@ class TestGramMatrix:
         K, _ = gram_matrix(idx, spec)
         assert np.array_equal(K, full[np.ix_([1, 3, 4], [1, 3, 4])])
 
+    @pytest.mark.parametrize("X", [[[1.0, 3.0, 4.0]], [[1.0, 3.0], [4.0, 0.0]]])
+    def test_precomputed_indices_are_one_column(self, X):
+        """The Gram reads indices by the cross-kernel's rule: a row of them
+        is rejected, not flattened."""
+        spec = KernelSpec(kind="precomputed", precomputed=np.eye(6))
+        with pytest.raises(DimensionError, match="one index column"):
+            gram_matrix(np.array(X), spec)
+
 
 class TestKernelVector:
     def test_rbf_at_training_point_is_one(self):

@@ -1,6 +1,7 @@
 """The shipped configs and the sweep script stay runnable, and the config
 schemas match the dataclasses they fill."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -90,3 +91,25 @@ def test_readme_quick_start_runs(tmp_path):
     proc = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; __future__ imports aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+MODULES = sorted(p for p in (ROOT / "src" / "krgraph").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

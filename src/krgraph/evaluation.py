@@ -15,7 +15,7 @@ from .errors import (ConfigError, DimensionError, KrgraphError,
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (Hyperparams, SpectralCache, check_weights, fit_krg,
-                     solve_sylvester_grid)
+                     solve_sylvester_eigenbasis)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
 NMSE_FLOOR_DB = -300.0
@@ -96,7 +96,10 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     ConfigError. Returns (best_params, cv_table): the alpha/beta/sigma_sq
     dict that scores best, ties broken toward smaller values, and a
     (params, mean NMSE dB) record per grid point. Each fold and sigma_sq
-    solves its whole (alpha, beta) grid at once (solve_sylvester_grid).
+    solves its whole (alpha, beta) grid at once in the joint eigenbasis
+    (solve_sylvester_eigenbasis) and scores it there: V is L's full
+    orthogonal eigenbasis, so ||A_val U C V^T - T_val||_F equals
+    ||(A_val U) C - T_val V||_F, one small product per grid point.
     """
     if method not in METHODS or method == "KRR":
         raise KrgraphError(f"cross_validate does not handle method {method!r}")
@@ -118,7 +121,7 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     distinct = [sorted(set(v)) for v in (grid.alphas, betas, sigmas)]
     scores = np.empty([len(v) for v in distinct] + [len(folds)])
     for f, val_rows in enumerate(folds):
-        fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
+        fit_rows = np.delete(np.arange(train.n), val_rows)
         X_fit, T_fit, X_val = train.X[fit_rows], train.T[fit_rows], train.X[val_rows]
         T_val = T_ref[val_rows]
         signal = float(np.sum(T_val**2))
@@ -131,9 +134,13 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                     kind="rbf", sigma_sq=sigma_sq))
                 cache = SpectralCache.build(K, L)
                 rhs, A_val = T_fit, kernel_cross_matrix(X_fit, X_val, spec)
-            Y = A_val @ solve_sylvester_grid(cache, rhs, distinct[0], distinct[1])
+            # the grid's coefficients live only inside this expression, so
+            # the next fold's solve does not run beside them (peak memory)
+            residual = ((A_val @ cache.u)
+                        @ solve_sylvester_eigenbasis(cache, rhs, *distinct[:2])
+                        - T_val @ cache.v)
             scores[:, :, s, f] = nmse_db_from_energies(
-                np.sum((Y - T_val) ** 2, axis=(2, 3)), signal)
+                np.sum(residual**2, axis=(2, 3)), signal)
     mean = scores.mean(axis=-1)
     index_of = [{v: i for i, v in enumerate(values)} for values in distinct]
     # one row per grid entry, repeats included, in sorted (alpha, beta,

@@ -140,9 +140,10 @@ def laplacian_step(Y, beta, cfg: GraphLearnConfig) -> Laplacian:
 
 
 def joint_cost(K, psi, L: Laplacian, T, hyper: Hyperparams,
-               cfg: GraphLearnConfig) -> float:
-    """The regression objective (solver.cost_terms) plus nu ||L||_F^2."""
-    return (sum(cost_terms(K, psi, T, L, hyper.alpha, hyper.beta))
+               cfg: GraphLearnConfig, Y=None) -> float:
+    """The regression objective (solver.cost_terms, from Y = K Psi if
+    given) plus nu ||L||_F^2."""
+    return (sum(cost_terms(K, psi, T, L, hyper.alpha, hyper.beta, Y=Y))
             + cfg.nu * float(np.sum(L.matrix**2)))
 
 
@@ -166,9 +167,12 @@ def alternating_fit(K, T, hyper: Hyperparams,
     try:
         for it in range(cfg.max_outer_iters):
             model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
-            cost_w = joint_cost(K, model.psi, L, T, hyper, cfg)
-            w, L_new = _laplacian_step_constrained(K @ model.psi, hyper.beta, cfg)
-            cost_l = joint_cost(K, model.psi, L_new, T, hyper, cfg)
+            # one K Psi serves both costs and the L-step
+            Y = K @ model.psi
+            cost_w = joint_cost(K, model.psi, L, T, hyper, cfg, Y=Y)
+            w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg)
+            cost_l = joint_cost(K, model.psi, L_new, T, hyper, cfg, Y=Y)
+            del Y   # N x M; not held through the next fit
             costs.append((cost_w, cost_l))
             if log_fh:
                 log_fh.write(json.dumps({

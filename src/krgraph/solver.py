@@ -4,8 +4,12 @@ Both the primal and the dual normal equations have the generalized
 Sylvester form A X + beta B X L = RHS with A = B + alpha*I and B
 symmetric PSD. Jointly diagonalizing B and L turns the system into an
 entrywise division, so one eigendecomposition pair and one projected
-right-hand side U^T RHS V serve a whole (alpha, beta) grid at once
-(solve_sylvester_grid); a single solve is the grid's one-point case.
+right-hand side U^T RHS V serve a whole (alpha, beta) grid at once.
+solve_sylvester_eigenbasis returns the grid's solutions in the joint
+eigenbasis, C = (U^T RHS V) / eta; cross-validation scores them there,
+since V is orthogonal and ||A U C V^T - T||_F = ||A U C - T V||_F.
+solve_sylvester_grid projects them back, X = U C V^T, and a single solve
+is the grid's one-point case.
 """
 
 from __future__ import annotations
@@ -102,9 +106,10 @@ def _checked_eta(cache: SpectralCache, alphas, betas):
     return eta
 
 
-def solve_sylvester_grid(cache: SpectralCache, RHS, alphas, betas):
-    """X[a, b] solves (K + alpha_a I) X + beta_b K X L = RHS, for every
-    grid point from one projection U^T RHS V."""
+def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
+    """C[a, b] = (U^T RHS V) / eta[a, b]: the solution of
+    (K + alpha_a I) X + beta_b K X L = RHS in the joint eigenbasis,
+    X[a, b] = U C[a, b] V^T, for every grid point from one projection."""
     RHS = np.asarray(RHS, dtype=float)
     if RHS.shape != (cache.u.shape[0], cache.v.shape[0]):
         raise DimensionError(
@@ -112,7 +117,13 @@ def solve_sylvester_grid(cache: SpectralCache, RHS, alphas, betas):
             f"({cache.u.shape[0]}, {cache.v.shape[0]})"
         )
     eta = _checked_eta(cache, alphas, betas)
-    return cache.u @ ((cache.u.T @ RHS @ cache.v) / eta) @ cache.v.T
+    return (cache.u.T @ RHS @ cache.v) / eta
+
+
+def solve_sylvester_grid(cache: SpectralCache, RHS, alphas, betas):
+    """X[a, b] solves (K + alpha_a I) X + beta_b K X L = RHS, for every
+    grid point: U C[a, b] V^T (solve_sylvester_eigenbasis)."""
+    return cache.u @ solve_sylvester_eigenbasis(cache, RHS, alphas, betas) @ cache.v.T
 
 
 def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
@@ -180,13 +191,14 @@ def predict_lrg(model: LrgModel, x):
     return model.w.T @ x
 
 
-def cost_terms(K, psi, T, L: Laplacian, alpha, beta):
+def cost_terms(K, psi, T, L: Laplacian, alpha, beta, Y=None):
     """(||T - Y||_F^2, alpha tr(Psi^T K Psi), beta tr(Y L Y^T)) with Y = K Psi:
     the three terms of the objective that the fit minimizes. The traces
     are summed entrywise, as sum(Psi * Y) and sum((Y L) * Y): no N x N
-    temporary."""
+    temporary. A caller that has formed Y = K Psi already passes it."""
     psi = np.asarray(psi, dtype=float)
-    Y = K @ psi
+    if Y is None:
+        Y = K @ psi
     return (float(np.sum((np.asarray(T, dtype=float) - Y) ** 2)),
             float(alpha * np.sum(psi * Y)),
             float(beta * np.sum((Y @ L.matrix) * Y)))

@@ -203,6 +203,44 @@ class TestCrossValidate:
                                    rtol=0, atol=1e-9)
         assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
 
+    def test_benchmark_shapes_match_refit_oracle(self):
+        """One realization of the shipped SNR sweep's selection: n = 50
+        training rows, 5 folds, M = 50 nodes, the precomputed C_S kernel,
+        and the shipped 4 x 6 grid, which includes beta = 0 as
+        run_benchmark requires."""
+        cfg = SynthConfig(num_nodes=50, num_samples=100,
+                          graph_model="erdos_renyi", graph_param=0.6,
+                          snr_db=10.0, seed=2026)
+        train, _, graph, C_S = make_synthetic_dataset(cfg)
+        assert train.n == 50
+        L = build_laplacian(graph)
+        spec = KernelSpec(kind="precomputed", precomputed=C_S)
+        grid = CvGrid(alphas=[0.001, 0.01, 0.1, 1.0],
+                      betas=[0.0, 0.1, 0.3, 1.0, 3.0, 10.0], folds=5)
+        best, table = cross_validate(train, L, grid, "KRG", seed=7,
+                                     kernel_spec=spec)
+        expected = cv_table_refit(train, L, grid, "KRG", seed=7,
+                                  kernel_spec=spec)
+        assert [r["params"] for r in table] == [r["params"] for r in expected]
+        np.testing.assert_allclose([r["nmse_db"] for r in table],
+                                   [r["nmse_db"] for r in expected],
+                                   rtol=0, atol=1e-9)
+        assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
+    def test_lrg_more_validation_rows_than_features(self):
+        # each fold scores 10 validation rows against a 3 x 3 feature
+        # Gram eigenbasis
+        train, L = _toy_dataset(12, n=40, M=6)
+        grid = CvGrid(alphas=[0.01, 0.3, 2.0], betas=[0.0, 0.5, 4.0], folds=4)
+        assert train.n // grid.folds > train.X.shape[1]
+        best, table = cross_validate(train, L, grid, "LRG", seed=3)
+        expected = cv_table_refit(train, L, grid, "LRG", seed=3)
+        assert [r["params"] for r in table] == [r["params"] for r in expected]
+        np.testing.assert_allclose([r["nmse_db"] for r in table],
+                                   [r["nmse_db"] for r in expected],
+                                   rtol=0, atol=1e-9)
+        assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
     @pytest.mark.parametrize("method,kernel_spec,sigma_sqs,words", [
         ("LR", KernelSpec(kind="linear"), (), "LR fits the raw features"),
         ("LRG", None, (1.0,), "LRG fits the raw features"),
@@ -238,7 +276,8 @@ class TestCrossValidate:
     @pytest.mark.parametrize("method", ["LR", "LRG", "KR", "KRG"])
     def test_no_per_point_fits(self, monkeypatch, method):
         calls = []
-        for name in ("fit_krg", "fit_lrg", "solve_sylvester_spectral"):
+        for name in ("fit_krg", "fit_lrg", "solve_sylvester_spectral",
+                     "solve_sylvester_grid"):
             for module in (solver, evaluation):
                 if hasattr(module, name):
                     fn = getattr(module, name)

@@ -260,6 +260,16 @@ class TestJointCost:
         assert joint_cost(K, psi, L, T, hyper, cfg) == (
             data + coefficient + roughness + 0.7 * np.sum(L.matrix**2))
 
+    def test_given_k_psi_same_cost(self):
+        rng = np.random.default_rng(12)
+        K = random_psd(rng, 6)
+        T = rng.standard_normal((6, 3))
+        psi = rng.standard_normal((6, 3))
+        L = weights_to_laplacian(rng.uniform(0, 1, 3), 3)
+        hyper, cfg = Hyperparams(alpha=0.2, beta=1.4), GraphLearnConfig(nu=0.3)
+        assert joint_cost(K, psi, L, T, hyper, cfg, Y=K @ psi) == joint_cost(
+            K, psi, L, T, hyper, cfg)
+
 
 class TestAlternatingFit:
     def _setup(self, seed, N=10, M=6):
@@ -360,6 +370,26 @@ class TestAlternatingFit:
         assert len(costs) == 5
         assert shapes.count((N, N)) == 1
         assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
+        np.testing.assert_array_equal(model.psi, expected[0].psi)
+        np.testing.assert_array_equal(L.matrix, expected[1].matrix)
+
+    def test_one_k_psi_per_outer_iteration(self):
+        """Both joint costs and the L-step of an iteration share Y = K Psi."""
+        products = []
+
+        class CountingGram(np.ndarray):
+            def __matmul__(self, other):
+                products.append(np.shape(other))
+                return np.asarray(self) @ other
+
+        K, T = self._setup(18)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=4, tol=1e-12)
+        expected = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
+        model, L, costs = alternating_fit(K.view(CountingGram), T,
+                                          Hyperparams(0.3, 1.0), cfg)
+        assert len(costs) == 4
+        assert products == [T.shape] * 4
+        np.testing.assert_array_equal(costs, expected[2])
         np.testing.assert_array_equal(model.psi, expected[0].psi)
         np.testing.assert_array_equal(L.matrix, expected[1].matrix)
 

@@ -24,6 +24,7 @@ from krgraph.solver import (
     predict_lrg,
     save_model,
     shrinkage_factors,
+    solve_sylvester_eigenbasis,
     solve_sylvester_grid,
     solve_sylvester_spectral,
     sylvester_residual,
@@ -154,8 +155,25 @@ class TestSylvesterGrid:
     def test_one_singular_point_fails_the_grid(self):
         cache = SpectralCache.build(np.diag([0.0, 1.0, 2.0]),
                                     Laplacian(np.zeros((2, 2))))
-        with pytest.raises(SingularSystemError, match="theta=0.000e\\+00"):
-            solve_sylvester_grid(cache, np.ones((3, 2)), [1.0, 0.0], [0.5])
+        for solve in (solve_sylvester_grid, solve_sylvester_eigenbasis):
+            with pytest.raises(SingularSystemError, match="theta=0.000e\\+00"):
+                solve(cache, np.ones((3, 2)), [1.0, 0.0], [0.5])
+
+    def test_grid_is_eigenbasis_solution_back_projected(self):
+        rng = np.random.default_rng(42)
+        K, L, T = self._instance(42)
+        cache = SpectralCache.build(K, L)
+        alphas, betas = rng.uniform(0.01, 2.0, 3), rng.uniform(0.0, 5.0, 4)
+        C = solve_sylvester_eigenbasis(cache, T, alphas, betas)
+        assert C.shape == (3, 4, 9, 6)
+        assert np.array_equal(cache.u @ C @ cache.v.T,
+                              solve_sylvester_grid(cache, T, alphas, betas))
+
+    def test_eigenbasis_rejects_rhs_of_wrong_shape(self):
+        K, L, _ = self._instance(43)
+        with pytest.raises(DimensionError, match="RHS shape"):
+            solve_sylvester_eigenbasis(SpectralCache.build(K, L),
+                                       np.ones((6, 9)), [1.0], [0.0])
 
     def test_shrinkage_matches_solve(self):
         # zeta = theta / eta is the solve's per-eigenpair fitted gain

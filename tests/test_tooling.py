@@ -3,6 +3,7 @@ schemas match the dataclasses they fill."""
 
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,26 @@ def test_sweep_script_smoke(tmp_path):
     assert keys == sorted(keys)
     assert keys == [(m, 12, snr) for m in ("KR", "KRG") for snr in (0.0, 20.0)]
     assert (tmp_path / "out" / "results.csv").exists()
+
+
+def test_shipped_snr_sweep_matches_its_reference(tmp_path):
+    """The paper's experiment as shipped (master_seed 2026) writes the
+    results.csv whose digest perfbench/snr_reference.json records for that
+    seed; BLAS runs on one thread, as when the reference was recorded."""
+    config = ROOT / "configs" / "bench_snr_sweep.json"
+    assert json.loads(config.read_text(encoding="utf-8"))["master_seed"] == 2026
+    reference = json.loads((ROOT / "perfbench" / "snr_reference.json")
+                           .read_text(encoding="utf-8"))["2026"]["sha256"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "krgraph", "bench", "--config", str(config),
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == reference
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -291,23 +291,22 @@ def cmd_fit(cfg, out_dir):
         raise DimensionError(f"targets {T.shape} incompatible with "
                              f"N={K.shape[0]}, M={L.num_nodes}")
     # LAPACK works in K's buffer, so K holds no Gram after the build; the
-    # report builds the Gram again, bit for bit, once the cache's N x N
-    # eigenvectors are freed
+    # report's one Y = K Psi takes the Gram built again, bit for bit, once
+    # the cache's N x N eigenvectors are freed
     cache = solver.SpectralCache.build(K, L, overwrite=True)
     model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
     del K, cache
-    K = kernel_cross_matrix(X, X, spec)
+    Y = kernel_cross_matrix(X, X, spec) @ model.psi
     out = Path(out_dir)
     solver.save_model(out / "model.json", model)
-    residual = solver.sylvester_residual(K, model.psi, T, L, hyper.alpha,
-                                         hyper.beta)
-    costs = solver.cost_terms(K, model.psi, T, L, hyper.alpha, hyper.beta)
+    residual = solver.sylvester_residual(Y, model.psi, T, L, hyper)
+    costs = solver.cost_terms(Y, model.psi, T, L, hyper)
     graphs.save_json(out / "fit_report.json", {
         "residual_norm": float(np.linalg.norm(residual, "fro")),
         "target_norm": float(np.linalg.norm(T, "fro")),
         **dict(zip(("data_cost", "coefficient_cost", "roughness_cost"), costs)),
     }, pretty=True)
-    log.info("fitted model on %d samples", K.shape[0])
+    log.info("fitted model on %d samples", Y.shape[0])
 
 
 def cmd_predict(cfg, out_dir):
@@ -439,13 +438,17 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--log-level", default="INFO")
+        p.add_argument("--log-level", default="INFO", type=str.upper,
+                       choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"])
     args = parser.parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper(),
+    logging.basicConfig(level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config, args.command)
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir {args.out_dir}: {exc}") from exc
         COMMANDS[args.command](cfg, args.out_dir)
     except KrgraphError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

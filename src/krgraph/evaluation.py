@@ -20,7 +20,7 @@ from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
 NMSE_FLOOR_DB = -300.0
 
-METHODS = ("LR", "LRG", "KR", "KRG", "KRR")
+METHODS = ("LR", "LRG", "KR", "KRG")
 _GRAPH_FREE = ("LR", "KR")       # beta pinned to 0
 _PRIMAL = ("LR", "LRG")          # fit on raw features, linear model
 
@@ -101,7 +101,7 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     orthogonal eigenbasis, so ||A_val U C V^T - T_val||_F equals
     ||(A_val U) C - T_val V||_F, one small product per grid point.
     """
-    if method not in METHODS or method == "KRR":
+    if method not in METHODS:
         raise KrgraphError(f"cross_validate does not handle method {method!r}")
     if method in _PRIMAL and (kernel_spec is not None or grid.sigma_sqs):
         raise ConfigError(f"{method} fits the raw features and reads neither "

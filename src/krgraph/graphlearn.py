@@ -26,7 +26,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DimensionError, KrgraphError
-from .graphs import Graph, Laplacian, build_laplacian, spectral_rescale
+from .graphs import (Graph, Laplacian, build_laplacian, open_output,
+                     spectral_rescale)
 from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
                      fit_krg)
 
@@ -139,11 +140,11 @@ def laplacian_step(Y, beta, cfg: GraphLearnConfig) -> Laplacian:
     return spectral_rescale(L)
 
 
-def joint_cost(K, psi, L: Laplacian, T, hyper: Hyperparams,
-               cfg: GraphLearnConfig, Y=None) -> float:
-    """The regression objective (solver.cost_terms, from Y = K Psi if
-    given) plus nu ||L||_F^2."""
-    return (sum(cost_terms(K, psi, T, L, hyper.alpha, hyper.beta, Y=Y))
+def joint_cost(Y, psi, T, L: Laplacian, hyper: Hyperparams,
+               cfg: GraphLearnConfig) -> float:
+    """The regression objective of the fitted outputs Y = K Psi
+    (solver.cost_terms) plus nu ||L||_F^2."""
+    return (sum(cost_terms(Y, psi, T, L, hyper))
             + cfg.nu * float(np.sum(L.matrix**2)))
 
 
@@ -163,15 +164,15 @@ def alternating_fit(K, T, hyper: Hyperparams,
     L = Laplacian(np.zeros((M, M)))
     cache = SpectralCache.build(K, L)
     costs = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    log_fh = open_output(log_path) if log_path else None
     try:
         for it in range(cfg.max_outer_iters):
             model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
             # one K Psi serves both costs and the L-step
             Y = K @ model.psi
-            cost_w = joint_cost(K, model.psi, L, T, hyper, cfg, Y=Y)
+            cost_w = joint_cost(Y, model.psi, T, L, hyper, cfg)
             w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg)
-            cost_l = joint_cost(K, model.psi, L_new, T, hyper, cfg, Y=Y)
+            cost_l = joint_cost(Y, model.psi, T, L_new, hyper, cfg)
             del Y   # N x M; not held through the next fit
             costs.append((cost_w, cost_l))
             if log_fh:

@@ -222,11 +222,21 @@ def spectral_rescale(L: Laplacian) -> Laplacian:
 # ---------------------------------------------------------------------------
 # I/O: every JSON and CSV file of the package is written and read here
 
+def open_output(path):
+    """path opened for writing, UTF-8 without newline translation; an
+    OSError (a directory in its place, no permission) is a KrgraphError
+    naming the file."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise KrgraphError(f"{path}: cannot write: {exc}") from exc
+
+
 def save_json(path, doc, pretty=False):
     """Write doc as one JSON document and a newline: indented with sorted
     keys if `pretty`, else on one line in insertion order."""
     text = json.dumps(doc, indent=2, sort_keys=True) if pretty else json.dumps(doc)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(text + "\n")
 
 
@@ -243,7 +253,7 @@ def load_json(path):
 def save_csv_rows(path, rows):
     """Write rows of strings as comma-separated lines ending in a newline;
     fields are written as given, never quoted."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write("".join(",".join(row) + "\n" for row in rows))
 
 

@@ -7,9 +7,8 @@ entrywise division, so one eigendecomposition pair and one projected
 right-hand side U^T RHS V serve a whole (alpha, beta) grid at once.
 solve_sylvester_eigenbasis returns the grid's solutions in the joint
 eigenbasis, C = (U^T RHS V) / eta; cross-validation scores them there,
-since V is orthogonal and ||A U C V^T - T||_F = ||A U C - T V||_F.
-solve_sylvester_grid projects them back, X = U C V^T, and a single solve
-is the grid's one-point case.
+since V is orthogonal and ||A U C V^T - T||_F = ||A U C - T V||_F. A
+single solve is the grid's one-point case, projected back: X = U C V^T.
 """
 
 from __future__ import annotations
@@ -120,15 +119,12 @@ def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
     return (cache.u.T @ RHS @ cache.v) / eta
 
 
-def solve_sylvester_grid(cache: SpectralCache, RHS, alphas, betas):
-    """X[a, b] solves (K + alpha_a I) X + beta_b K X L = RHS, for every
-    grid point: U C[a, b] V^T (solve_sylvester_eigenbasis)."""
-    return cache.u @ solve_sylvester_eigenbasis(cache, RHS, alphas, betas) @ cache.v.T
-
-
 def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
-    """Solve (K + alpha I) X + beta K X L = RHS through the eigenbases."""
-    return solve_sylvester_grid(cache, RHS, [hyper.alpha], [hyper.beta])[0, 0]
+    """Solve (K + alpha I) X + beta K X L = RHS: X = U C V^T, with C the
+    one-point grid's solution in the joint eigenbasis. C is not named, so
+    it is freed before the second product (peak memory)."""
+    return cache.u @ solve_sylvester_eigenbasis(
+        cache, RHS, [hyper.alpha], [hyper.beta])[0, 0] @ cache.v.T
 
 
 def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
@@ -191,36 +187,35 @@ def predict_lrg(model: LrgModel, x):
     return model.w.T @ x
 
 
-def cost_terms(K, psi, T, L: Laplacian, alpha, beta, Y=None):
-    """(||T - Y||_F^2, alpha tr(Psi^T K Psi), beta tr(Y L Y^T)) with Y = K Psi:
-    the three terms of the objective that the fit minimizes. The traces
-    are summed entrywise, as sum(Psi * Y) and sum((Y L) * Y): no N x N
-    temporary. A caller that has formed Y = K Psi already passes it."""
+def cost_terms(Y, psi, T, L: Laplacian, hyper: Hyperparams):
+    """(||T - Y||_F^2, alpha tr(Psi^T K Psi), beta tr(Y L Y^T)) of the
+    fitted outputs Y = K Psi: the three terms of the objective that the
+    fit minimizes. The traces are summed entrywise, as sum(Psi * Y) and
+    sum((Y L) * Y): no N x N temporary."""
     psi = np.asarray(psi, dtype=float)
-    if Y is None:
-        Y = K @ psi
     return (float(np.sum((np.asarray(T, dtype=float) - Y) ** 2)),
-            float(alpha * np.sum(psi * Y)),
-            float(beta * np.sum((Y @ L.matrix) * Y)))
+            float(hyper.alpha * np.sum(psi * Y)),
+            float(hyper.beta * np.sum((Y @ L.matrix) * Y)))
 
 
-def sylvester_residual(K, psi, T, L: Laplacian, alpha, beta):
-    """(K + alpha I) Psi + beta K Psi L - T; zero at the exact fit. Formed
-    as Y + alpha Psi + beta Y L - T with Y = K Psi: no N x N temporary."""
+def sylvester_residual(Y, psi, T, L: Laplacian, hyper: Hyperparams):
+    """(K + alpha I) Psi + beta K Psi L - T of the fitted outputs Y = K Psi,
+    as Y + alpha Psi + beta Y L - T; zero at the exact fit."""
     psi = np.asarray(psi, dtype=float)
-    Y = K @ psi
-    return Y + alpha * psi + beta * (Y @ L.matrix) - T
+    return Y + hyper.alpha * psi + hyper.beta * (Y @ L.matrix) - T
 
 
 def dual_cost(K, psi, T, L: Laplacian, hyper: Hyperparams):
     """The objective without its constant ||T||_F^2."""
-    return (sum(cost_terms(K, psi, T, L, hyper.alpha, hyper.beta))
+    Y = K @ np.asarray(psi, dtype=float)
+    return (sum(cost_terms(Y, psi, T, L, hyper))
             - float(np.sum(np.asarray(T, dtype=float) ** 2)))
 
 
 def dual_cost_gradient(K, psi, T, L: Laplacian, hyper: Hyperparams):
     """Analytic gradient of dual_cost: 2 K [(K + alpha I) Psi + beta K Psi L - T]."""
-    return 2.0 * K @ sylvester_residual(K, psi, T, L, hyper.alpha, hyper.beta)
+    Y = K @ np.asarray(psi, dtype=float)
+    return 2.0 * K @ sylvester_residual(Y, psi, T, L, hyper)
 
 
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krgraph import solver
+from krgraph import cli, solver
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
 from krgraph.graphs import Laplacian, load_matrix_csv, save_matrix_csv
@@ -234,11 +234,32 @@ class TestFitPredict:
             model = load_model(out / "model.json")
             K, _ = gram_matrix(x, spec)
             assert np.array_equal(model.psi, fit_krg(K, T, L, hyper).psi)
-            residual = sylvester_residual(K, model.psi, T, L, 0.5, 0.8)
+            Y = K @ model.psi
+            residual = sylvester_residual(Y, model.psi, T, L, hyper)
             assert report["residual_norm"] == np.linalg.norm(residual, "fro")
-            terms = cost_terms(K, model.psi, T, L, 0.5, 0.8)
+            terms = cost_terms(Y, model.psi, T, L, hyper)
             assert [report["data_cost"], report["coefficient_cost"],
                     report["roughness_cost"]] == list(terms)
+
+    def test_report_forms_one_gram_product(self, tmp_path, monkeypatch):
+        """The report's residual and costs share one Y = K Psi."""
+        products = []
+
+        class CountingGram(np.ndarray):
+            def __matmul__(self, other):
+                products.append(np.shape(other))
+                return np.asarray(self) @ other
+
+        cfg, _, T, _ = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
+        expected = tmp_path / "expected"
+        assert run(["fit", "--config", cfg, "--out-dir", expected]) == 0
+        monkeypatch.setattr(cli, "kernel_cross_matrix", lambda *a: (
+            kernel_cross_matrix(*a).view(CountingGram)))
+        out = tmp_path / "counted"
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 0
+        assert products == [T.shape]
+        for name in ("model.json", "fit_report.json"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
 
     def test_precomputed_indices_in_a_row_write_nothing(
             self, tmp_path, capsys, monkeypatch):
@@ -904,6 +925,56 @@ class TestFileBoundaryErrors:
         assert run([command, "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "DataFormatError", name)
         assert list(out.iterdir()) == []
+
+
+class TestOutputBoundaryErrors:
+    """An output that cannot be written ends in one JSON error line that
+    names it, not in a traceback."""
+
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_out_dir_blocked_by_a_file(self, tmp_path, capsys, out_dir):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        (tmp_path / "afile").write_text("x", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / out_dir
+        assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", f"--out-dir {out}")
+
+    @pytest.mark.parametrize("command, name", [
+        ("fit", "model.json"), ("fit", "fit_report.json"),
+        ("predict", "predictions.csv"), ("learn-graph", "iterations.jsonl"),
+    ])
+    def test_output_path_is_a_directory(self, tmp_path, capsys, command, name):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        if command == "predict":
+            assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "fit"]) == 0
+            doc = {"model_json": str(tmp_path / "fit" / "model.json"),
+                   "x_csv": doc["x_csv"]}
+        elif command == "learn-graph":
+            doc.update(alpha=0.5, beta=1.0, nu=0.5, max_outer_iters=2)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert run([command, "--config",
+                    write_config(tmp_path, "cmd.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError", str(out / name),
+                               "cannot write")
+
+    def test_unknown_log_level_is_a_usage_error(self, tmp_path, capsys):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--config", cfg, "--out-dir", tmp_path / "o",
+                 "--log-level", "foo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'FOO'" in err and "Traceback" not in err
+
+    def test_log_level_is_case_insensitive(self, tmp_path):
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "o",
+                    "--log-level", "warning"]) == 0
 
 
 class TestUnreadKeysRejected:

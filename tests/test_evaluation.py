@@ -276,8 +276,7 @@ class TestCrossValidate:
     @pytest.mark.parametrize("method", ["LR", "LRG", "KR", "KRG"])
     def test_no_per_point_fits(self, monkeypatch, method):
         calls = []
-        for name in ("fit_krg", "fit_lrg", "solve_sylvester_spectral",
-                     "solve_sylvester_grid"):
+        for name in ("fit_krg", "fit_lrg", "solve_sylvester_spectral"):
             for module in (solver, evaluation):
                 if hasattr(module, name):
                     fn = getattr(module, name)

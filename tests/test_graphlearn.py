@@ -215,8 +215,9 @@ class TestJointCost:
         T = rng.standard_normal((5, 3))
         K = random_psd(rng, 5)
         cfg = GraphLearnConfig(nu=1.0)
-        c = joint_cost(K, np.zeros((5, 3)), Laplacian(np.zeros((3, 3))),
-                       T, Hyperparams(alpha=1.0, beta=1.0), cfg)
+        psi = np.zeros((5, 3))
+        c = joint_cost(K @ psi, psi, T, Laplacian(np.zeros((3, 3))),
+                       Hyperparams(alpha=1.0, beta=1.0), cfg)
         assert c == pytest.approx(np.sum(T**2))
 
     def test_perfect_fit_no_regularization(self):
@@ -224,7 +225,7 @@ class TestJointCost:
         K = random_psd(rng, 4) + np.eye(4)
         T = rng.standard_normal((4, 2))
         psi = np.linalg.solve(K, T)  # Y = K psi = T
-        c = joint_cost(K, psi, Laplacian(np.zeros((2, 2))), T,
+        c = joint_cost(K @ psi, psi, T, Laplacian(np.zeros((2, 2))),
                        Hyperparams(alpha=0.0, beta=0.0),
                        GraphLearnConfig(nu=0.0))
         assert c == pytest.approx(0.0, abs=1e-16)
@@ -245,7 +246,7 @@ class TestJointCost:
         expected += hyper.alpha * sum(
             psi[:, m] @ K @ psi[:, m] for m in range(3))
         expected += cfg.nu * np.sum(Lmat**2)
-        got = joint_cost(K, psi, Laplacian(Lmat), T, hyper, cfg)
+        got = joint_cost(Y, psi, T, Laplacian(Lmat), hyper, cfg)
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_is_shared_cost_terms_plus_nu_norm(self):
@@ -256,19 +257,10 @@ class TestJointCost:
         L = weights_to_laplacian(rng.uniform(0, 1, 6), 4)
         hyper = Hyperparams(alpha=0.3, beta=0.9)
         cfg = GraphLearnConfig(nu=0.7)
-        data, coefficient, roughness = cost_terms(K, psi, T, L, 0.3, 0.9)
-        assert joint_cost(K, psi, L, T, hyper, cfg) == (
+        Y = K @ psi
+        data, coefficient, roughness = cost_terms(Y, psi, T, L, hyper)
+        assert joint_cost(Y, psi, T, L, hyper, cfg) == (
             data + coefficient + roughness + 0.7 * np.sum(L.matrix**2))
-
-    def test_given_k_psi_same_cost(self):
-        rng = np.random.default_rng(12)
-        K = random_psd(rng, 6)
-        T = rng.standard_normal((6, 3))
-        psi = rng.standard_normal((6, 3))
-        L = weights_to_laplacian(rng.uniform(0, 1, 3), 3)
-        hyper, cfg = Hyperparams(alpha=0.2, beta=1.4), GraphLearnConfig(nu=0.3)
-        assert joint_cost(K, psi, L, T, hyper, cfg, Y=K @ psi) == joint_cost(
-            K, psi, L, T, hyper, cfg)
 
 
 class TestAlternatingFit:

@@ -25,7 +25,6 @@ from krgraph.solver import (
     save_model,
     shrinkage_factors,
     solve_sylvester_eigenbasis,
-    solve_sylvester_grid,
     solve_sylvester_spectral,
     sylvester_residual,
 )
@@ -135,17 +134,18 @@ class TestSylvesterGrid:
         K, L, T = self._instance(40)
         cache = SpectralCache.build(K, L)
         alphas, betas = [0.5, 0.01, 0.5, 2.0], [0.0, 3.0, 0.7]
-        X = solve_sylvester_grid(cache, T, alphas, betas)
-        assert X.shape == (4, 3, 9, 6)
+        C = solve_sylvester_eigenbasis(cache, T, alphas, betas)
+        assert C.shape == (4, 3, 9, 6)
         for a, alpha in enumerate(alphas):
             for b, beta in enumerate(betas):
                 one = solve_sylvester_spectral(cache, T, Hyperparams(alpha, beta))
-                assert np.array_equal(X[a, b], one)
+                assert np.array_equal(cache.u @ C[a, b] @ cache.v.T, one)
 
     def test_matches_dense_oracle(self):
         K, L, T = self._instance(41)
+        cache = SpectralCache.build(K, L)
         alphas, betas = [0.05, 1.0], [0.0, 0.4, 5.0]
-        X = solve_sylvester_grid(SpectralCache.build(K, L), T, alphas, betas)
+        X = cache.u @ solve_sylvester_eigenbasis(cache, T, alphas, betas) @ cache.v.T
         for a, alpha in enumerate(alphas):
             for b, beta in enumerate(betas):
                 np.testing.assert_allclose(
@@ -155,19 +155,20 @@ class TestSylvesterGrid:
     def test_one_singular_point_fails_the_grid(self):
         cache = SpectralCache.build(np.diag([0.0, 1.0, 2.0]),
                                     Laplacian(np.zeros((2, 2))))
-        for solve in (solve_sylvester_grid, solve_sylvester_eigenbasis):
-            with pytest.raises(SingularSystemError, match="theta=0.000e\\+00"):
-                solve(cache, np.ones((3, 2)), [1.0, 0.0], [0.5])
+        with pytest.raises(SingularSystemError, match="theta=0.000e\\+00"):
+            solve_sylvester_eigenbasis(cache, np.ones((3, 2)), [1.0, 0.0], [0.5])
 
     def test_grid_is_eigenbasis_solution_back_projected(self):
+        """U C V^T over the whole grid at once gives each point's single
+        solve bit for bit."""
         rng = np.random.default_rng(42)
         K, L, T = self._instance(42)
         cache = SpectralCache.build(K, L)
         alphas, betas = rng.uniform(0.01, 2.0, 3), rng.uniform(0.0, 5.0, 4)
-        C = solve_sylvester_eigenbasis(cache, T, alphas, betas)
-        assert C.shape == (3, 4, 9, 6)
-        assert np.array_equal(cache.u @ C @ cache.v.T,
-                              solve_sylvester_grid(cache, T, alphas, betas))
+        X = cache.u @ solve_sylvester_eigenbasis(cache, T, alphas, betas) @ cache.v.T
+        for a, b in np.ndindex(3, 4):
+            assert np.array_equal(X[a, b], solve_sylvester_spectral(
+                cache, T, Hyperparams(alphas[a], betas[b])))
 
     def test_eigenbasis_rejects_rhs_of_wrong_shape(self):
         K, L, _ = self._instance(43)
@@ -382,14 +383,14 @@ class TestDualCostGradient:
         # the residual and the traces are evaluated from Y = K Psi, in
         # another order than the textbook forms: equal to roundoff
         rtol = 1e-12
-        resid = sylvester_residual(K, psi, T, L, 0.4, 1.1)
+        Y = K @ psi
+        resid = sylvester_residual(Y, psi, T, L, hyper)
         np.testing.assert_allclose(
             resid, (K + 0.4 * np.eye(6)) @ psi + 1.1 * K @ psi @ L.matrix - T,
             rtol=0, atol=rtol * np.abs(resid).max())
         assert np.array_equal(dual_cost_gradient(K, psi, T, L, hyper),
                               2.0 * K @ resid)
-        data, coefficient, roughness = cost_terms(K, psi, T, L, 0.4, 1.1)
-        Y = K @ psi
+        data, coefficient, roughness = cost_terms(Y, psi, T, L, hyper)
         assert data == np.sum((T - Y) ** 2)
         assert coefficient == pytest.approx(
             0.4 * np.trace(psi.T @ K @ psi), rel=rtol)

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import evaluation, graphlearn, graphs, solver, synthdata
 from .errors import ConfigError, DataFormatError, DimensionError, KrgraphError
@@ -204,10 +205,11 @@ def load_config(path, command):
     bad = _non_finite_number(cfg)
     if bad is not None:
         raise ConfigError(f"{bad} is not a finite number")
-    try:
-        jsonschema.validate(cfg, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config invalid for {command!r}: {exc.message}")
+    # jsonschema.validate without its check of the constant schema itself
+    schema = SCHEMAS[command]
+    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config invalid for {command!r}: {error.message}")
     return cfg
 
 
@@ -229,29 +231,36 @@ def _kernel_spec(doc):
     return KernelSpec(kind=doc["kind"], sigma_sq=doc.get("sigma_sq"))
 
 
-def _load_laplacian(cfg, num_nodes):
-    """The config's graph, or the edgeless graph on num_nodes nodes."""
+def _load_laplacian(cfg, num_nodes, betas):
+    """The config's graph, else the edgeless graph on num_nodes nodes; a
+    beta in betas above 0 needs a graph."""
     if {"graph_json", "laplacian_csv"} <= cfg.keys():
         raise ConfigError("give graph_json or laplacian_csv, not both")
     if "graph_json" in cfg:
         return graphs.build_laplacian(graphs.load_graph_json(cfg["graph_json"]))
     if "laplacian_csv" in cfg:
         return graphs.Laplacian(graphs.load_matrix_csv(cfg["laplacian_csv"]))
+    if any(beta > 0 for beta in betas):
+        raise ConfigError("beta > 0 requires graph_json or laplacian_csv")
     return graphs.Laplacian(np.zeros((num_nodes, num_nodes)))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_synth(cfg, out_dir):
+def cmd_synth(cfg, out):
     train, test, graph, C_S = synthdata.make_synthetic_dataset(
         synthdata.SynthConfig(**cfg))
-    synthdata.save_dataset(out_dir, train, test, graph, manifest={"config": cfg})
-    graphs.save_matrix_csv(Path(out_dir) / "kernel_full.csv", C_S)
-    log.info("wrote synthetic dataset to %s", out_dir)
+    for name, matrix in [("X_train", train.X), ("T_train", train.T),
+                         ("T0_train", train.T0), ("X_test", test.X),
+                         ("T0_test", test.T0), ("kernel_full", C_S)]:
+        graphs.save_matrix_csv(out / f"{name}.csv", matrix)
+    graphs.save_graph_json(out / "graph.json", graph)
+    graphs.save_json(out / "manifest.json", {"config": cfg}, pretty=True)
+    log.info("wrote synthetic dataset to %s", out)
 
 
-def cmd_ingest(cfg, out_dir):
+def cmd_ingest(cfg, out):
     X = graphs.load_matrix_csv(cfg["inputs_csv"], header=True)
     T = graphs.load_matrix_csv(cfg["targets_csv"])
     if X.shape[0] != T.shape[0]:
@@ -266,7 +275,6 @@ def cmd_ingest(cfg, out_dir):
                 f"distances_csv is {D.shape[0]} x {D.shape[1]}, but the "
                 f"targets have {T.shape[1]} columns, one per node")
         g = graphs.geodesic_adjacency(D)
-    out = Path(out_dir)
     graphs.save_matrix_csv(out / "X.csv", X)
     graphs.save_matrix_csv(out / "T.csv", T)
     manifest = {"config": cfg, "n": int(X.shape[0]),
@@ -278,12 +286,10 @@ def cmd_ingest(cfg, out_dir):
     log.info("ingested %d rows", X.shape[0])
 
 
-def cmd_fit(cfg, out_dir):
+def cmd_fit(cfg, out):
     X = graphs.load_matrix_csv(cfg["x_csv"])
     T = graphs.load_matrix_csv(cfg["t_csv"])
-    if cfg["beta"] > 0 and not {"graph_json", "laplacian_csv"} & cfg.keys():
-        raise ConfigError("beta > 0 requires graph_json or laplacian_csv")
-    L = _load_laplacian(cfg, T.shape[1])
+    L = _load_laplacian(cfg, T.shape[1], [cfg["beta"]])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
     # fit_krg's check, made before K is overwritten
@@ -297,7 +303,6 @@ def cmd_fit(cfg, out_dir):
     model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
     del K, cache
     Y = kernel_cross_matrix(X, X, spec) @ model.psi
-    out = Path(out_dir)
     solver.save_model(out / "model.json", model)
     residual = solver.sylvester_residual(Y, model.psi, T, L, hyper)
     costs = solver.cost_terms(Y, model.psi, T, L, hyper)
@@ -309,16 +314,15 @@ def cmd_fit(cfg, out_dir):
     log.info("fitted model on %d samples", Y.shape[0])
 
 
-def cmd_predict(cfg, out_dir):
+def cmd_predict(cfg, out):
     model = solver.load_model(cfg["model_json"])
     X = graphs.load_matrix_csv(cfg["x_csv"])
     Y = solver.predict_krg(model, X)
-    out = Path(out_dir)
     graphs.save_matrix_csv(out / "predictions.csv", Y)
     log.info("predicted %d rows", Y.shape[0])
 
 
-def cmd_learn_graph(cfg, out_dir):
+def cmd_learn_graph(cfg, out):
     X = graphs.load_matrix_csv(cfg["x_csv"])
     T = graphs.load_matrix_csv(cfg["t_csv"])
     K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
@@ -327,7 +331,6 @@ def cmd_learn_graph(cfg, out_dir):
            for f in dataclasses.fields(graphlearn.GraphLearnConfig)
            if f.name in cfg})
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
-    out = Path(out_dir)
     model, L, costs = graphlearn.alternating_fit(
         K, T, hyper, gl_cfg, log_path=out / "iterations.jsonl")
     solver.save_model(out / "model.json",
@@ -338,32 +341,32 @@ def cmd_learn_graph(cfg, out_dir):
     log.info("graph learning finished after %d iterations", len(costs))
 
 
-def cmd_cv(cfg, out_dir):
+def cmd_cv(cfg, out):
     X = graphs.load_matrix_csv(cfg["x_csv"])
     T = graphs.load_matrix_csv(cfg["t_csv"])
     T0 = graphs.load_matrix_csv(cfg["t0_csv"]) if "t0_csv" in cfg else None
-    L = _load_laplacian(cfg, T.shape[1])
     train = synthdata.Dataset(X=X, T=T, T0=T0)
     grid = evaluation.CvGrid(**cfg["grid"])
     # {"kind": "rbf"} is also the default, so only cfg shows it was given
     if cfg["method"] in ("LR", "LRG") and "kernel" in cfg:
         raise ConfigError(f"{cfg['method']} fits the raw features and reads "
                           "no kernel")
+    # KR and LR fit at beta = 0 whatever the grid holds
+    L = _load_laplacian(cfg, T.shape[1],
+                        grid.betas if cfg["method"] in ("KRG", "LRG") else ())
     kernel = cfg.get("kernel", {"kind": "rbf"})
     spec = None if kernel == {"kind": "rbf"} else _kernel_spec(kernel)
     best, table = evaluation.cross_validate(
         train, L, grid, cfg["method"], seed=cfg["seed"], kernel_spec=spec)
-    out = Path(out_dir)
     graphs.save_json(out / "cv_results.json",
                      {"best_params": best, "table": table}, pretty=True)
     log.info("cross-validation selected %s", best)
 
 
-def cmd_bench(cfg, out_dir):
+def cmd_bench(cfg, out):
     scenario = evaluation.BenchScenario(
         **{**cfg, "grid": evaluation.CvGrid(**cfg["grid"])})
     results, failures = evaluation.run_benchmark(scenario)
-    out = Path(out_dir)
     evaluation.save_results_csv(out / "results.csv", results)
     evaluation.save_results_json(out / "results.json", results, failures)
     _write_plot_data(out, results, scenario)
@@ -398,7 +401,7 @@ def _write_plot_data(out, results, scenario):
                   [(n, n, snr) for n in scenario.n_train])
 
 
-def cmd_krr(cfg, out_dir):
+def cmd_krr(cfg, out):
     if "kernel_csv" in cfg and {"graph_json", "tau"} & cfg.keys():
         raise ConfigError("krr reads kernel_csv, or graph_json with tau, "
                           "not both")
@@ -411,7 +414,6 @@ def cmd_krr(cfg, out_dir):
         raise ConfigError("krr needs kernel_csv, or graph_json with tau")
     est = evaluation.krr_baseline(K_bar, cfg["observed_idx"],
                                   np.array(cfg["x"], dtype=float), cfg["mu"])
-    out = Path(out_dir)
     graphs.save_matrix_csv(out / "estimate.csv", est[:, None])
     log.info("krr estimate written for %d nodes", len(est))
 
@@ -443,13 +445,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     logging.basicConfig(level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
+    out = Path(args.out_dir)
     try:
         cfg = load_config(args.config, args.command)
         try:
-            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out-dir {args.out_dir}: {exc}") from exc
-        COMMANDS[args.command](cfg, args.out_dir)
+        COMMANDS[args.command](cfg, out)
     except KrgraphError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)

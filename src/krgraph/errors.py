@@ -24,10 +24,6 @@ class SingularSystemError(KrgraphError):
 class ConvergenceError(KrgraphError):
     """Iterative optimizer exhausted its iteration budget."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ConfigError(KrgraphError):
     """Invalid config or settings, or a setting the call would not read."""

@@ -109,9 +109,7 @@ def minimize_edge_weights(c, M, radius, nu):
             return w
     raise ConvergenceError(
         f"edge-weight QP did not reach KKT tolerance {_KKT_TOL:g} "
-        f"in {_MAX_QP_ITERS} iterations (residual {residual:.3e})",
-        residual=residual,
-    )
+        f"in {_MAX_QP_ITERS} iterations (residual {residual:.3e})")
 
 
 def _num_nodes(Y):

@@ -5,23 +5,14 @@ split in half, and corrupted by SNR-calibrated noise on the training side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DimensionError, KrgraphError
-from .graphs import (
-    Graph,
-    Laplacian,
-    build_laplacian,
-    barabasi_albert,
-    erdos_renyi,
-    save_graph_json,
-    save_json,
-    save_matrix_csv,
-)
+from .graphs import (Graph, Laplacian, barabasi_albert, build_laplacian,
+                     erdos_renyi)
 
 
 @dataclass(frozen=True)
@@ -168,19 +159,3 @@ def make_synthetic_dataset(cfg: SynthConfig):
         T0=T0_all[ts_idx],
     )
     return train, test, graph, C_S
-
-
-def save_dataset(out_dir, train: Dataset, test: Dataset, graph: Graph,
-                 manifest: dict):
-    """Write X/T/T0 CSVs, the graph JSON, and a manifest JSON."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_matrix_csv(out / "X_train.csv", train.X)
-    save_matrix_csv(out / "T_train.csv", train.T)
-    if train.T0 is not None:
-        save_matrix_csv(out / "T0_train.csv", train.T0)
-    save_matrix_csv(out / "X_test.csv", test.X)
-    if test.T0 is not None:
-        save_matrix_csv(out / "T0_test.csv", test.T0)
-    save_graph_json(out / "graph.json", graph)
-    save_json(out / "manifest.json", manifest, pretty=True)

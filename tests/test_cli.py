@@ -12,7 +12,8 @@ import scipy.linalg
 from krgraph import cli, solver
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
-from krgraph.graphs import Laplacian, load_matrix_csv, save_matrix_csv
+from krgraph.graphs import (Graph, Laplacian, load_matrix_csv, save_graph_json,
+                            save_matrix_csv)
 from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from krgraph.solver import (Hyperparams, cost_terms, fit_krg, load_model,
                             sylvester_residual)
@@ -180,6 +181,8 @@ def fit_configs(tmp_path, beta, with_laplacian):
     save_matrix_csv(tmp_path / "X.csv", X)
     save_matrix_csv(tmp_path / "T.csv", T)
     save_matrix_csv(tmp_path / "L.csv", L)
+    # the same graph for commands that read only graph_json
+    save_graph_json(tmp_path / "graph.json", Graph(np.diag(np.diag(L)) - L))
     doc = {"x_csv": str(tmp_path / "X.csv"), "t_csv": str(tmp_path / "T.csv"),
            "kernel": {"kind": "linear"}, "alpha": 0.5, "beta": beta}
     if with_laplacian:
@@ -485,6 +488,7 @@ class TestCv:
         if sigma_sqs is not None:
             grid["sigma_sqs"] = sigma_sqs
         doc = {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+               "graph_json": str(tmp_path / "graph.json"),
                "method": "KRG", "kernel": kernel, "grid": grid, "seed": 0}
         doc = {k: v for k, v in doc.items() if v is not None}
         out = tmp_path / name
@@ -544,6 +548,7 @@ class TestCv:
         cfg = write_config(tmp_path, "cv.json", {
             "x_csv": str(out_data / "X_train.csv"),
             "t_csv": str(out_data / "T_train.csv"),
+            "graph_json": str(out_data / "graph.json"),
             "method": "KRG", "kernel": kernel,
             "grid": {"alphas": [0.1], "betas": [0.0, 0.5],
                      "sigma_sqs": [0.5, 2.0], "folds": 3},
@@ -554,6 +559,27 @@ class TestCv:
         assert run(["cv", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError", "grid.sigma_sqs")
         assert not (out / "cv_results.json").exists()
+
+    @pytest.mark.parametrize("method, code", [
+        ("KRG", 1), ("LRG", 1), ("KR", 0), ("LR", 0)])
+    def test_beta_grid_needs_a_graph(self, tmp_path, capsys, method, code):
+        """Without a graph every beta fits the same edgeless model, so only
+        the methods that pin beta = 0 may take a beta grid above 0."""
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        doc = {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+               "method": method, "seed": 0,
+               "grid": {"alphas": [0.1, 1.0], "betas": [0.0, 1.0, 10.0],
+                        "folds": 3}}
+        if method.startswith("K"):
+            doc["kernel"] = {"kind": "linear"}
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["cv", "--config", write_config(tmp_path, "cv.json", doc),
+                    "--out-dir", out]) == code
+        if code:
+            _assert_one_json_error(capsys, "ConfigError", "beta")
+        assert (out / "cv_results.json").exists() == (code == 0)
 
 
 BENCH_CFG = {
@@ -1041,6 +1067,7 @@ class TestUnreadKeysRejected:
         if sigma_sqs is not None:
             grid["sigma_sqs"] = sigma_sqs
         doc = {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+               "graph_json": str(tmp_path / "graph.json"),
                "method": method, "grid": grid, "seed": 0}
         if kernel is not None:
             doc["kernel"] = kernel

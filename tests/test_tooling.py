@@ -12,6 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
 from krgraph.cli import SCHEMAS
 from krgraph.evaluation import BenchScenario, CvGrid
@@ -33,6 +34,14 @@ def test_shipped_config_validates(path):
     assert _command(path) in SCHEMAS, f"no schema for {path.name}"
     jsonschema.validate(json.loads(path.read_text(encoding="utf-8")),
                         SCHEMAS[_command(path)])
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schema_is_valid_under_its_metaschema(command):
+    """load_config validates each config against a schema it does not check
+    itself; each schema is checked here, once."""
+    schema = SCHEMAS[command]
+    validator_for(schema).check_schema(schema)
 
 
 @pytest.mark.parametrize("cls, keys", [
@@ -134,3 +143,20 @@ MODULES = sorted(p for p in (ROOT / "src" / "krgraph").glob("*.py")
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _directory_makers(path):
+    """(module, top-level definition) of each mkdir or makedirs call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(path.name, getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("mkdir", "makedirs")]
+
+
+def test_only_main_makes_a_directory():
+    """cli.main makes --out-dir, and every command writes into it."""
+    paths = sorted((ROOT / "src" / "krgraph").glob("*.py"))
+    assert [m for p in paths for m in _directory_makers(p)] == [
+        ("cli.py", "main")]

@@ -1,7 +1,7 @@
 """Kernel and linear regression for graph-smooth targets.
 
 Library layout:
-  graphs      adjacency/Laplacian algebra, random generators, products
+  graphs      adjacency/Laplacian algebra, random generators
   kernels     Gram matrices and test-point cross-kernels
   solver      LR/LRG/KR/KRG fits via the spectral Sylvester solve
   graphlearn  joint Laplacian + coefficient estimation
@@ -15,10 +15,8 @@ from .graphs import (
     Laplacian,
     build_laplacian,
     barabasi_albert,
-    cartesian_product,
     erdos_renyi,
     geodesic_adjacency,
-    quadratic_form,
     spectral_rescale,
 )
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
@@ -29,13 +27,12 @@ from .solver import (
     SpectralCache,
     fit_krg,
     fit_lrg,
-    fitted_smoother,
     predict_krg,
     predict_lrg,
     shrinkage_factors,
     solve_sylvester_spectral,
 )
-from .graphlearn import GraphLearnConfig, alternating_fit, joint_cost, laplacian_step
+from .graphlearn import GraphLearnConfig, alternating_fit, joint_cost
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset, smooth_projection
 from .evaluation import CvGrid, cross_validate, krr_baseline, nmse_db, run_benchmark
 

@@ -52,6 +52,12 @@ _GRID_SCHEMA = {
     "additionalProperties": False,
 }
 
+# fit and cv read either key through _load_laplacian
+_GRAPH_PROPERTIES = {
+    "graph_json": {"type": "string"},
+    "laplacian_csv": {"type": "string"},
+}
+
 # the benchmark's kernel is the synthetic precomputed one: no bandwidth grid
 _BENCH_GRID_SCHEMA = {
     **_GRID_SCHEMA,
@@ -90,8 +96,7 @@ SCHEMAS = {
         "properties": {
             "x_csv": {"type": "string"},
             "t_csv": {"type": "string"},
-            "graph_json": {"type": "string"},
-            "laplacian_csv": {"type": "string"},
+            **_GRAPH_PROPERTIES,
             "kernel": _KERNEL_SCHEMA,
             "alpha": {"type": "number", "minimum": 0},
             "beta": {"type": "number", "minimum": 0},
@@ -130,7 +135,7 @@ SCHEMAS = {
             "x_csv": {"type": "string"},
             "t_csv": {"type": "string"},
             "t0_csv": {"type": "string"},
-            "graph_json": {"type": "string"},
+            **_GRAPH_PROPERTIES,
             "method": {"enum": ["LR", "LRG", "KR", "KRG"]},
             "kernel": _KERNEL_SCHEMA,
             "grid": _GRID_SCHEMA,

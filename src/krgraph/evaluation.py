@@ -112,6 +112,9 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                           "kernel_spec")
     if method not in _PRIMAL and kernel_spec is None and not grid.sigma_sqs:
         raise KrgraphError("rbf kernel needs a sigma_sq grid")
+    if train.T.shape[1] != L.num_nodes:
+        raise DimensionError(f"targets {train.T.shape} incompatible with "
+                             f"M={L.num_nodes}")
     folds = fold_assignment(train.n, grid.folds, seed)
     betas = (0.0,) if method in _GRAPH_FREE else tuple(grid.betas)
     sigmas = tuple(grid.sigma_sqs) or (None,)

@@ -76,8 +76,13 @@ def project_simplex(v, radius):
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - radius
     ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
+    selected = ks[u - css / ks > 0]
+    if not selected.size:  # roundoff in css hides k = 1
+        raise KrgraphError(
+            f"edge-weight radius {radius:.3g} (trace_budget {2 * radius:.3g}) "
+            f"is lost to roundoff beside {u[0]:.3g}, the largest entry to "
+            "project; use a larger trace_budget")
+    rho = selected[-1]
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
 
@@ -128,14 +133,6 @@ def _laplacian_step_constrained(Y, beta, cfg: GraphLearnConfig):
     c = _smoothness_costs(Y, beta)
     w = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
     return w, weights_to_laplacian(w, M)
-
-
-def laplacian_step(Y, beta, cfg: GraphLearnConfig) -> Laplacian:
-    """Minimize the L-step cost over valid Laplacians, then rescale to
-    unit spectral radius."""
-    check_weights(beta=beta)
-    _, L = _laplacian_step_constrained(Y, beta, cfg)
-    return spectral_rescale(L)
 
 
 def joint_cost(Y, psi, T, L: Laplacian, hyper: Hyperparams,

@@ -1,4 +1,4 @@
-"""Undirected weighted graphs, Laplacian algebra, random generators, products.
+"""Undirected weighted graphs, Laplacian algebra, random generators.
 
 All adjacency matrices are dense, symmetric, nonnegative, with a zero
 diagonal. Laplacians are L = D - A with D the diagonal degree matrix;
@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import (ConvergenceError, DataFormatError, DimensionError,
-                     InvalidGraphError, KrgraphError)
+from .errors import (ConvergenceError, DataFormatError, InvalidGraphError,
+                     KrgraphError)
 
 _ROWSUM_TOL = 1e-10
 _EIG_CLAMP = 1e-10
@@ -48,9 +48,6 @@ class Graph:
 
     def degrees(self):
         return self.adjacency.sum(axis=1)
-
-    def num_edges(self):
-        return int(np.count_nonzero(np.triu(self.adjacency, 1)))
 
 
 @dataclass(frozen=True)
@@ -129,16 +126,6 @@ def build_laplacian(g: Graph) -> Laplacian:
     return Laplacian(np.diag(g.degrees()) - g.adjacency)
 
 
-def quadratic_form(L: Laplacian, x) -> float:
-    """x^T L x, the graph roughness of signal x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (L.num_nodes,):
-        raise DimensionError(
-            f"signal length {x.shape} incompatible with {L.num_nodes} nodes"
-        )
-    return float(x @ L.matrix @ x)
-
-
 def erdos_renyi(M: int, p: float, seed: int) -> Graph:
     """G(M, p): each unordered pair is a unit edge with probability p."""
     if M < 2:
@@ -201,13 +188,6 @@ def geodesic_adjacency(distances) -> Graph:
     A = np.exp(-(D**2) / total)
     np.fill_diagonal(A, 0.0)
     return Graph(A)
-
-
-def cartesian_product(gA: Graph, gB: Graph) -> Graph:
-    """Cartesian graph product: adjacency A (x) I + I (x) B."""
-    A, B = gA.adjacency, gB.adjacency
-    MA, MB = gA.num_nodes, gB.num_nodes
-    return Graph(np.kron(A, np.eye(MB)) + np.kron(np.eye(MA), B))
 
 
 def spectral_rescale(L: Laplacian) -> Laplacian:

@@ -83,8 +83,6 @@ class LrgModel:
     """Fitted primal model: predictions are w^T x."""
 
     w: np.ndarray
-    hyper: Hyperparams
-    laplacian: Laplacian
 
 
 def _checked_eta(cache: SpectralCache, alphas, betas):
@@ -174,7 +172,7 @@ def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams) -> LrgModel:
         )
     cache = SpectralCache.build(Phi.T @ Phi, L)
     w = solve_sylvester_spectral(cache, Phi.T @ T, hyper)
-    return LrgModel(w=w, hyper=hyper, laplacian=L)
+    return LrgModel(w=w)
 
 
 def predict_lrg(model: LrgModel, x):
@@ -221,12 +219,6 @@ def dual_cost_gradient(K, psi, T, L: Laplacian, hyper: Hyperparams):
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
     """zeta[n, m] = theta_n / eta[n, m]; each in [0, 1) for alpha > 0."""
     return cache.theta[:, None] / _checked_eta(cache, [hyper.alpha], [hyper.beta])[0, 0]
-
-
-def fitted_smoother(K, L: Laplacian, hyper: Hyperparams, T):
-    """Training-set fitted outputs Y = K Psi; with the edgeless L and
-    beta = 0 this is the graph-free K (K + alpha I)^{-1} T."""
-    return K @ fit_krg(K, T, L, hyper).psi
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,23 @@ class TestLearnGraph:
         _assert_one_json_error(capsys, error, message)
         assert list(out.iterdir()) == []
 
+    def test_trace_budget_below_float_resolution(self, tmp_path, capsys):
+        """Any trace_budget above 0 passes the schema; one too small for
+        the edge-weight projection is one JSON error line, not a traceback."""
+        out_data = make_dataset_dir(tmp_path)
+        cfg = write_config(tmp_path, "lg.json", {
+            "x_csv": str(out_data / "X_train.csv"),
+            "t_csv": str(out_data / "T_train.csv"),
+            "kernel": {"kind": "precomputed",
+                       "matrix_csv": str(out_data / "kernel_full.csv")},
+            "alpha": 0.1, "beta": 1.0, "nu": 0.5, "trace_budget": 1e-300,
+        })
+        capsys.readouterr()
+        out = tmp_path / "lg"
+        assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError", "trace_budget 1e-300")
+        assert not (out / "model.json").exists()
+
 
 class TestCv:
     def test_writes_best_params(self, tmp_path):
@@ -581,6 +598,57 @@ class TestCv:
             _assert_one_json_error(capsys, "ConfigError", "beta")
         assert (out / "cv_results.json").exists() == (code == 0)
 
+    def _graph_cv(self, tmp_path, name, method, graph_files):
+        """cv on fit_configs' data, with graph_files ({config key: file})
+        as the graph keys."""
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        fit_doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        doc = {"x_csv": fit_doc["x_csv"], "t_csv": fit_doc["t_csv"],
+               "method": method, "seed": 0,
+               "grid": {"alphas": [0.1, 1.0], "betas": [0.0, 0.5],
+                        "folds": 3},
+               **{key: str(path) for key, path in graph_files.items()}}
+        if method == "KRG":
+            doc["kernel"] = {"kind": "linear"}
+        out = tmp_path / name
+        code = run(["cv", "--config",
+                    write_config(tmp_path, name + ".json", doc),
+                    "--out-dir", out])
+        return code, out / "cv_results.json"
+
+    @pytest.mark.parametrize("method", ["KRG", "LRG"])
+    def test_laplacian_csv_scores_as_its_graph_json(self, tmp_path, method):
+        """fit_configs writes one graph as L.csv and as graph.json."""
+        code_l, from_csv = self._graph_cv(
+            tmp_path, "csv", method, {"laplacian_csv": tmp_path / "L.csv"})
+        code_g, from_json = self._graph_cv(
+            tmp_path, "json", method, {"graph_json": tmp_path / "graph.json"})
+        assert code_l == code_g == 0
+        assert from_csv.read_bytes() == from_json.read_bytes()
+
+    def test_both_graph_keys_rejected(self, tmp_path, capsys):
+        capsys.readouterr()
+        code, path = self._graph_cv(tmp_path, "both", "KRG", {
+            "graph_json": tmp_path / "graph.json",
+            "laplacian_csv": tmp_path / "L.csv"})
+        assert code == 1
+        _assert_one_json_error(capsys, "ConfigError", "not both")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("method", ["KRG", "LRG"])
+    def test_graph_of_another_size_names_the_targets(self, tmp_path, capsys,
+                                                     method):
+        """For LRG the solver's right-hand side has a row per feature, so
+        only the check on the targets names what the user gave."""
+        save_graph_json(tmp_path / "graph5.json",
+                        Graph(np.ones((5, 5)) - np.eye(5)))
+        capsys.readouterr()
+        code, path = self._graph_cv(tmp_path, "o", method,
+                                    {"graph_json": tmp_path / "graph5.json"})
+        assert code == 1
+        _assert_one_json_error(capsys, "DimensionError",
+                               "targets (8, 4) incompatible with M=5")
+        assert not path.exists()
 
 BENCH_CFG = {
     "methods": ["KR", "KRG"],

@@ -6,7 +6,8 @@ import scipy.linalg
 from scipy.stats import spearmanr
 
 from krgraph.errors import DimensionError, KrgraphError
-from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
+from krgraph.graphs import (Laplacian, build_laplacian, erdos_renyi,
+                            spectral_rescale)
 from krgraph.graphlearn import (
     GraphLearnConfig,
     _laplacian_step_constrained,
@@ -14,7 +15,6 @@ from krgraph.graphlearn import (
     _smoothness_costs,
     alternating_fit,
     joint_cost,
-    laplacian_step,
     minimize_edge_weights,
     project_simplex,
     weights_to_laplacian,
@@ -57,6 +57,11 @@ class TestProjectSimplex:
         for _ in range(200):
             q = rng.dirichlet(np.ones(6)) * 2.0
             assert np.sum((v - p) ** 2) <= np.sum((v - q) ** 2) + 1e-10
+
+    def test_radius_below_float_resolution_raises(self):
+        """1 - 1e-20 rounds to 1, so no k passes the sort method's test."""
+        with pytest.raises(KrgraphError, match="radius 1e-20.*trace_budget"):
+            project_simplex(np.array([1.0, 0.5]), 1e-20)
 
 
 class TestWeightsToLaplacian:
@@ -134,26 +139,22 @@ class TestLaplacianStep:
 
     def test_public_step_rescaled(self):
         Y = np.random.default_rng(6).standard_normal((5, 4))
-        L = laplacian_step(Y, 1.0, GraphLearnConfig(nu=0.5))
+        _, L = _laplacian_step_constrained(Y, 1.0, GraphLearnConfig(nu=0.5))
+        L = spectral_rescale(L)
         assert np.linalg.norm(L.matrix, 2) == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("beta", [np.nan, np.inf, -1.0])
-    def test_public_step_rejects_bad_beta(self, beta):
-        Y = np.random.default_rng(6).standard_normal((5, 4))
-        with pytest.raises(KrgraphError, match="beta"):
-            laplacian_step(Y, beta, GraphLearnConfig(nu=0.5))
 
     def test_one_node_rejected(self):
         Y = np.random.default_rng(7).standard_normal((5, 1))
         with pytest.raises(DimensionError, match="M >= 2"):
-            laplacian_step(Y, 1.0, GraphLearnConfig(nu=0.5))
+            _laplacian_step_constrained(Y, 1.0, GraphLearnConfig(nu=0.5))
 
     def test_determinism(self):
         Y = np.random.default_rng(7).standard_normal((5, 4))
         cfg = GraphLearnConfig(nu=0.5)
-        a = laplacian_step(Y, 1.0, cfg).matrix
-        b = laplacian_step(Y, 1.0, cfg).matrix
-        assert np.array_equal(a, b)
+        (w_a, a), (w_b, b) = (_laplacian_step_constrained(Y, 1.0, cfg)
+                              for _ in range(2))
+        assert np.array_equal(w_a, w_b)
+        assert np.array_equal(a.matrix, b.matrix)
 
 
 def dense_edge_qp(c, Q, radius, nu, kkt_tol=1e-6):

@@ -18,7 +18,6 @@ from krgraph.solver import (
     dual_cost_gradient,
     fit_krg,
     fit_lrg,
-    fitted_smoother,
     load_model,
     predict_krg,
     predict_lrg,
@@ -331,8 +330,7 @@ class TestPredictLrg:
 
     def test_identity_weights(self):
         from krgraph.solver import LrgModel
-        L = Laplacian(np.zeros((3, 3)))
-        model = LrgModel(w=np.eye(3), hyper=Hyperparams(0.1, 0.0), laplacian=L)
+        model = LrgModel(w=np.eye(3))
         x = np.array([1.0, -2.0, 3.0])
         assert np.array_equal(predict_lrg(model, x), x)
 
@@ -452,21 +450,11 @@ class TestSmoothing:
         assert np.all(z >= 0)
         assert np.all(z < 1)
 
-    def test_fitted_smoother_matches_k_psi(self):
-        rng = np.random.default_rng(21)
-        K = random_psd(rng, 9)
-        L = Laplacian(random_laplacian_matrix(rng, 5))
-        T = rng.standard_normal((9, 5))
-        hyper = Hyperparams(alpha=0.4, beta=0.7)
-        Y = fitted_smoother(K, L, hyper, T)
-        psi = fit_krg(K, T, L, hyper).psi
-        np.testing.assert_allclose(Y, K @ psi, atol=1e-10)
-
     def test_fitted_smoother_identity_kernel_beta_zero(self):
         K = np.eye(5)
         L = Laplacian(np.zeros((3, 3)))
         T = np.random.default_rng(22).standard_normal((5, 3))
-        Y = fitted_smoother(K, L, Hyperparams(alpha=0.5, beta=0.0), T)
+        Y = K @ fit_krg(K, T, L, Hyperparams(alpha=0.5, beta=0.0)).psi
         np.testing.assert_allclose(Y, T / 1.5, rtol=1e-12)
 
     def test_huge_alpha_kills_output(self):
@@ -474,7 +462,7 @@ class TestSmoothing:
         K = random_psd(rng, 6)
         L = Laplacian(random_laplacian_matrix(rng, 4))
         T = rng.standard_normal((6, 4))
-        Y = fitted_smoother(K, L, Hyperparams(alpha=1e12, beta=1.0), T)
+        Y = K @ fit_krg(K, T, L, Hyperparams(alpha=1e12, beta=1.0)).psi
         assert np.abs(Y).max() < 1e-9
 
     def test_roughness_nonincreasing_in_beta(self):
@@ -484,17 +472,17 @@ class TestSmoothing:
         T = rng.standard_normal((10, 6))
         rough = []
         for beta in [0.0, 0.1, 1.0, 10.0, 100.0]:
-            Y = fitted_smoother(K, L, Hyperparams(alpha=0.2, beta=beta), T)
+            Y = K @ fit_krg(K, T, L, Hyperparams(alpha=0.2, beta=beta)).psi
             rough.append(np.trace(Y @ L.matrix @ Y.T))
         assert all(a >= b - 1e-10 for a, b in zip(rough, rough[1:]))
 
 
 def kr_fitted(K, alpha, T):
-    """KR's graph-free fitted outputs K (K + alpha I)^{-1} T, through
-    fitted_smoother with the edgeless graph and beta = 0."""
+    """KR's graph-free fitted outputs K (K + alpha I)^{-1} T: K Psi of the
+    fit with the edgeless graph and beta = 0."""
     M = np.shape(T)[1]
-    return fitted_smoother(K, Laplacian(np.zeros((M, M))),
-                           Hyperparams(alpha, 0.0), T)
+    return K @ fit_krg(K, T, Laplacian(np.zeros((M, M))),
+                       Hyperparams(alpha, 0.0)).psi
 
 
 class TestKrFittedShrinkage:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -160,3 +161,53 @@ def test_only_main_makes_a_directory():
     paths = sorted((ROOT / "src" / "krgraph").glob("*.py"))
     assert [m for p in paths for m in _directory_makers(p)] == [
         ("cli.py", "main")]
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and each
+    non-dunder method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    yield f"{top.name}.{node.name}", node
+
+
+def _referenced_names(node):
+    """Counter of the names node reads, as ast.Name ids or ast.Attribute
+    attributes."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _layer_names():
+    """Each part of each attribute path that perfbench/tracer.py:LAYERS
+    wraps, read from the file's AST without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS"
+                          for t in node.targets))
+    return {part for _, _, path, _ in layers for part in path.split(".")}
+
+
+def test_every_definition_is_reached():
+    """Each definition in the package is named somewhere outside its own
+    body: in another package module or definition, in the acceptance gate,
+    or in a perfbench layer; the package __init__ and the unit tests do not
+    count, so code that only they call is reported."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    package = sum(map(_referenced_names, trees), Counter())
+    outside = (_referenced_names(ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+        .keys() | _layer_names())
+    unreached = [qualname for tree in trees
+                 for qualname, node in _definitions(tree)
+                 if node.name not in outside
+                 and package[node.name] <= _referenced_names(node)[node.name]]
+    assert unreached == []

@@ -58,13 +58,6 @@ _GRAPH_PROPERTIES = {
     "laplacian_csv": {"type": "string"},
 }
 
-# the benchmark's kernel is the synthetic precomputed one: no bandwidth grid
-_BENCH_GRID_SCHEMA = {
-    **_GRID_SCHEMA,
-    "properties": {k: v for k, v in _GRID_SCHEMA["properties"].items()
-                   if k != "sigma_sqs"},
-}
-
 SCHEMAS = {
     "synth": {
         "type": "object",
@@ -75,7 +68,6 @@ SCHEMAS = {
             "graph_param": {"type": "number"},
             "snr_db": {"type": "number"},
             "seed": {"type": "integer"},
-            "wishart_dof_offset": {"type": "integer", "minimum": 1},
         },
         "required": ["num_nodes", "num_samples", "graph_model", "graph_param",
                      "snr_db", "seed"],
@@ -159,7 +151,7 @@ SCHEMAS = {
             "num_samples": {"type": "integer", "minimum": 2, "multipleOf": 2},
             "graph_model": {"enum": ["erdos_renyi", "barabasi_albert"]},
             "graph_param": {"type": "number"},
-            "grid": _BENCH_GRID_SCHEMA,
+            "grid": _GRID_SCHEMA,
             "master_seed": {"type": "integer"},
         },
         "required": ["methods", "n_train", "snr_db", "realizations",
@@ -214,7 +206,8 @@ def load_config(path, command):
     schema = SCHEMAS[command]
     error = best_match(validator_for(schema)(schema).iter_errors(cfg))
     if error is not None:
-        raise ConfigError(f"config invalid for {command!r}: {error.message}")
+        raise ConfigError(f"config invalid for {command!r}: "
+                          f"config{error.json_path[1:]}: {error.message}")
     return cfg
 
 
@@ -352,15 +345,11 @@ def cmd_cv(cfg, out):
     T0 = graphs.load_matrix_csv(cfg["t0_csv"]) if "t0_csv" in cfg else None
     train = synthdata.Dataset(X=X, T=T, T0=T0)
     grid = evaluation.CvGrid(**cfg["grid"])
-    # {"kind": "rbf"} is also the default, so only cfg shows it was given
-    if cfg["method"] in ("LR", "LRG") and "kernel" in cfg:
-        raise ConfigError(f"{cfg['method']} fits the raw features and reads "
-                          "no kernel")
     # KR and LR fit at beta = 0 whatever the grid holds
     L = _load_laplacian(cfg, T.shape[1],
                         grid.betas if cfg["method"] in ("KRG", "LRG") else ())
-    kernel = cfg.get("kernel", {"kind": "rbf"})
-    spec = None if kernel == {"kind": "rbf"} else _kernel_spec(kernel)
+    # without a kernel, KR and KRG sweep an rbf kernel over grid.sigma_sqs
+    spec = _kernel_spec(cfg["kernel"]) if "kernel" in cfg else None
     best, table = evaluation.cross_validate(
         train, L, grid, cfg["method"], seed=cfg["seed"], kernel_spec=spec)
     graphs.save_json(out / "cv_results.json",

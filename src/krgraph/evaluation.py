@@ -80,6 +80,8 @@ class BenchResult:
 
 def fold_assignment(n, folds, seed):
     """Deterministic partition of range(n) into `folds` validation folds."""
+    if seed < 0:
+        raise KrgraphError(f"seed must be >= 0, got {seed}")
     if folds > n:
         raise KrgraphError(f"cannot split {n} samples into {folds} folds")
     perm = np.random.default_rng(seed).permutation(n)
@@ -215,8 +217,8 @@ class BenchScenario:
         if self.realizations < 1:
             raise KrgraphError("need at least one realization")
         if self.grid.sigma_sqs:
-            raise KrgraphError("bench does not read grid.sigma_sqs: its kernel "
-                               "is the synthetic precomputed covariance")
+            raise ConfigError("bench does not read grid.sigma_sqs: its kernel "
+                              "is the synthetic precomputed covariance")
         # a cell's seeds come from (master_seed, n, round(1000 snr), r),
         # which SeedSequence takes only as non-negative integers
         if (self.master_seed < 0 or not all(n >= 1 for n in self.n_train)

@@ -158,38 +158,36 @@ def alternating_fit(K, T, hyper: Hyperparams,
     M = _num_nodes(T)
     L = Laplacian(np.zeros((M, M)))
     cache = SpectralCache.build(K, L)
-    costs = []
-    log_fh = open_output(log_path) if log_path else None
-    try:
-        for it in range(cfg.max_outer_iters):
-            model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
-            # one K Psi serves both costs and the L-step
-            Y = K @ model.psi
-            cost_w = joint_cost(Y, model.psi, T, L, hyper, cfg)
-            w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg)
-            cost_l = joint_cost(Y, model.psi, T, L_new, hyper, cfg)
-            del Y   # N x M; not held through the next fit
-            costs.append((cost_w, cost_l))
-            if log_fh:
-                log_fh.write(json.dumps({
-                    "iter": it,
-                    "cost_after_w_step": cost_w,
-                    "cost_after_l_step": cost_l,
-                    # the eigendecomposition the next fit reuses
-                    "spectral_radius": float(L_new.eigendecomposition()[0][-1]),
-                    "edge_sparsity": float(np.mean(w > 1e-10)),
-                }) + "\n")
-            converged = (
-                len(costs) > 1
-                and abs(costs[-2][1] - cost_l)
-                <= cfg.tol * max(abs(costs[-2][1]), 1e-30)
-            )
-            L = L_new
-            if converged:
-                break
-        # refit so the returned coefficients match the final Laplacian
+    costs, records = [], []
+    for it in range(cfg.max_outer_iters):
         model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
-        return model, spectral_rescale(L), np.array(costs)
-    finally:
-        if log_fh:
-            log_fh.close()
+        # one K Psi serves both costs and the L-step
+        Y = K @ model.psi
+        cost_w = joint_cost(Y, model.psi, T, L, hyper, cfg)
+        w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg)
+        cost_l = joint_cost(Y, model.psi, T, L_new, hyper, cfg)
+        del Y   # N x M; not held through the next fit
+        costs.append((cost_w, cost_l))
+        records.append({
+            "iter": it,
+            "cost_after_w_step": cost_w,
+            "cost_after_l_step": cost_l,
+            # the eigendecomposition the next fit reuses
+            "spectral_radius": float(L_new.eigendecomposition()[0][-1]),
+            "edge_sparsity": float(np.mean(w > 1e-10)),
+        })
+        converged = (
+            len(costs) > 1
+            and abs(costs[-2][1] - cost_l)
+            <= cfg.tol * max(abs(costs[-2][1]), 1e-30)
+        )
+        L = L_new
+        if converged:
+            break
+    # refit so the returned coefficients match the final Laplacian
+    model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
+    # written only now, so a failed fit leaves no log behind
+    if log_path:
+        with open_output(log_path) as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+    return model, spectral_rescale(L), np.array(costs)

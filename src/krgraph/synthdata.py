@@ -23,7 +23,6 @@ class SynthConfig:
     graph_param: float          # edge probability p, or attachment count m
     snr_db: float
     seed: int
-    wishart_dof_offset: int = 2  # dof = S + offset; offset 2 gives mean I
 
     def __post_init__(self):
         if self.num_samples % 2 != 0:
@@ -38,10 +37,10 @@ class SynthConfig:
                 and self.graph_param != int(self.graph_param)):
             raise KrgraphError("barabasi_albert graph_param is an attachment "
                                f"count and must be an integer, got {self.graph_param}")
-        offset = self.wishart_dof_offset
-        if not (offset >= 1 and float(offset).is_integer()):
-            raise KrgraphError("wishart_dof_offset must be an integer >= 1, "
-                               f"got {offset}")
+        # every draw seeds a generator with seed + k, which numpy takes
+        # only as a non-negative integer
+        if self.seed < 0:
+            raise KrgraphError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -67,27 +66,22 @@ class Dataset:
         return self.X.shape[0]
 
 
-def sample_inverse_wishart_covariance(S: int, seed: int, dof_offset: int = 2):
-    """One S x S draw from InvWishart(dof=S+dof_offset, scale=I).
+def sample_inverse_wishart_covariance(S: int, seed: int):
+    """One S x S draw from InvWishart(dof=S+2, scale=I).
 
-    The default dof S+2 is the smallest with a finite mean, which is then
-    exactly the identity. Bartlett's construction (Smith & Hocking 1972,
-    AS 53) as scipy.stats.invwishart runs it, so the draws equal its
-    rvs(df, np.eye(S), random_state=np.random.default_rng(seed)): A is
-    lower triangular with N(0, 1) below the diagonal and chi(df - S + 1 + i)
-    on it, and the sample is A^{-1} A^{-T}.
+    dof S+2 is the smallest with a finite mean, which is then exactly the
+    identity. Bartlett's construction (Smith & Hocking 1972, AS 53) as
+    scipy.stats.invwishart runs it, so the draws equal its
+    rvs(S + 2, np.eye(S), random_state=np.random.default_rng(seed)): A is
+    lower triangular with N(0, 1) below the diagonal and chi(3 + i), that
+    is chi(dof - S + 1 + i), on it, and the sample is A^{-1} A^{-T}.
     """
     if S < 2:
         raise KrgraphError("covariance dimension must be >= 2")
-    df = S + dof_offset
-    if not df > S - 1:
-        raise KrgraphError(f"inverse Wishart needs dof > S - 1 = {S - 1}, "
-                           f"got S + dof_offset = {df}")
     rng = np.random.default_rng(seed)
     A = np.zeros((S, S))
     A[np.tril_indices(S, -1)] = rng.normal(size=S * (S - 1) // 2)
-    chi_dfs = df - S + 1 + np.arange(S)
-    A[np.diag_indices(S)] = rng.chisquare(chi_dfs, size=S) ** 0.5
+    A[np.diag_indices(S)] = rng.chisquare(3 + np.arange(S), size=S) ** 0.5
     trsm, trmm = get_blas_funcs(("trsm", "trmm"), (A,))
     A_inv = trsm(1.0, A, np.eye(S), side=1, lower=True)
     return trmm(1.0, A_inv, A_inv, side=1, lower=True, trans_a=True)
@@ -141,7 +135,7 @@ def make_synthetic_dataset(cfg: SynthConfig):
     S, M = cfg.num_samples, cfg.num_nodes
     graph = _make_graph(cfg, cfg.seed)
     L = build_laplacian(graph)
-    C_S = sample_inverse_wishart_covariance(S, cfg.seed + 1, cfg.wishart_dof_offset)
+    C_S = sample_inverse_wishart_covariance(S, cfg.seed + 1)
     R = generate_correlated_rows(C_S, M, cfg.seed + 2)
     # (I + L)^{-1} applied to every row at once
     T0_all = smooth_projection(R.T, L).T

@@ -475,7 +475,7 @@ class TestLearnGraph:
         out = tmp_path / "lg"
         assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError", "trace_budget 1e-300")
-        assert not (out / "model.json").exists()
+        assert list(out.iterdir()) == []   # iterations.jsonl included
 
 
 class TestCv:
@@ -524,11 +524,22 @@ class TestCv:
         assert [r["nmse_db"] for r in fixed] == [r["nmse_db"] for r in from_grid]
 
     def test_rbf_without_sigma_takes_grid(self, tmp_path):
-        code, path = self._rbf_cv(tmp_path, "rbf", {"kind": "rbf"},
-                                  sigma_sqs=[0.5, 2.0])
+        """With no kernel given, KRG sweeps an rbf kernel over the grid."""
+        code, path = self._rbf_cv(tmp_path, "rbf", None, sigma_sqs=[0.5, 2.0])
         assert code == 0
         table = json.loads(path.read_text())["table"]
         assert sorted({r["params"]["sigma_sq"] for r in table}) == [0.5, 2.0]
+
+    def test_rbf_kernel_without_sigma_rejected(self, tmp_path, capsys):
+        """A given kernel is that kernel, as in fit: a bare rbf is no
+        second spelling of the sweep over grid.sigma_sqs."""
+        capsys.readouterr()
+        code, path = self._rbf_cv(tmp_path, "bare", {"kind": "rbf"},
+                                  sigma_sqs=[0.5, 2.0])
+        assert code == 1
+        _assert_one_json_error(capsys, "KrgraphError",
+                               "rbf kernel requires a finite sigma_sq")
+        assert not path.exists()
 
     def test_rbf_sigma_in_kernel_and_grid_rejected(self, tmp_path, capsys):
         capsys.readouterr()
@@ -1125,7 +1136,7 @@ class TestUnreadKeysRejected:
     @pytest.mark.parametrize("method", ["LR", "LRG"])
     @pytest.mark.parametrize("kernel,sigma_sqs", [
         ({"kind": "rbf", "sigma_sq": 3}, None), ({"kind": "linear"}, None),
-        (None, [0.5, 2.0]), ({"kind": "rbf"}, [0.5]),
+        (None, [0.5, 2.0]), ({"kind": "rbf", "sigma_sq": 3}, [0.5]),
     ], ids=["rbf_kernel", "linear_kernel", "sigma_grid", "rbf_and_grid"])
     def test_cv_primal_methods(self, tmp_path, capsys, method, kernel,
                                sigma_sqs):
@@ -1147,13 +1158,24 @@ class TestUnreadKeysRejected:
         assert list(out.iterdir()) == []
 
     def test_bench_sigma_grid(self, tmp_path, capsys):
-        doc = dict(BENCH_CFG, grid=dict(BENCH_CFG["grid"], sigma_sqs=[-5, 1e9]))
+        doc = dict(BENCH_CFG, grid=dict(BENCH_CFG["grid"], sigma_sqs=[0.5, 2.0]))
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
                     "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, "ConfigError", "sigma_sqs")
-        assert not out.exists()   # a schema error stops before --out-dir
+        _assert_one_json_error(capsys, "ConfigError",
+                               "bench does not read grid.sigma_sqs")
+        assert list(out.iterdir()) == []
+
+    def test_synth_wishart_dof_offset(self, tmp_path, capsys):
+        """The benchmark draws C_S at dof S + 2 only, so synth does too."""
+        doc = dict(SYNTH_CFG, wishart_dof_offset=2)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["synth", "--config", write_config(tmp_path, "s.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "wishart_dof_offset")
+        assert not out.exists()
 
 
 class TestInvalidValuesRejected:
@@ -1229,6 +1251,45 @@ class TestInvalidValuesRejected:
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError", "snr_db >= 0", "-5.0")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, seed", [("synth", -1), ("cv", -3)])
+    def test_negative_seed(self, tmp_path, capsys, command, seed):
+        """numpy seeds a generator only with a non-negative integer."""
+        if command == "synth":
+            doc = dict(SYNTH_CFG, seed=seed)
+        else:
+            data = make_dataset_dir(tmp_path)
+            doc = {"x_csv": str(data / "X_train.csv"),
+                   "t_csv": str(data / "T_train.csv"), "method": "KR",
+                   "kernel": {"kind": "linear"}, "seed": seed,
+                   "grid": {"alphas": [0.1], "betas": [0.0], "folds": 3}}
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([command, "--config", write_config(tmp_path, "s.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError",
+                               f"seed must be >= 0, got {seed}")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("fit", {"x_csv": "X.csv", "t_csv": "T.csv", "kernel": {"kind": "linear"},
+                 "alpha": -1, "beta": 0.0},
+         "config.alpha: -1 is less than the minimum of 0"),
+        ("cv", {"x_csv": "X.csv", "t_csv": "T.csv", "method": "KR", "seed": 0,
+                "grid": {"alphas": [0.1], "betas": [0.0], "folds": 1}},
+         "config.grid.folds: 1 is less than the minimum of 2"),
+        ("bench", dict(BENCH_CFG, methods=["KR", "LR"]),
+         "config.methods[1]: 'LR' is not one of"),
+    ], ids=["fit_value", "cv_grid_value", "bench_list_item"])
+    def test_schema_error_names_the_key(self, tmp_path, capsys, command, doc,
+                                        message):
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([command, "--config", write_config(tmp_path, "c.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError",
+                               f"config invalid for {command!r}: {message}")
+        assert not out.exists()
 
     def test_eigh_failure_is_one_json_error(self, tmp_path, capsys,
                                             monkeypatch):

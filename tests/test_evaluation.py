@@ -95,6 +95,10 @@ class TestFoldAssignment:
         with pytest.raises(KrgraphError):
             fold_assignment(3, 5, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(KrgraphError, match="seed must be >= 0, got -3"):
+            fold_assignment(10, 3, seed=-3)
+
 
 @pytest.mark.parametrize("sigma_sqs", [(1.0, np.inf), (np.nan,), (0.0,), (-1.0,)],
                          ids=["inf", "nan", "zero", "negative"])

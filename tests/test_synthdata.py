@@ -31,16 +31,15 @@ class TestInverseWishart:
             assert np.all(np.diag(C) > 0)
 
     def test_mean_matches_formula(self):
-        # mean is scale / (dof - S - 1); at the default dof = S + 2 the
-        # variance is infinite, so the 4-sigma Monte-Carlo check is run at
-        # dof = S + 4 where the mean is I/3 and second moments exist
+        # at dof = S + 2 the draws have infinite variance, so the 4-sigma
+        # Monte-Carlo check is run on their inverses: Wishart(S + 2, I),
+        # with mean (S + 2) I and finite second moments
         S, n = 4, 500
-        draws = np.stack([sample_inverse_wishart_covariance(S, 7000 + s,
-                                                            dof_offset=4)
-                          for s in range(n)])
+        draws = np.stack([np.linalg.inv(
+            sample_inverse_wishart_covariance(S, 7000 + s)) for s in range(n)])
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(mean - np.eye(S) / 3.0) <= 4 * se + 1e-12)
+        assert np.all(np.abs(mean - (S + 2) * np.eye(S)) <= 4 * se + 1e-12)
 
     def test_default_dof_mean_roughly_identity(self):
         # heavy-tailed at dof = S + 2: only a loose sanity band on the
@@ -57,18 +56,12 @@ class TestInverseWishart:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("S", [2, 3, 4, 20, 100])
-    @pytest.mark.parametrize("dof_offset", [1, 2, 5])
-    def test_equals_scipy_invwishart(self, S, dof_offset):
+    def test_equals_scipy_invwishart(self, S):
         for seed in range(50):
-            expected = invwishart.rvs(df=S + dof_offset, scale=np.eye(S),
+            expected = invwishart.rvs(df=S + 2, scale=np.eye(S),
                                       random_state=np.random.default_rng(seed))
             assert np.array_equal(
-                sample_inverse_wishart_covariance(S, seed, dof_offset), expected)
-
-    @pytest.mark.parametrize("dof_offset", [-1, -4, np.nan])
-    def test_dof_at_most_s_minus_one_rejected(self, dof_offset):
-        with pytest.raises(KrgraphError, match="dof > S - 1 = 3"):
-            sample_inverse_wishart_covariance(4, 0, dof_offset)
+                sample_inverse_wishart_covariance(S, seed), expected)
 
 
 class TestCorrelatedRows:
@@ -229,13 +222,11 @@ class TestMakeSyntheticDataset:
             SynthConfig(num_nodes=6, num_samples=8, graph_model=model,
                         graph_param=np.nan, snr_db=5.0, seed=0)
 
-    @pytest.mark.parametrize("offset", [0, -1, 1.5, np.nan, np.inf])
-    def test_wishart_dof_offset_is_an_integer_at_least_one(self, offset):
-        cfg = dict(num_nodes=6, num_samples=8, graph_model="erdos_renyi",
-                   graph_param=0.5, snr_db=5.0, seed=0)
-        with pytest.raises(KrgraphError, match="wishart_dof_offset"):
-            SynthConfig(wishart_dof_offset=offset, **cfg)
-        assert SynthConfig(wishart_dof_offset=1, **cfg).wishart_dof_offset == 1
+    def test_negative_seed_rejected(self):
+        # numpy seeds a generator only with a non-negative integer
+        with pytest.raises(KrgraphError, match="seed must be >= 0, got -1"):
+            SynthConfig(num_nodes=6, num_samples=8, graph_model="erdos_renyi",
+                        graph_param=0.5, snr_db=5.0, seed=-1)
 
     def test_odd_sample_count_rejected(self):
         with pytest.raises(KrgraphError):

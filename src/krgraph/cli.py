@@ -58,19 +58,23 @@ _GRAPH_PROPERTIES = {
     "laplacian_csv": {"type": "string"},
 }
 
+# the synthetic law, which synth draws once and bench once per realization
+_SYNTH_LAW_PROPERTIES = {
+    "num_nodes": {"type": "integer", "minimum": 2},
+    "num_samples": {"type": "integer", "minimum": 2, "multipleOf": 2},
+    "graph_model": {"enum": ["erdos_renyi", "barabasi_albert"]},
+    "graph_param": {"type": "number"},
+}
+
 SCHEMAS = {
     "synth": {
         "type": "object",
         "properties": {
-            "num_nodes": {"type": "integer", "minimum": 2},
-            "num_samples": {"type": "integer", "minimum": 2, "multipleOf": 2},
-            "graph_model": {"enum": ["erdos_renyi", "barabasi_albert"]},
-            "graph_param": {"type": "number"},
+            **_SYNTH_LAW_PROPERTIES,
             "snr_db": {"type": "number"},
             "seed": {"type": "integer"},
         },
-        "required": ["num_nodes", "num_samples", "graph_model", "graph_param",
-                     "snr_db", "seed"],
+        "required": [*_SYNTH_LAW_PROPERTIES, "snr_db", "seed"],
         "additionalProperties": False,
     },
     "ingest": {
@@ -147,16 +151,12 @@ SCHEMAS = {
             "snr_db": {"type": "array", "items": {"type": "number"},
                        "minItems": 1},
             "realizations": {"type": "integer", "minimum": 1},
-            "num_nodes": {"type": "integer", "minimum": 2},
-            "num_samples": {"type": "integer", "minimum": 2, "multipleOf": 2},
-            "graph_model": {"enum": ["erdos_renyi", "barabasi_albert"]},
-            "graph_param": {"type": "number"},
+            **_SYNTH_LAW_PROPERTIES,
             "grid": _GRID_SCHEMA,
             "master_seed": {"type": "integer"},
         },
         "required": ["methods", "n_train", "snr_db", "realizations",
-                     "num_nodes", "num_samples", "graph_model", "graph_param",
-                     "grid", "master_seed"],
+                     *_SYNTH_LAW_PROPERTIES, "grid", "master_seed"],
         "additionalProperties": False,
     },
     "krr": {

@@ -3,7 +3,7 @@ seeded NMSE benchmark harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
 
@@ -13,7 +13,8 @@ from scipy.linalg import expm
 from .errors import (ConfigError, DimensionError, KrgraphError,
                      SingularSystemError)
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
-from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
+from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
+                      kernel_cross_matrix)
 from .solver import (Hyperparams, SpectralCache, check_weights, fit_krg,
                      solve_sylvester_eigenbasis)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
@@ -165,13 +166,15 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
     block [0 | I] sampling structure being the contiguous special case.
     """
     K_bar = np.asarray(K_bar, dtype=float)
-    obs = np.asarray(observed_idx, dtype=int)
     x = np.asarray(x, dtype=float).reshape(-1)
     if K_bar.ndim != 2 or K_bar.shape[0] != K_bar.shape[1]:
         raise DimensionError(f"kernel matrix must be square, got {K_bar.shape}")
+    _finite(K_bar)
     P = K_bar.shape[0]
-    S = len(obs)
-    if len(np.unique(obs)) != S or obs.min() < 0 or obs.max() >= P:
+    S = len(observed_idx)
+    # the range is checked on the given integers, which may not fit in int64
+    if not all(0 <= i < P for i in observed_idx) or len(
+            np.unique(obs := np.asarray(observed_idx, dtype=int))) != S:
         raise DimensionError("observed indices must be distinct and in range")
     if x.shape[0] != S:
         raise DimensionError(f"observation length {x.shape[0]} != {S} indices")
@@ -185,9 +188,11 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
             f"Phi K_bar Phi^T + mu S I is singular: {exc}") from exc
 
 
+@_QUIET_OVERFLOW
 def heat_kernel(L: Laplacian, tau: float):
     """expm(-tau L), a diffusion-style node kernel (approximation of the
-    diffusion kernels used in graph-signal reconstruction baselines)."""
+    diffusion kernels used in graph-signal reconstruction baselines); an
+    entry that overflows is left for krr_baseline to reject."""
     return expm(-tau * L.matrix)
 
 
@@ -201,11 +206,10 @@ class BenchScenario:
     realizations: int
     num_nodes: int
     num_samples: int
-    graph_model: str = "erdos_renyi"
-    graph_param: float = 0.1
-    grid: CvGrid = field(default_factory=lambda: CvGrid(
-        alphas=(0.01, 0.1, 1.0), betas=(0.0, 0.1, 1.0, 10.0)))
-    master_seed: int = 0
+    graph_model: str
+    graph_param: float
+    grid: CvGrid
+    master_seed: int
 
     def __post_init__(self):
         for m in self.methods:

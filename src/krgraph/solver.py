@@ -29,7 +29,7 @@ def check_weights(**named_values):
     """KrgraphError unless each weight (a number or a grid) is finite, >= 0."""
     for name, value in named_values.items():
         values = list(value) if np.ndim(value) else [value]
-        if not all(np.isfinite(v) and v >= 0 for v in values):
+        if not all(0 <= v < np.inf for v in values):
             raise KrgraphError(f"{name} must be finite and >= 0, got {values}")
 
 

@@ -31,7 +31,7 @@ class SynthConfig:
             raise KrgraphError("need at least 2 nodes")
         if self.graph_model not in ("erdos_renyi", "barabasi_albert"):
             raise KrgraphError(f"unknown graph model {self.graph_model!r}")
-        if not np.isfinite(self.graph_param):
+        if not -np.inf < self.graph_param < np.inf:
             raise KrgraphError(f"graph_param must be finite, got {self.graph_param}")
         if (self.graph_model == "barabasi_albert"
                 and self.graph_param != int(self.graph_param)):

@@ -75,6 +75,23 @@ class TestSynth:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("model, message", [
+        ("erdos_renyi", "edge probability must be in [0, 1]"),
+        ("barabasi_albert", "need 1 <= m_attach < M"),
+    ], ids=["erdos_renyi", "barabasi_albert"])
+    def test_graph_param_beyond_int64_is_invalid_graph(self, tmp_path, capsys,
+                                                       model, message):
+        """JSON reads 100000000000000000000 as a Python int that numpy
+        cannot hold in int64; the generator rejects it as any too-large
+        parameter."""
+        cfg = write_config(tmp_path, "big.json", dict(
+            SYNTH_CFG, graph_model=model, graph_param=10**20))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["synth", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "InvalidGraphError", message)
+        assert list(out.iterdir()) == []
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         bad = dict(SYNTH_CFG, extra_knob=1)
         cfg = write_config(tmp_path, "bad.json", bad)
@@ -765,7 +782,8 @@ class TestKrr:
     @pytest.mark.parametrize("K_bar,observed,x,error", [
         (np.ones((3, 2)), [2], [1.0], "DimensionError"),
         (np.diag([1.0, -1.0]), [0, 1], [1.0, 2.0], "SingularSystemError"),
-    ], ids=["non_square_kernel", "singular_system"])
+        (np.eye(3), [0, 10**20], [1.0, 2.0], "DimensionError"),
+    ], ids=["non_square_kernel", "singular_system", "index_beyond_int64"])
     def test_bad_kernel_is_krgraph_error(self, tmp_path, capsys, K_bar,
                                          observed, x, error):
         save_matrix_csv(tmp_path / "K.csv", K_bar)
@@ -776,6 +794,24 @@ class TestKrr:
         out = tmp_path / "o"
         assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, error)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("tau", [1e20, 1e300])
+    def test_overflowing_heat_kernel_rejected(self, tmp_path, tau):
+        """expm(-tau L) of a complete graph overflows to NaN at these tau."""
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": 4, "edges": [
+            [i, j, 1.0] for i in range(4) for j in range(i + 1, 4)]}),
+            encoding="utf-8")
+        cfg = write_config(tmp_path, "krr.json", {
+            "graph_json": str(graph), "tau": tau, "observed_idx": [0, 1],
+            "x": [1.0, 2.0], "mu": 0.2})
+        out = tmp_path / "o"
+        proc = _cli_subprocess("krr", cfg, out)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "DegenerateKernelError"
         assert list(out.iterdir()) == []
 
 
@@ -1228,6 +1264,37 @@ class TestInvalidValuesRejected:
                                f"{where} is not a finite number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "alpha"), ("fit", "beta"), ("cv", "grid.alphas"),
+        ("learn-graph", "nu")])
+    def test_weight_beyond_int64_runs_as_its_float(self, tmp_path, command,
+                                                   key):
+        """JSON reads 100000000000000000000 as a Python int that numpy
+        cannot hold in int64; the weight checks compare it as a number, so
+        every output equals that of 1e20, JSON values compared as numbers."""
+        cfg, *_ = fit_configs(tmp_path, beta=0.5, with_laplacian=False)
+        base = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        graph = str(tmp_path / "graph.json")
+
+        def doc(weight):
+            return {
+                "fit": dict(base, graph_json=graph, **{key: weight}),
+                "cv": {"x_csv": base["x_csv"], "t_csv": base["t_csv"],
+                       "graph_json": graph, "method": "KRG",
+                       "kernel": {"kind": "linear"}, "seed": 0,
+                       "grid": {"alphas": [0.1, weight], "betas": [0.0, 1.0]}},
+                "learn-graph": dict(base, nu=weight, max_outer_iters=3),
+            }[command]
+
+        outputs = []
+        for name, weight in [("int", 10**20), ("float", 1e20)]:
+            out = tmp_path / name
+            assert run([command, "--config", write_config(
+                tmp_path, f"{name}.json", doc(weight)), "--out-dir", out]) == 0
+            outputs.append({p.name: _parsed(p) for p in out.iterdir()})
+        assert "100000000000000000000" in (tmp_path / "int.json").read_text()
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("key", ["nu", "beta", "trace_budget", "tol"])
     def test_learn_graph_nan(self, tmp_path, capsys, key):
         cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
@@ -1306,22 +1373,34 @@ class TestInvalidValuesRejected:
         assert list(out.iterdir()) == []
 
 
-def test_overflow_stderr_is_one_json_line(tmp_path):
+def _parsed(path):
+    """A JSON or JSON-lines file as its values, any other file as text."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    return json.loads(text) if path.suffix == ".json" else text
+
+
+def _cli_subprocess(command, cfg, out):
     """Run in a subprocess: pytest's warning capture would hide a numpy
     RuntimeWarning printed ahead of the JSON error."""
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "krgraph", command, "--config", cfg,
+         "--out-dir", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+
+
+def test_overflow_stderr_is_one_json_line(tmp_path):
     cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
     save_matrix_csv(tmp_path / "X_big.csv", np.array(
         [[1e200, 1.0], [2e200, -1.0], [3.0, 1e200], [1.0, 2.0]]))
     save_matrix_csv(tmp_path / "T4.csv", np.ones((4, 4)))
     doc = dict(json.loads(Path(cfg).read_text(encoding="utf-8")),
                x_csv=str(tmp_path / "X_big.csv"), t_csv=str(tmp_path / "T4.csv"))
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "krgraph", "fit",
-         "--config", write_config(tmp_path, "big.json", doc),
-         "--out-dir", str(tmp_path / "o")],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=120)
+    proc = _cli_subprocess("fit", write_config(tmp_path, "big.json", doc),
+                           tmp_path / "o")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr

@@ -23,7 +23,6 @@ from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (
     Hyperparams,
     KrgModel,
-    LrgModel,
     SpectralCache,
     fit_krg,
     fit_lrg,

@@ -365,7 +365,6 @@ def cmd_bench(cfg, out):
     evaluation.save_results_json(out / "results.json", results, failures)
     _write_plot_data(out, results, scenario)
     if failures:
-        log.error("%d benchmark cells failed", len(failures))
         raise KrgraphError(f"{len(failures)} benchmark cells failed; "
                            f"see results.json")
     log.info("benchmark finished: %d result rows", len(results))
@@ -447,9 +446,11 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"--out-dir {args.out_dir}: {exc}") from exc
         COMMANDS[args.command](cfg, out)
-    except KrgraphError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
+    # numpy raises a MemoryError of its own subclass for a failed allocation
+    except (KrgraphError, MemoryError) as exc:
+        error = ("MemoryError" if isinstance(exc, MemoryError)
+                 else type(exc).__name__)
+        json.dump({"error": error, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     return 0

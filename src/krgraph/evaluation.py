@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (ConfigError, DimensionError, KrgraphError,
-                     SingularSystemError)
+from .errors import (ConfigError, DegenerateKernelError, DimensionError,
+                     KrgraphError, SingularSystemError)
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
                       kernel_cross_matrix)
@@ -178,8 +178,10 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
         raise DimensionError("observed indices must be distinct and in range")
     if x.shape[0] != S:
         raise DimensionError(f"observation length {x.shape[0]} != {S} indices")
-    if mu <= 0:
-        raise KrgraphError("mu must be positive")
+    # mu * S multiplies np.eye(S), whose zeros would make an infinite one NaN
+    if not 0 < mu * S < np.inf:
+        raise KrgraphError(f"mu must be > 0 with mu * S finite, got mu={mu}, "
+                           f"S={S}")
     A = K_bar[np.ix_(obs, obs)] + mu * S * np.eye(S)
     try:
         return K_bar[:, obs] @ np.linalg.solve(A, x)
@@ -191,9 +193,18 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
 @_QUIET_OVERFLOW
 def heat_kernel(L: Laplacian, tau: float):
     """expm(-tau L), a diffusion-style node kernel (approximation of the
-    diffusion kernels used in graph-signal reconstruction baselines); an
-    entry that overflows is left for krr_baseline to reject."""
-    return expm(-tau * L.matrix)
+    diffusion kernels used in graph-signal reconstruction baselines).
+
+    L 1 = 0, so the exact kernel's rows sum to 1; a result whose row sums
+    miss 1 by more than 1e-8, or hold an overflow's inf or NaN, has lost
+    its accuracy to roundoff and is a DegenerateKernelError."""
+    K = expm(-tau * L.matrix)
+    deviation = np.abs(K.sum(axis=1) - 1.0).max()
+    if not deviation <= 1e-8:
+        raise DegenerateKernelError(
+            f"heat kernel expm(-tau L) at tau={tau:g} has row sums off 1 by "
+            f"{deviation:.3g}, lost to roundoff; use a smaller tau")
+    return K
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,13 @@ for e = (i, j) and degrees d = S^T w, and lambda_max(Q) = 2M exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DimensionError, KrgraphError
-from .graphs import (Graph, Laplacian, build_laplacian, open_output,
+from .graphs import (Graph, Laplacian, build_laplacian, save_json_lines,
                      spectral_rescale)
 from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
                      fit_krg)
@@ -88,20 +87,28 @@ def project_simplex(v, radius):
 
 
 def _smoothness_costs(Y, beta):
-    """c_e = beta * sum_n (Y[n,i] - Y[n,j])^2 per edge e=(i,j)."""
+    """c_e = beta * sum_n (Y[n,i] - Y[n,j])^2 per edge e=(i,j); a cost that
+    overflows is left for minimize_edge_weights to reject."""
     Y = np.asarray(Y, dtype=float)
     M = Y.shape[1]
-    return beta * cdist(Y.T, Y.T, "sqeuclidean")[np.triu_indices(M, 1)]
+    with np.errstate(over="ignore"):
+        return beta * cdist(Y.T, Y.T, "sqeuclidean")[np.triu_indices(M, 1)]
 
 
 def minimize_edge_weights(c, M, radius, nu):
     """Projected gradient descent for min c.w + nu w^T Q w over the scaled
     simplex, with Q applied through the degree vector (module docstring)."""
+    if not np.isfinite(c).all():
+        raise KrgraphError("edge costs beta * ||y_i - y_j||^2 overflow; "
+                           "use a smaller beta")
     i, j = np.triu_indices(M, 1)
     n = len(c)
     w = np.full(n, radius / n)
     if nu > 0:
         step = 1.0 / (2.0 * nu * 2.0 * M)  # 1 / (2 nu lambda_max(Q))
+        if not step > 0:
+            raise KrgraphError(f"nu={nu:g} is so large that the edge-weight "
+                               f"step 1/(4 nu M) at M={M} underflows to 0")
     else:
         # linear objective; step scale only affects the convergence rate
         step = radius / (np.abs(c).max() + 1.0)
@@ -188,6 +195,5 @@ def alternating_fit(K, T, hyper: Hyperparams,
     model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
     # written only now, so a failed fit leaves no log behind
     if log_path:
-        with open_output(log_path) as fh:
-            fh.writelines(json.dumps(record) + "\n" for record in records)
+        save_json_lines(log_path, records)
     return model, spectral_rescale(L), np.array(costs)

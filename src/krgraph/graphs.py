@@ -212,12 +212,30 @@ def open_output(path):
         raise KrgraphError(f"{path}: cannot write: {exc}") from exc
 
 
+def _json_text(path, doc, **options):
+    """json.dumps(doc, **options); strict JSON has no NaN or infinity, so
+    such a number is a KrgraphError naming path, raised before it is
+    opened."""
+    try:
+        return json.dumps(doc, allow_nan=False, **options)
+    except ValueError as exc:
+        raise KrgraphError(f"{path}: not written: {exc}") from exc
+
+
 def save_json(path, doc, pretty=False):
     """Write doc as one JSON document and a newline: indented with sorted
     keys if `pretty`, else on one line in insertion order."""
-    text = json.dumps(doc, indent=2, sort_keys=True) if pretty else json.dumps(doc)
+    text = (_json_text(path, doc, indent=2, sort_keys=True) if pretty
+            else _json_text(path, doc))
     with open_output(path) as fh:
         fh.write(text + "\n")
+
+
+def save_json_lines(path, docs):
+    """Write each doc as one line of JSON, in insertion order."""
+    text = "".join(_json_text(path, doc) + "\n" for doc in docs)
+    with open_output(path) as fh:
+        fh.write(text)
 
 
 def load_json(path):

@@ -119,14 +119,11 @@ def _finite(block):
 @_QUIET_OVERFLOW
 def gram_matrix(X, spec: KernelSpec):
     """(N x N training Gram matrix, spec fitted to X): an rbf spec gains X's
-    normalizer Z, any other spec is returned as it is."""
+    normalizer Z, computed from the distance matrix that then becomes the
+    Gram; any other spec is returned as it is, with kernel_cross_matrix(X, X)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if spec.kind == "linear":
-        return _finite(X @ X.T), spec
-    if spec.kind == "precomputed":
-        idx = _indices(X, spec)
-        return spec.precomputed[np.ix_(idx, idx)], spec
-    # rbf
+    if spec.kind != "rbf":
+        return kernel_cross_matrix(X, X, spec), spec
     sq = cdist(X, X, "sqeuclidean")
     Z = float(sq.sum()) / X.shape[0]
     if not 0 < Z < np.inf:

@@ -78,25 +78,27 @@ class KrgModel:
     hyper: Hyperparams
 
 
-@dataclass(frozen=True)
-class LrgModel:
-    """Fitted primal model: predictions are w^T x."""
-
-    w: np.ndarray
-
-
 def _checked_eta(cache: SpectralCache, alphas, betas):
     """eta[a, b, n, m] = (theta_n + alpha_a) + beta_b * theta_n * lam_m,
-    rejected if any entry is at or below the singularity floor."""
+    rejected if any entry is at or below the singularity floor, or NaN:
+    weights so large that beta * theta overflows meet lam = 0 as inf * 0."""
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     theta = cache.theta[:, None]
-    eta = (theta + alphas[:, None, None, None]
-           + betas[:, None, None] * theta * cache.lam)
-    if eta.min() <= _ETA_FLOOR:
-        _, _, n, m = np.unravel_index(np.argmin(eta), eta.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = (theta + alphas[:, None, None, None]
+               + betas[:, None, None] * theta * cache.lam)
+    low = eta.min()
+    if not low > _ETA_FLOOR:
+        a, b, n, m = np.unravel_index(np.argmin(eta), eta.shape)
+        if np.isnan(low):
+            raise KrgraphError(
+                f"weights alpha={alphas[a]:g}, beta={betas[b]:g} overflow the "
+                f"solve at kernel eigenvalue theta={cache.theta[n]:.3e}, "
+                f"Laplacian eigenvalue lam={cache.lam[m]:.3e}; use smaller "
+                "weights")
         raise SingularSystemError(
-            f"near-singular system: eta={eta.min():.3e} at kernel eigenvalue "
+            f"near-singular system: eta={low:.3e} at kernel eigenvalue "
             f"theta={cache.theta[n]:.3e}, Laplacian eigenvalue "
             f"lam={cache.lam[m]:.3e}; a rank-deficient kernel or feature "
             "Gram needs alpha > 0")
@@ -158,8 +160,9 @@ def predict_krg(model: KrgModel, X):
     return Y[0] if np.ndim(X) == 1 else Y
 
 
-def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams) -> LrgModel:
-    """Solve (Phi^T Phi + alpha I) W + beta Phi^T Phi W L = Phi^T T.
+def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams):
+    """The K_feat x M weights W of the primal model t = W^T x, solving
+    (Phi^T Phi + alpha I) W + beta Phi^T Phi W L = Phi^T T.
 
     Solved through the eigendecomposition of the K_feat x K_feat feature
     Gram; the dense (M*K_feat)-sized Kronecker system is never formed.
@@ -171,18 +174,15 @@ def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams) -> LrgModel:
             f"targets {T.shape} incompatible with N={Phi.shape[0]}, M={L.num_nodes}"
         )
     cache = SpectralCache.build(Phi.T @ Phi, L)
-    w = solve_sylvester_spectral(cache, Phi.T @ T, hyper)
-    return LrgModel(w=w)
+    return solve_sylvester_spectral(cache, Phi.T @ T, hyper)
 
 
-def predict_lrg(model: LrgModel, x):
+def predict_lrg(W, x):
     """t = W^T x (identity feature map)."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.w.shape[0]:
-        raise DimensionError(
-            f"input dim {x.shape[0]} != feature dim {model.w.shape[0]}"
-        )
-    return model.w.T @ x
+    if x.shape[0] != W.shape[0]:
+        raise DimensionError(f"input dim {x.shape[0]} != feature dim {W.shape[0]}")
+    return W.T @ x
 
 
 def cost_terms(Y, psi, T, L: Laplacian, hyper: Hyperparams):
@@ -227,45 +227,37 @@ def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
 MODEL_FORMAT_VERSION = 1
 
 
-def model_to_json(model: KrgModel) -> dict:
-    return {
+def save_model(path, model: KrgModel):
+    save_json(path, {
         "version": MODEL_FORMAT_VERSION,
         "kernel_spec": model.spec.to_json(),
         "hyper": {"alpha": model.hyper.alpha, "beta": model.hyper.beta},
         "laplacian": model.laplacian.matrix.tolist(),
         "x_train": model.x_train.tolist(),
         "psi": model.psi.tolist(),
-    }
-
-
-def model_from_json(doc: dict) -> KrgModel:
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != MODEL_FORMAT_VERSION:
-        raise DataFormatError(f"unsupported model version {version!r}")
-    spec = KernelSpec.from_json(doc["kernel_spec"])
-    x_train = np.array(doc["x_train"], dtype=float)
-    psi = np.array(doc["psi"], dtype=float)
-    L = Laplacian(np.array(doc["laplacian"], dtype=float))
-    if x_train.ndim != 2 or psi.shape != (x_train.shape[0], L.num_nodes):
-        raise DataFormatError(f"psi shape {psi.shape} does not fit x_train "
-                              f"shape {x_train.shape} and {L.num_nodes} nodes")
-    if not (np.isfinite(x_train).all() and np.isfinite(psi).all()):
-        raise DataFormatError("x_train or psi has NaN or infinite entries")
-    if spec.kind == "rbf" and spec.rbf_normalizer is None:
-        # a file written before specs carried Z: recompute it from x_train
-        _, spec = gram_matrix(x_train, spec)
-    return KrgModel(psi=psi, x_train=x_train, spec=spec, laplacian=L,
-                    hyper=Hyperparams(**doc["hyper"]))
-
-
-def save_model(path, model: KrgModel):
-    save_json(path, model_to_json(model))
+    })
 
 
 def load_model(path) -> KrgModel:
     doc = load_json(path)
     try:
-        return model_from_json(doc)
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != MODEL_FORMAT_VERSION:
+            raise DataFormatError(f"unsupported model version {version!r}")
+        spec = KernelSpec.from_json(doc["kernel_spec"])
+        x_train = np.array(doc["x_train"], dtype=float)
+        psi = np.array(doc["psi"], dtype=float)
+        L = Laplacian(np.array(doc["laplacian"], dtype=float))
+        if x_train.ndim != 2 or psi.shape != (x_train.shape[0], L.num_nodes):
+            raise DataFormatError(f"psi shape {psi.shape} does not fit x_train "
+                                  f"shape {x_train.shape} and {L.num_nodes} nodes")
+        if not (np.isfinite(x_train).all() and np.isfinite(psi).all()):
+            raise DataFormatError("x_train or psi has NaN or infinite entries")
+        if spec.kind == "rbf" and spec.rbf_normalizer is None:
+            # a file written before specs carried Z: recompute it from x_train
+            _, spec = gram_matrix(x_train, spec)
+        return KrgModel(psi=psi, x_train=x_train, spec=spec, laplacian=L,
+                        hyper=Hyperparams(**doc["hyper"]))
     # malformed arrays raise ValueError; missing or unexpected fields
     # raise KeyError or TypeError
     except (ValueError, KeyError, TypeError, KrgraphError) as exc:

@@ -4,6 +4,7 @@ split in half, and corrupted by SNR-calibrated noise on the training side.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,14 @@ class SynthConfig:
             raise KrgraphError("num_samples must be even (equal train/test split)")
         if self.num_nodes < 2:
             raise KrgraphError("need at least 2 nodes")
+        # numpy cannot hold an array of more than sys.maxsize bytes, and
+        # the data has a dense float64 square of each side
+        for key in ("num_nodes", "num_samples"):
+            side = getattr(self, key)
+            if side**2 * 8 > sys.maxsize:
+                raise KrgraphError(f"{key}={side} is too large: its dense "
+                                   "float64 square exceeds numpy's limit of "
+                                   f"{sys.maxsize} bytes")
         if self.graph_model not in ("erdos_renyi", "barabasi_albert"):
             raise KrgraphError(f"unknown graph model {self.graph_model!r}")
         if not -np.inf < self.graph_param < np.inf:

@@ -102,7 +102,7 @@ def cv_table_refit(train, L, grid, method, seed, kernel_spec=None):
             X_val = train.X[val_rows]
             fresh_L = Laplacian(L.matrix.copy())
             if primal:
-                Y = X_val @ fit_lrg(X_fit, T_fit, fresh_L, hyper).w
+                Y = X_val @ fit_lrg(X_fit, T_fit, fresh_L, hyper)
             else:
                 spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
                 K, spec = gram_matrix(X_fit, spec)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,25 @@ class TestLearnGraph:
         _assert_one_json_error(capsys, error, message)
         assert list(out.iterdir()) == []
 
+    def test_nu_zero_puts_the_budget_on_one_edge(self, tmp_path):
+        """Without the ||L||_F^2 term the L-step is linear, and its
+        minimizer over the scaled simplex is a vertex: one edge."""
+        out_data = make_dataset_dir(tmp_path)
+        cfg = write_config(tmp_path, "lg.json", {
+            "x_csv": str(out_data / "X_train.csv"),
+            "t_csv": str(out_data / "T_train.csv"),
+            "kernel": {"kind": "precomputed",
+                       "matrix_csv": str(out_data / "kernel_full.csv")},
+            "alpha": 0.1, "beta": 1.0, "nu": 0, "max_outer_iters": 3,
+        })
+        out = tmp_path / "lg"
+        assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 0
+        # w (e_i - e_j)(e_i - e_j)^T has spectral radius 2w: rescaled, w = 1/2
+        weights = -load_matrix_csv(out / "laplacian.csv")[np.triu_indices(8, 1)]
+        assert np.count_nonzero(weights) == 1 and weights.max() == 0.5
+        assert {record["edge_sparsity"] for record
+                in _parsed(out / "iterations.jsonl")} == {1 / 28}
+
     def test_trace_budget_below_float_resolution(self, tmp_path, capsys):
         """Any trace_budget above 0 passes the schema; one too small for
         the edge-weight projection is one JSON error line, not a traceback."""
@@ -783,7 +803,9 @@ class TestKrr:
         (np.ones((3, 2)), [2], [1.0], "DimensionError"),
         (np.diag([1.0, -1.0]), [0, 1], [1.0, 2.0], "SingularSystemError"),
         (np.eye(3), [0, 10**20], [1.0, 2.0], "DimensionError"),
-    ], ids=["non_square_kernel", "singular_system", "index_beyond_int64"])
+        (np.eye(3), [0, 1], [1.0], "DimensionError"),
+    ], ids=["non_square_kernel", "singular_system", "index_beyond_int64",
+            "x_of_another_length"])
     def test_bad_kernel_is_krgraph_error(self, tmp_path, capsys, K_bar,
                                          observed, x, error):
         save_matrix_csv(tmp_path / "K.csv", K_bar)
@@ -1012,6 +1034,8 @@ def _bad_file_case(tmp_path, case):
                 "graph_edge_out_of_range": '{"nodes": 4, "edges": [[0, 99, 1]]}',
                 "graph_edge_negative": '{"nodes": 4, "edges": [[0, -1, 1]]}',
                 "graph_edge_fractional": '{"nodes": 4, "edges": [[0, 1.5, 1]]}',
+                "graph_without_edges": '{"nodes": 4}',
+                "graph_nodes_zero": '{"nodes": 0, "edges": []}',
                 }[case]
         bad.write_text(text, encoding="utf-8")
         return "fit", dict(fit_doc, beta=0.5, graph_json=str(bad)), bad.name
@@ -1049,7 +1073,8 @@ class TestFileBoundaryErrors:
     @pytest.mark.parametrize("case", [
         "missing_matrix_csv", "missing_ingest_csv", "graph_not_json",
         "graph_edge_out_of_range", "graph_edge_negative",
-        "graph_edge_fractional", "model_version_2", "model_not_json",
+        "graph_edge_fractional", "graph_without_edges", "graph_nodes_zero",
+        "model_version_2", "model_not_json",
         "model_missing_kernel_spec", "model_psi_rows", "model_psi_cols",
         "graph_not_utf8", "model_not_utf8",
         # Python's JSON reader accepts NaN and Infinity
@@ -1371,6 +1396,152 @@ class TestInvalidValuesRejected:
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConvergenceError", "did not converge")
         assert list(out.iterdir()) == []
+
+
+# (error, words in its message) of each input that a command must reject
+# with exit 1 and one JSON line on stderr, writing no NaN
+REJECTIONS = {
+    # finite weights whose products overflow to inf, and inf * 0 to NaN
+    "fit_huge_beta": ("KrgraphError", "beta=1e+308 overflow"),
+    "cv_huge_beta": ("KrgraphError", "beta=1e+308 overflow"),
+    "bench_huge_beta": ("KrgraphError", "2 benchmark cells failed"),
+    "learn_graph_huge_beta": ("KrgraphError", "beta=1e+308 overflow"),
+    "learn_graph_huge_nu": ("KrgraphError", "nu=1e+308 is so large"),
+    "krr_huge_mu": ("KrgraphError", "mu must be > 0 with mu * S finite"),
+    # expm(-tau L) finite, but its row sums off 1
+    "krr_huge_tau": ("DegenerateKernelError", "tau=1e+12"),
+    # sizes whose dense float64 square numpy cannot hold
+    "synth_num_nodes_1e20": ("KrgraphError", f"num_nodes={10**20} is"),
+    "synth_num_samples_2_32": ("KrgraphError", f"num_samples={2**32}"),
+    "bench_num_nodes_1e20": ("KrgraphError", "2 benchmark cells failed"),
+    # Laplacian invariants of fit's laplacian_csv
+    "laplacian_not_square": ("InvalidGraphError", "must be square"),
+    "laplacian_not_symmetric": ("InvalidGraphError", "must be symmetric"),
+    "laplacian_row_sums": ("InvalidGraphError", "row sums must be zero"),
+    "laplacian_positive_off_diagonal": ("InvalidGraphError", "<= 0"),
+    "laplacian_negative_diagonal": ("InvalidGraphError", ">= 0"),
+    # ingest's distances_csv
+    "distances_negative": ("InvalidGraphError", "nonnegative"),
+    "distances_diagonal": ("InvalidGraphError", "diagonal must be zero"),
+    "distances_all_zero": ("InvalidGraphError", "all distances are zero"),
+    # a precomputed kernel's matrix_csv
+    "precomputed_not_square": ("KrgraphError", "must be square"),
+    "precomputed_not_symmetric": ("KrgraphError", "must be symmetric"),
+    "precomputed_without_matrix_csv": ("ConfigError", "needs matrix_csv"),
+    "cv_kr_without_kernel_or_sigmas": ("KrgraphError", "sigma_sq grid"),
+}
+
+# each a matrix in laplacian_csv, distances_csv or a precomputed matrix_csv
+_REJECTED_MATRICES = {
+    "laplacian_not_square": [[0.0, 0.0, 0.0]],
+    "laplacian_not_symmetric": [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0],
+                                [-1.0, 0.0, 1.0]],
+    "laplacian_row_sums": np.eye(2),
+    "laplacian_positive_off_diagonal": [[-1.0, 1.0], [1.0, -1.0]],
+    # row sums within their tolerance, so only the diagonal check sees it
+    "laplacian_negative_diagonal": [[-1e-11, 0.0], [0.0, 0.0]],
+    "distances_negative": [[0.0, -1.0], [-1.0, 0.0]],
+    "distances_diagonal": np.ones((2, 2)),
+    "distances_all_zero": np.zeros((2, 2)),
+    "precomputed_not_square": np.ones((12, 11)),
+    "precomputed_not_symmetric": np.eye(12) + np.eye(12, k=1),
+}
+
+
+def _rejected_case(tmp_path, case):
+    """(command, config doc) of one REJECTIONS case."""
+    data = make_dataset_dir(tmp_path)
+    matrix = tmp_path / "matrix.csv"
+    if case in _REJECTED_MATRICES:
+        save_matrix_csv(matrix, np.array(_REJECTED_MATRICES[case]))
+    files = {"x_csv": str(data / "X_train.csv"),
+             "t_csv": str(data / "T_train.csv")}
+    kernel = {"kind": "precomputed", "matrix_csv": str(data / "kernel_full.csv")}
+    fit = dict(files, graph_json=str(data / "graph.json"), kernel=kernel,
+               alpha=0.1, beta=0.5)
+    learn_graph = dict(files, kernel=kernel, alpha=0.1, beta=1.0, nu=0.5)
+    krr = {"graph_json": str(data / "graph.json"), "tau": 0.5,
+           "observed_idx": [0, 1], "x": [1.0, 2.0], "mu": 0.2}
+    grid = {"alphas": [0.1, 1.0], "betas": [0.0, 0.5], "folds": 3}
+    cv = dict(files, graph_json=str(data / "graph.json"), method="KRG",
+              kernel=kernel, grid=grid, seed=0)
+    if case.startswith("laplacian_"):
+        del fit["graph_json"]
+        return "fit", dict(fit, laplacian_csv=str(matrix))
+    if case.startswith("distances_"):
+        (tmp_path / "inputs.csv").write_text("x\n1.0\n2.0\n3.0\n",
+                                             encoding="utf-8")
+        save_matrix_csv(tmp_path / "targets.csv", np.ones((3, 2)))
+        return "ingest", {"inputs_csv": str(tmp_path / "inputs.csv"),
+                          "targets_csv": str(tmp_path / "targets.csv"),
+                          "distances_csv": str(matrix)}
+    return {
+        "fit_huge_beta": ("fit", dict(fit, beta=1e308)),
+        "cv_huge_beta": ("cv", dict(cv, grid=dict(grid, betas=[0.0, 1e308]))),
+        # a seed whose Laplacians have the eigenvalue 0 exactly
+        "bench_huge_beta": ("bench", dict(
+            BENCH_CFG, master_seed=0, grid=dict(grid, betas=[1e308]))),
+        "learn_graph_huge_beta": ("learn-graph", dict(learn_graph, beta=1e308)),
+        "learn_graph_huge_nu": ("learn-graph", dict(learn_graph, nu=1e308)),
+        "krr_huge_mu": ("krr", dict(krr, mu=1e308)),
+        "krr_huge_tau": ("krr", dict(krr, tau=1e12)),
+        "synth_num_nodes_1e20": ("synth", dict(SYNTH_CFG, num_nodes=10**20)),
+        "synth_num_samples_2_32": ("synth", dict(SYNTH_CFG, num_samples=2**32)),
+        "bench_num_nodes_1e20": ("bench", dict(BENCH_CFG, num_nodes=10**20)),
+        "precomputed_not_square": ("fit", dict(fit, kernel=dict(
+            kernel, matrix_csv=str(matrix)))),
+        "precomputed_not_symmetric": ("fit", dict(fit, kernel=dict(
+            kernel, matrix_csv=str(matrix)))),
+        "precomputed_without_matrix_csv": ("fit", dict(
+            fit, kernel={"kind": "precomputed"})),
+        "cv_kr_without_kernel_or_sigmas": ("cv", dict(
+            {k: v for k, v in cv.items() if k != "kernel"}, method="KR")),
+    }[case]
+
+
+def _strict_json(text):
+    """JSON as a strict parser reads it: NaN and Infinity are no tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejected_with_one_json_line(tmp_path, capsys, case):
+    """Exit 1 with one JSON line and no numpy warning; what the command
+    wrote before it failed (bench's results) holds only finite numbers."""
+    command, doc = _rejected_case(tmp_path, case)
+    cfg = write_config(tmp_path, "case.json", doc)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", cfg, "--out-dir", out]) == 1
+    assert [str(w.message) for w in caught] == []
+    _assert_one_json_error(capsys, *REJECTIONS[case])
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            _strict_json(text)
+        else:   # a CSV, whose floats are written by repr
+            assert "nan" not in text and "inf" not in text
+
+
+def test_memory_error_is_one_json_line(tmp_path, capsys, monkeypatch):
+    """An allocation below numpy's size limit can still fail."""
+    class ArrayMemoryError(MemoryError):   # as numpy's, a private subclass
+        pass
+
+    def allocate(cfg):
+        raise ArrayMemoryError("Unable to allocate 2.00 EiB for an array")
+
+    monkeypatch.setattr(cli.synthdata, "make_synthetic_dataset", allocate)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["synth", "--config", write_config(tmp_path, "s.json", SYNTH_CFG),
+                "--out-dir", out]) == 1
+    _assert_one_json_error(capsys, "MemoryError", "Unable to allocate")
+    assert list(out.iterdir()) == []
 
 
 def _parsed(path):

@@ -344,6 +344,12 @@ class TestKrrBaseline:
         with pytest.raises(KrgraphError):
             krr_baseline(np.eye(3), [0], np.zeros(1), mu=0.0)
 
+    @pytest.mark.parametrize("mu", [float("nan"), 1e308])
+    def test_nan_or_overflowing_mu(self, mu):
+        """mu * S * I would be NaN off the diagonal at mu * S = inf."""
+        with pytest.raises(KrgraphError, match="mu must be > 0"):
+            krr_baseline(np.eye(3), [0, 1], np.zeros(2), mu=mu)
+
     def test_heat_kernel_psd(self):
         L = build_laplacian(erdos_renyi(8, 0.4, seed=0))
         K = heat_kernel(L, 0.5)

@@ -210,6 +210,14 @@ class TestEdgeOverlap:
         np.testing.assert_allclose(w, w_dense, rtol=0, atol=1e-10)
 
 
+    def test_overflowing_costs_rejected_quietly(self):
+        """A finite but huge beta makes beta * ||y_i - y_j||^2 infinite."""
+        c = _smoothness_costs(np.array([[0.0, 2.0, 1.0]]), 1e308)
+        assert np.isinf(c).any()
+        with pytest.raises(KrgraphError, match="smaller beta"):
+            minimize_edge_weights(c, 3, 1.0, 0.5)
+
+
 class TestJointCost:
     def test_zero_psi_zero_laplacian(self):
         rng = np.random.default_rng(8)

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from krgraph.errors import ConvergenceError, DataFormatError, InvalidGraphError
+from krgraph.errors import (ConvergenceError, DataFormatError,
+                            InvalidGraphError, KrgraphError)
 from krgraph.graphs import (
     Graph,
     Laplacian,
@@ -22,6 +23,7 @@ from krgraph.graphs import (
     load_matrix_csv,
     save_csv_rows,
     save_json,
+    save_json_lines,
     save_matrix_csv,
     spectral_rescale,
 )
@@ -389,7 +391,7 @@ def test_csv_rows_bytes_equal_csv_writer(tmp_path):
 
 def test_json_bytes_equal_json_dump(tmp_path):
     doc = {"z": {"b": [1, 2.5, -0.0], "a": {"y": None, "x": "text"}},
-           "a": [{"k": 1e16, "j": 5e-324}], "m": float("inf")}
+           "a": [{"k": 1e16, "j": 5e-324}], "m": -1.7976931348623157e308}
     save_json(tmp_path / "pretty.json", doc, pretty=True)
     assert ((tmp_path / "pretty.json").read_bytes() == _json_dump_bytes(
         tmp_path / "ref.json", doc, indent=2, sort_keys=True))
@@ -397,6 +399,18 @@ def test_json_bytes_equal_json_dump(tmp_path):
     assert ((tmp_path / "compact.json").read_bytes()
             == _json_dump_bytes(tmp_path / "ref.json", doc))
     assert load_json(tmp_path / "compact.json") == doc
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("save", [save_json, save_json_lines])
+def test_json_writers_refuse_non_finite_numbers(tmp_path, save, value):
+    """Strict JSON has no NaN or Infinity token: the writer names the file
+    and does not open it."""
+    docs = [{"ok": 1.0}, {"cost": [0.5, value]}]
+    path = tmp_path / "out.json"
+    with pytest.raises(KrgraphError, match=r"out\.json: not written"):
+        save(path, docs)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("load", [load_json, load_graph_json])

@@ -157,6 +157,16 @@ class TestSylvesterGrid:
         with pytest.raises(SingularSystemError, match="theta=0.000e\\+00"):
             solve_sylvester_eigenbasis(cache, np.ones((3, 2)), [1.0, 0.0], [0.5])
 
+    def test_overflowing_beta_fails_the_grid_quietly(self):
+        """beta * theta overflows to inf, and inf * lam = inf * 0 is NaN,
+        which no ordered comparison with the floor rejects on its own."""
+        cache = SpectralCache.build(np.diag([1.0, 2.0, 4.0]),
+                                    Laplacian(np.zeros((2, 2))))
+        with np.errstate(all="raise"), pytest.raises(
+                KrgraphError, match=r"alpha=0\.5, beta=1e\+308 overflow"):
+            solve_sylvester_eigenbasis(cache, np.ones((3, 2)), [0.5],
+                                       [1.0, 1e308])
+
     def test_grid_is_eigenbasis_solution_back_projected(self):
         """U C V^T over the whole grid at once gives each point's single
         solve bit for bit."""
@@ -287,21 +297,21 @@ class TestPredictKrg:
 class TestFitLrg:
     def test_beta_zero_is_ridge(self):
         X, T, L = make_instance(11)
-        model = fit_lrg(X, T, L, Hyperparams(alpha=0.4, beta=0.0))
+        W = fit_lrg(X, T, L, Hyperparams(alpha=0.4, beta=0.0))
         G = X.T @ X
         expected = np.linalg.solve(G + 0.4 * np.eye(5), X.T @ T)
-        np.testing.assert_allclose(model.w, expected, rtol=1e-9)
+        np.testing.assert_allclose(W, expected, rtol=1e-9)
 
     def test_zero_targets(self):
         X, T, L = make_instance(12)
-        model = fit_lrg(X, np.zeros_like(T), L, Hyperparams(alpha=0.1, beta=0.5))
-        assert np.allclose(model.w, 0)
+        W = fit_lrg(X, np.zeros_like(T), L, Hyperparams(alpha=0.1, beta=0.5))
+        assert np.allclose(W, 0)
 
     def test_matches_dense_oracle(self):
         X, T, L = make_instance(13)
-        model = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.5))
+        W = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.5))
         expected = dense_kron_primal_solve(X, L.matrix, T, 0.1, 0.5)
-        np.testing.assert_allclose(model.w, expected, rtol=1e-8)
+        np.testing.assert_allclose(W, expected, rtol=1e-8)
 
     def test_rank_deficient_alpha_zero_raises(self):
         rng = np.random.default_rng(14)
@@ -314,7 +324,7 @@ class TestFitLrg:
     def test_normal_equation_residual(self):
         X, T, L = make_instance(15)
         hyper = Hyperparams(alpha=0.05, beta=2.0)
-        W = fit_lrg(X, T, L, hyper).w
+        W = fit_lrg(X, T, L, hyper)
         G = X.T @ X
         resid = (G + hyper.alpha * np.eye(5)) @ W \
             + hyper.beta * G @ W @ L.matrix - X.T @ T
@@ -325,19 +335,17 @@ class TestFitLrg:
 class TestPredictLrg:
     def test_zero_input(self):
         X, T, L = make_instance(16)
-        model = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.1))
-        assert np.array_equal(predict_lrg(model, np.zeros(5)), np.zeros(8))
+        W = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.1))
+        assert np.array_equal(predict_lrg(W, np.zeros(5)), np.zeros(8))
 
     def test_identity_weights(self):
-        from krgraph.solver import LrgModel
-        model = LrgModel(w=np.eye(3))
         x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(predict_lrg(model, x), x)
+        assert np.array_equal(predict_lrg(np.eye(3), x), x)
 
     def test_matches_direct_multiply(self):
         X, T, L = make_instance(17)
-        model = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.5))
-        np.testing.assert_allclose(predict_lrg(model, X[0]), model.w.T @ X[0])
+        W = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.5))
+        np.testing.assert_allclose(predict_lrg(W, X[0]), W.T @ X[0])
 
 
 class TestDualCostGradient:
@@ -601,7 +609,7 @@ class TestSingularityRule:
         with pytest.raises(SingularSystemError,
                            match="theta=.*rank-deficient.*alpha > 0"):
             fit_lrg(X, T, L, Hyperparams(alpha=0.0, beta=2.0))
-        assert np.isfinite(fit_lrg(X, T, L, Hyperparams(0.1, 2.0)).w).all()
+        assert np.isfinite(fit_lrg(X, T, L, Hyperparams(0.1, 2.0))).all()
 
     def test_spectral_cache_eigh_failure_is_convergence_error(self,
                                                               monkeypatch):

@@ -8,10 +8,9 @@ from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import (ConfigError, DegenerateKernelError, DimensionError,
-                     KrgraphError, SingularSystemError)
+from .errors import (ConfigError, DimensionError, KrgraphError,
+                     SingularSystemError)
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
                       kernel_cross_matrix)
@@ -192,19 +191,15 @@ def krr_baseline(K_bar, observed_idx, x, mu: float):
 
 @_QUIET_OVERFLOW
 def heat_kernel(L: Laplacian, tau: float):
-    """expm(-tau L), a diffusion-style node kernel (approximation of the
-    diffusion kernels used in graph-signal reconstruction baselines).
-
-    L 1 = 0, so the exact kernel's rows sum to 1; a result whose row sums
-    miss 1 by more than 1e-8, or hold an overflow's inf or NaN, has lost
-    its accuracy to roundoff and is a DegenerateKernelError."""
-    K = expm(-tau * L.matrix)
-    deviation = np.abs(K.sum(axis=1) - 1.0).max()
-    if not deviation <= 1e-8:
-        raise DegenerateKernelError(
-            f"heat kernel expm(-tau L) at tau={tau:g} has row sums off 1 by "
-            f"{deviation:.3g}, lost to roundoff; use a smaller tau")
-    return K
+    """exp(-tau L) = V diag(exp(-tau lam)) V^T from L's eigenpairs, the
+    diffusion kernel of graph-signal reconstruction (Romero, Ma & Giannakis
+    2017). It is exact at every tau > 0, L's null space being exact: it
+    tends to the per-component average, reached where tau * lam overflows
+    and exp(-inf) = 0."""
+    if not 0 < tau < np.inf:
+        raise KrgraphError(f"tau must be finite and > 0, got tau={tau}")
+    lam, V = L.eigendecomposition()
+    return (V * np.exp(-tau * lam)) @ V.T
 
 
 @dataclass(frozen=True)

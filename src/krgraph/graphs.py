@@ -80,13 +80,16 @@ class Laplacian:
         return self.matrix.shape[0]
 
     def eigendecomposition(self):
-        """Return (eigenvalues, eigenvectors), eigenvalues clamped PSD;
+        """Return (eigenvalues, eigenvectors), the null space's exactly 0;
         computed on the first call and kept, read-only, on the instance."""
         return self._eigenpairs
 
     @cached_property
     def _eigenpairs(self):
         lam, V = eigh_psd(self.matrix)
+        # the null space (component indicators) must be exact: beta would
+        # multiply a roundoff eigenvalue left there
+        lam[lam <= _EIG_CLAMP * lam.max(initial=1.0)] = 0.0
         lam.flags.writeable = V.flags.writeable = False
         return lam, V
 

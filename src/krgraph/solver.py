@@ -51,7 +51,7 @@ class SpectralCache:
     u: np.ndarray       # N x N orthonormal
     theta: np.ndarray   # N kernel eigenvalues, [-1e-10, 0) roundoff set to 0
     v: np.ndarray       # M x M orthonormal
-    lam: np.ndarray     # M Laplacian eigenvalues, [-1e-10, 0) roundoff set to 0
+    lam: np.ndarray     # M Laplacian eigenvalues, the null space's exactly 0
 
     @staticmethod
     def build(K, L: Laplacian, overwrite=False) -> "SpectralCache":

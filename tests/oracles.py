@@ -4,9 +4,12 @@ These deliberately build the dense (M*N) x (M*N) Kronecker systems and
 naive loop-based sums that the library itself never forms.
 """
 
+from functools import cache
 from itertools import product
 
 import numpy as np
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 
 def dense_kron_dual_solve(K, L, T, alpha, beta):
@@ -71,6 +74,57 @@ def random_laplacian_matrix(rng, M):
     from krgraph.graphs import Graph, build_laplacian
 
     return build_laplacian(Graph(random_graph_adjacency(rng, M))).matrix
+
+
+def null_space_projector(L):
+    """The orthogonal projector onto the null space of Laplacian matrix L,
+    from its connected components: the per-component averaging matrix,
+    entry 1/|C| where both nodes lie in component C, 0 elsewhere. It is
+    exp(-tau L)'s limit as tau -> inf. Returns (projector, components)."""
+    L = np.asarray(L, dtype=float)
+    count, labels = connected_components(L - np.diag(np.diag(L)) != 0,
+                                         directed=False)
+    E = (labels[:, None] == np.arange(count)).astype(float)
+    return (E / E.sum(axis=0)) @ E.T, count
+
+
+def heat_kernel_expm(L, tau):
+    """expm(-tau L) by Pade scaling and squaring: a reference at moderate
+    tau only, since its roundoff grows with tau * ||L||."""
+    return expm(-tau * np.asarray(L, dtype=float))
+
+
+def infinite_beta_dual_solve(K, L, T, alpha):
+    """The beta -> inf limit of (K + alpha I) Psi + beta K Psi L = T for a
+    full-rank K: (K + alpha I)^{-1} T P, with P the null-space projector."""
+    return np.linalg.solve(K + alpha * np.eye(len(K)),
+                           T @ null_space_projector(L)[0])
+
+
+@cache
+def null_space_laplacians():
+    """{case id: Laplacian matrix} for the null-space oracles: connected
+    ER(50, 0.3), disconnected ER(50, 0.03), complete geodesic graphs on 20
+    random points in the plane, and a Laplacian learned by
+    alternating_fit, three of each random kind."""
+    from krgraph.graphlearn import GraphLearnConfig, alternating_fit
+    from krgraph.graphs import build_laplacian, erdos_renyi, geodesic_adjacency
+    from krgraph.solver import Hyperparams
+
+    cases = {}
+    for seed in range(3):
+        cases[f"er50_p0.3_seed{seed}"] = erdos_renyi(50, 0.3, seed)
+        cases[f"er50_p0.03_seed{seed}"] = erdos_renyi(50, 0.03, seed)
+        points = np.random.default_rng(seed).uniform(size=(20, 2))
+        cases[f"geodesic20_seed{seed}"] = geodesic_adjacency(
+            np.linalg.norm(points[:, None] - points[None], axis=-1))
+    cases = {k: build_laplacian(g).matrix for k, g in cases.items()}
+    rng = np.random.default_rng(7)
+    X, T = rng.standard_normal((30, 3)), rng.standard_normal((30, 12))
+    _, learned, _ = alternating_fit(X @ X.T, T, Hyperparams(alpha=0.1, beta=1.0),
+                                    GraphLearnConfig(nu=0.5, max_outer_iters=4))
+    cases["learned12"] = learned.matrix
+    return cases
 
 
 def cv_table_refit(train, L, grid, method, seed, kernel_spec=None):

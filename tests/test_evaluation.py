@@ -20,7 +20,10 @@ from krgraph.evaluation import (
 from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.kernels import KernelSpec
 from krgraph.synthdata import Dataset, SynthConfig, make_synthetic_dataset
-from oracles import cv_table_refit, random_laplacian_matrix, random_psd
+from oracles import (cv_table_refit, heat_kernel_expm, null_space_laplacians,
+                     null_space_projector, random_laplacian_matrix, random_psd)
+
+NULL_SPACE_CASES = null_space_laplacians()
 
 
 class TestNmse:
@@ -356,6 +359,33 @@ class TestKrrBaseline:
         evals = np.linalg.eigvalsh(K)
         assert evals.min() > 0
         np.testing.assert_allclose(K, K.T, atol=1e-12)
+
+
+class TestHeatKernel:
+    """exp(-tau L) from L's eigenpairs against expm at moderate tau and
+    against the per-component average, its limit, at large tau."""
+
+    @pytest.mark.parametrize("case", NULL_SPACE_CASES)
+    def test_matches_expm_at_moderate_tau(self, case):
+        L = Laplacian(NULL_SPACE_CASES[case])
+        for tau in (0.01, 0.1, 0.5, 1.0):
+            np.testing.assert_allclose(heat_kernel(L, tau),
+                                       heat_kernel_expm(L.matrix, tau),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", NULL_SPACE_CASES)
+    def test_large_tau_is_the_component_average(self, case):
+        L = Laplacian(NULL_SPACE_CASES[case])
+        projector, _ = null_space_projector(L.matrix)
+        for tau in (1e6, 1e8, 1e12, 1e16):
+            np.testing.assert_allclose(heat_kernel(L, tau), projector,
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_tau_outside_the_open_half_line_rejected(self, tau):
+        L = build_laplacian(erdos_renyi(8, 0.4, seed=0))
+        with pytest.raises(KrgraphError, match="tau must be finite and > 0"):
+            heat_kernel(L, tau)
 
 
 SMALL_GRID = CvGrid(alphas=[0.1, 1.0], betas=[0.0, 1.0], folds=3)

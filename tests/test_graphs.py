@@ -27,10 +27,12 @@ from krgraph.graphs import (
     save_matrix_csv,
     spectral_rescale,
 )
-from oracles import (edge_sum_quadratic_form, random_graph_adjacency,
+from oracles import (edge_sum_quadratic_form, null_space_laplacians,
+                     null_space_projector, random_graph_adjacency,
                      random_laplacian_matrix)
 
 K3 = Graph(np.ones((3, 3)) - np.eye(3))
+NULL_SPACE_CASES = null_space_laplacians()
 
 
 class TestGraphValidation:
@@ -105,6 +107,30 @@ class TestBuildLaplacian:
             assert lam.min() >= -1e-8 * max(np.abs(lam).max(), 1.0)
             assert np.abs(L.matrix.sum(axis=1)).max() <= \
                 1e-10 * max(np.linalg.norm(L.matrix, "fro"), 1.0)
+
+
+class TestLaplacianNullSpace:
+    """L's eigenvalue 0 is exact, once per connected component, and its
+    eigenvectors span the component indicators."""
+
+    @pytest.mark.parametrize("case", NULL_SPACE_CASES)
+    def test_zeros_are_the_components(self, case):
+        L = NULL_SPACE_CASES[case]
+        projector, components = null_space_projector(L)
+        lam, V = Laplacian(L).eigendecomposition()
+        assert np.count_nonzero(lam == 0) == components
+        assert lam[components] > 0
+        null = V[:, :components]
+        np.testing.assert_allclose(null @ null.T, projector, rtol=0, atol=1e-13)
+
+    def test_roundoff_eigenvalues_of_any_sign_become_0(self, monkeypatch):
+        """The threshold is relative to the spectral radius."""
+        def eigh(a, **kw):
+            return np.array([-3e-9, 2e-9, 40.0]), np.eye(3)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        lam, _ = build_laplacian(K3).eigendecomposition()
+        np.testing.assert_array_equal(lam, [0.0, 0.0, 40.0])
 
 
 class TestQuadraticForm:

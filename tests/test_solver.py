@@ -30,9 +30,13 @@ from krgraph.solver import (
 from oracles import (
     dense_kron_dual_solve,
     dense_kron_primal_solve,
+    infinite_beta_dual_solve,
+    null_space_laplacians,
     random_laplacian_matrix,
     random_psd,
 )
+
+NULL_SPACE_CASES = null_space_laplacians()
 
 
 def make_instance(seed, N=12, M=8, d=5):
@@ -120,6 +124,23 @@ class TestSylvesterSpectral:
         with pytest.raises(DimensionError):
             solve_sylvester_spectral(cache, np.ones((2, 3)),
                                      Hyperparams(alpha=1.0, beta=0.0))
+
+
+class TestInfiniteBetaLimit:
+    """At beta 1e20, every graph-smoothness mode but L's null space is
+    shrunk to nothing; the null space itself must not be touched."""
+
+    @pytest.mark.parametrize("case", NULL_SPACE_CASES)
+    def test_huge_beta_keeps_only_the_null_space(self, case):
+        L = Laplacian(NULL_SPACE_CASES[case])
+        rng = np.random.default_rng(4)
+        K = random_psd(rng, 20, rank=40)   # full rank, well conditioned
+        T = rng.standard_normal((20, L.num_nodes))
+        out = solve_sylvester_spectral(SpectralCache.build(K, L), T,
+                                       Hyperparams(alpha=0.1, beta=1e20))
+        expected = infinite_beta_dual_solve(K, L.matrix, T, 0.1)
+        np.testing.assert_allclose(out, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 class TestSylvesterGrid:

@@ -72,14 +72,23 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+# results.csv of the shipped sweep since L's null space is exact; the
+# digest in perfbench/snr_reference.json predates that change, and its
+# NMSE column agrees with this file to the benchmark's tolerance
+SHIPPED_SNR_SWEEP_SHA256 = (
+    "1f2064b8c54583083787369a4bbc999116226aec71c91d9d84a65a43060f27cc")
+REFERENCE_DB_TOL = 1e-8   # perfbench/checks.py's NMSE agreement
+
+
 def test_shipped_snr_sweep_matches_its_reference(tmp_path):
     """The paper's experiment as shipped (master_seed 2026) writes the
-    results.csv whose digest perfbench/snr_reference.json records for that
-    seed; BLAS runs on one thread, as when the reference was recorded."""
+    results.csv of SHIPPED_SNR_SWEEP_SHA256, whose NMSE column is within
+    REFERENCE_DB_TOL of the one perfbench/snr_reference.json records for
+    that seed; BLAS runs on one thread, as when the reference was recorded."""
     config = ROOT / "configs" / "bench_snr_sweep.json"
     assert json.loads(config.read_text(encoding="utf-8"))["master_seed"] == 2026
     reference = json.loads((ROOT / "perfbench" / "snr_reference.json")
-                           .read_text(encoding="utf-8"))["2026"]["sha256"]
+                           .read_text(encoding="utf-8"))["2026"]["nmse_db"]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -88,8 +97,11 @@ def test_shipped_snr_sweep_matches_its_reference(tmp_path):
          "--out-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert digest == reference
+    results = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(results).hexdigest() == SHIPPED_SNR_SWEEP_SHA256
+    nmse = [float(row.split(",")[4])
+            for row in results.decode("utf-8").splitlines()[1:]]
+    assert nmse == pytest.approx(reference, rel=0, abs=REFERENCE_DB_TOL)
 
 
 def test_readme_names_only_existing_paths():

@@ -56,6 +56,23 @@ def edge_overlap_matrix(M):
     return flat @ flat.T
 
 
+def dense_edge_qp(c, Q, radius, nu, kkt_tol=1e-12):
+    """min c.w + nu w^T Q w over {w >= 0, sum(w) = radius} by plain
+    projected gradient on the dense Q with an eigvalsh step, run to a KKT
+    residual far below the library's, so it stands in for the optimum."""
+    from krgraph.graphlearn import project_simplex
+
+    step = 1.0 / (2.0 * nu * np.linalg.eigvalsh(Q).max())
+    w = np.full(len(c), radius / len(c))
+    for _ in range(20000):
+        w_next = project_simplex(w - step * (c + 2.0 * nu * (Q @ w)), radius)
+        residual = np.abs(w_next - w).max() / step
+        w = w_next
+        if residual <= kkt_tol:
+            return w
+    raise AssertionError("dense reference solver did not converge")
+
+
 def random_graph_adjacency(rng, M, density=0.5):
     A = np.zeros((M, M))
     for i in range(M):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krgraph import cli, solver
+from krgraph import cli, graphlearn, solver
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
 from krgraph.graphs import (Graph, Laplacian, load_matrix_csv, save_graph_json,
@@ -513,6 +513,24 @@ class TestLearnGraph:
         assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError", "trace_budget 1e-300")
         assert list(out.iterdir()) == []   # iterations.jsonl included
+
+    def test_edge_qp_iteration_cap(self, tmp_path, capsys, monkeypatch):
+        """An L-step that runs out of QP iterations fails the command."""
+        out_data = make_dataset_dir(tmp_path)
+        cfg = write_config(tmp_path, "lg.json", {
+            "x_csv": str(out_data / "X_train.csv"),
+            "t_csv": str(out_data / "T_train.csv"),
+            "kernel": {"kind": "precomputed",
+                       "matrix_csv": str(out_data / "kernel_full.csv")},
+            "alpha": 0.1, "beta": 1.0, "nu": 0.5,
+        })
+        monkeypatch.setattr(graphlearn, "_MAX_QP_ITERS", 2)
+        capsys.readouterr()
+        out = tmp_path / "lg"
+        assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConvergenceError", "KKT tolerance",
+                               "residual")
+        assert not (out / "iterations.jsonl").exists()
 
 
 class TestCv:

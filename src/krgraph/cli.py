@@ -294,11 +294,13 @@ def cmd_fit(cfg, out):
     if T.shape != (K.shape[0], L.num_nodes):
         raise DimensionError(f"targets {T.shape} incompatible with "
                              f"N={K.shape[0]}, M={L.num_nodes}")
-    # LAPACK works in K's buffer, so K holds no Gram after the build; the
+    # an eigh build works in K's buffer, after which K holds no Gram; the
     # report's one Y = K Psi takes the Gram built again, bit for bit, once
-    # the cache's N x N eigenvectors are freed
+    # the cache's eigenvectors are freed
     cache = solver.SpectralCache.build(K, L, overwrite=True)
     model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
+    log.info("spectral cache of the N=%d Gram: rank %d, %s", *cache.u.shape,
+             cache.origin)
     del K, cache
     Y = kernel_cross_matrix(X, X, spec) @ model.psi
     solver.save_model(out / "model.json", model)

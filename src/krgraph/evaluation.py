@@ -101,7 +101,9 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     solves its whole (alpha, beta) grid at once in the joint eigenbasis
     (solve_sylvester_eigenbasis) and scores it there: V is L's full
     orthogonal eigenbasis, so ||A_val U C V^T - T_val||_F equals
-    ||(A_val U) C - T_val V||_F, one small product per grid point.
+    ||(A_val U) C - T_val V||_F, one small product per grid point. A
+    low-rank cache adds RHS's part on U's complement, fitted as that part
+    over alpha, as (A_val rest V) / alpha.
     """
     if method not in METHODS:
         raise KrgraphError(f"cross_validate does not handle method {method!r}")
@@ -144,6 +146,10 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
             residual = ((A_val @ cache.u)
                         @ solve_sylvester_eigenbasis(cache, rhs, *distinct[:2])
                         - T_val @ cache.v)
+            rest = cache.complement(rhs)
+            if rest is not None:  # fitted there as rest / alpha
+                residual += ((A_val @ rest @ cache.v)
+                             / np.asarray(distinct[0])[:, None, None, None])
             scores[:, :, s, f] = nmse_db_from_energies(
                 np.sum(residual**2, axis=(2, 3)), signal)
     mean = scores.mean(axis=-1)

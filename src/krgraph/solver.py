@@ -9,6 +9,10 @@ solve_sylvester_eigenbasis returns the grid's solutions in the joint
 eigenbasis, C = (U^T RHS V) / eta; cross-validation scores them there,
 since V is orthogonal and ||A U C V^T - T||_F = ||A U C - T V||_F. A
 single solve is the grid's one-point case, projected back: X = U C V^T.
+
+A large Gram is often numerically low-rank: then U holds only the r
+eigenvectors of its range, and on U's complement theta is 0, so eta is
+alpha there and that part of the solution is (RHS - U U^T RHS) / alpha.
 """
 
 from __future__ import annotations
@@ -16,13 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
-from .errors import (DataFormatError, DimensionError, KrgraphError,
-                     SingularSystemError)
+from .errors import (ConvergenceError, DataFormatError, DimensionError,
+                     KrgraphError, SingularSystemError)
 from .graphs import Laplacian, eigh_psd, load_json, save_json
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 
 _ETA_FLOOR = 1e-14
+
+# SpectralCache.build first tries a pivoted Cholesky K ~ G^T G on a Gram of
+# N >= _LOW_RANK_MIN_N, below which the eigh costs too little to be worth
+# the attempt. It succeeds once the trace of the PSD remainder K - G^T G is
+# at most _LOW_RANK_TOL * trace(K); that remainder's 2-norm is then at most
+# eps * trace(K) <= N eps ||K||_2, the size of syevd's own backward error.
+# Past rank N // 4 it gives up: from there on its cost nears the eigh's.
+_LOW_RANK_MIN_N = 512
+_LOW_RANK_TOL = np.finfo(float).eps
 
 
 def check_weights(**named_values):
@@ -48,23 +62,75 @@ class Hyperparams:
 class SpectralCache:
     """Eigenpairs of the sample-side matrix (kernel or feature Gram) and L."""
 
-    u: np.ndarray       # N x N orthonormal
-    theta: np.ndarray   # N kernel eigenvalues, [-1e-10, 0) roundoff set to 0
+    u: np.ndarray       # N x r orthonormal, r = N unless the Gram is low-rank
+    theta: np.ndarray   # r kernel eigenvalues, [-1e-10, 0) roundoff set to 0;
+    #                     on u's complement (r < N) every eigenvalue is 0
     v: np.ndarray       # M x M orthonormal
     lam: np.ndarray     # M Laplacian eigenvalues, the null space's exactly 0
+    origin: str = "eigh"  # how u and theta were found, for the fit log
 
     @staticmethod
     def build(K, L: Laplacian, overwrite=False) -> "SpectralCache":
-        """With `overwrite`, K is eigendecomposed in its own buffer and
-        holds no Gram afterwards (graphs.eigh_psd)."""
-        theta, U = eigh_psd(K, overwrite=overwrite)
+        """At N >= _LOW_RANK_MIN_N, a pivoted Cholesky K ~ G^T G that meets
+        the trace bound below rank N // 4 gives u and theta as G^T's left
+        singular vectors and squared singular values. Otherwise K is
+        eigendecomposed (graphs.eigh_psd); with `overwrite`, in its own
+        buffer, and K then holds no Gram afterwards."""
+        K = np.asarray(K, dtype=float)
+        n = K.shape[0]
+        G = _pivoted_cholesky(K, n // 4) if n >= _LOW_RANK_MIN_N else None
+        if G is not None:
+            try:
+                U, s, _ = scipy.linalg.svd(G.T, full_matrices=False,
+                                           overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"SVD of a {G.T.shape} pivoted "
+                                       f"Cholesky factor: {exc}") from exc
+            theta, origin = s**2, "pivoted Cholesky to the trace bound"
+        else:
+            theta, U = eigh_psd(K, overwrite=overwrite)
+            origin = ("eigh" if n < _LOW_RANK_MIN_N else "eigh, the pivoted "
+                      f"Cholesky having reached its rank cap {n // 4}")
         lam, V = L.eigendecomposition()
-        return SpectralCache(u=U, theta=theta, v=V, lam=lam)
+        return SpectralCache(u=U, theta=theta, v=V, lam=lam, origin=origin)
 
     def with_laplacian(self, L: Laplacian) -> "SpectralCache":
         """The same sample-side eigenpairs, paired with L's."""
         lam, V = L.eigendecomposition()
         return replace(self, v=V, lam=lam)
+
+    def complement(self, RHS):
+        """RHS's part outside the span of u, where theta is 0 and eta is
+        alpha; None when u is square, and that part is empty. It is
+        projected out twice: one pass leaves roundoff along u of the size
+        of RHS's part there, which a kernel row would scale by theta /
+        alpha ("twice is enough", Giraud et al. 2005)."""
+        if self.u.shape[1] == self.u.shape[0]:
+            return None
+        for _ in range(2):
+            RHS = RHS - self.u @ (self.u.T @ RHS)
+        return RHS
+
+
+def _pivoted_cholesky(K, rank_cap):
+    """Rows G (r x N) of a pivoted Cholesky factor, K ~ G^T G, that leave a
+    PSD remainder K - G^T G of trace at most _LOW_RANK_TOL * trace(K)
+    (Harbrecht, Peters & Schneider 2012); None if r would pass rank_cap."""
+    d = np.diag(K).copy()  # the remainder's diagonal
+    tol = _LOW_RANK_TOL * d.sum()
+    G = np.empty((rank_cap, len(d)))
+    r = 0
+    while not d.sum() <= tol:  # a NaN sum runs to the cap
+        if r == rank_cap:
+            return None
+        i = int(np.argmax(d))
+        G[r] = (K[i] - G[:r, i] @ G[:r]) / np.sqrt(d[i])
+        d -= G[r] ** 2
+        d[i] = 0.0
+        # roundoff can take an entry below its true value, which is >= 0
+        np.maximum(d, 0.0, out=d)
+        r += 1
+    return G[:r]
 
 
 @dataclass(frozen=True)
@@ -81,10 +147,14 @@ class KrgModel:
 def _checked_eta(cache: SpectralCache, alphas, betas):
     """eta[a, b, n, m] = (theta_n + alpha_a) + beta_b * theta_n * lam_m,
     rejected if any entry is at or below the singularity floor, or NaN:
-    weights so large that beta * theta overflows meet lam = 0 as inf * 0."""
+    weights so large that beta * theta overflows meet lam = 0 as inf * 0.
+    u's complement, if any, is checked as theta = 0, where eta = alpha."""
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    theta = cache.theta[:, None]
+    theta = cache.theta
+    if cache.u.shape[1] < cache.u.shape[0]:
+        theta = np.append(theta, 0.0)  # u's complement
+    theta = theta[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         eta = (theta + alphas[:, None, None, None]
                + betas[:, None, None] * theta * cache.lam)
@@ -94,15 +164,15 @@ def _checked_eta(cache: SpectralCache, alphas, betas):
         if np.isnan(low):
             raise KrgraphError(
                 f"weights alpha={alphas[a]:g}, beta={betas[b]:g} overflow the "
-                f"solve at kernel eigenvalue theta={cache.theta[n]:.3e}, "
+                f"solve at kernel eigenvalue theta={theta[n, 0]:.3e}, "
                 f"Laplacian eigenvalue lam={cache.lam[m]:.3e}; use smaller "
                 "weights")
         raise SingularSystemError(
             f"near-singular system: eta={low:.3e} at kernel eigenvalue "
-            f"theta={cache.theta[n]:.3e}, Laplacian eigenvalue "
+            f"theta={theta[n, 0]:.3e}, Laplacian eigenvalue "
             f"lam={cache.lam[m]:.3e}; a rank-deficient kernel or feature "
             "Gram needs alpha > 0")
-    return eta
+    return eta[:, :, :cache.theta.size]
 
 
 def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
@@ -121,10 +191,15 @@ def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
 
 def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
     """Solve (K + alpha I) X + beta K X L = RHS: X = U C V^T, with C the
-    one-point grid's solution in the joint eigenbasis. C is not named, so
-    it is freed before the second product (peak memory)."""
-    return cache.u @ solve_sylvester_eigenbasis(
+    one-point grid's solution in the joint eigenbasis, plus RHS's part on
+    u's complement over alpha. C is not named, so it is freed before the
+    second product (peak memory)."""
+    X = cache.u @ solve_sylvester_eigenbasis(
         cache, RHS, [hyper.alpha], [hyper.beta])[0, 0] @ cache.v.T
+    rest = cache.complement(np.asarray(RHS, dtype=float))
+    if rest is not None:
+        X += rest / hyper.alpha
+    return X
 
 
 def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
@@ -217,7 +292,8 @@ def dual_cost_gradient(K, psi, T, L: Laplacian, hyper: Hyperparams):
 
 
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
-    """zeta[n, m] = theta_n / eta[n, m]; each in [0, 1) for alpha > 0."""
+    """zeta[n, m] = theta_n / eta[n, m]; each in [0, 1) for alpha > 0, and
+    0 on u's complement."""
     return cache.theta[:, None] / _checked_eta(cache, [hyper.alpha], [hyper.beta])[0, 0]
 
 

@@ -23,6 +23,17 @@ def dense_kron_dual_solve(K, L, T, alpha, beta):
     return vec_psi.reshape((N, M), order="F")
 
 
+def dense_eigh_dual_solve(K, L, T, alpha, beta):
+    """Solve (K + aI) Psi + b K Psi L = T through numpy.linalg.eigh of the
+    whole N x N K and of L: the joint eigenbasis with no rank truncation,
+    no eigenvalue clamp and none of the library's code, for sizes whose
+    dense Kronecker system is too large to form."""
+    theta, U = np.linalg.eigh(np.asarray(K, dtype=float))
+    lam, V = np.linalg.eigh(np.asarray(L, dtype=float))
+    eta = theta[:, None] + alpha + beta * theta[:, None] * lam
+    return U @ ((U.T @ T @ V) / eta) @ V.T
+
+
 def dense_kron_primal_solve(Phi, L, T, alpha, beta):
     """Dense solve of the vectorized primal normal equations for W."""
     Kf = Phi.shape[1]
@@ -111,11 +122,18 @@ def heat_kernel_expm(L, tau):
     return expm(-tau * np.asarray(L, dtype=float))
 
 
-def infinite_beta_dual_solve(K, L, T, alpha):
+def infinite_beta_dual_solve(K, L, T, alpha, kernel_range=None):
     """The beta -> inf limit of (K + alpha I) Psi + beta K Psi L = T for a
-    full-rank K: (K + alpha I)^{-1} T P, with P the null-space projector."""
-    return np.linalg.solve(K + alpha * np.eye(len(K)),
-                           T @ null_space_projector(L)[0])
+    full-rank K: (K + alpha I)^{-1} T P, with P the null-space projector.
+    For a K of exact rank r, given an N x r orthonormal basis of its range,
+    the limit adds T's part in K's null space off L's, (I - Q Q^T) T
+    (I - P) / alpha: eta is alpha there whatever beta is."""
+    P = null_space_projector(L)[0]
+    psi = np.linalg.solve(K + alpha * np.eye(len(K)), T @ P)
+    if kernel_range is not None:
+        Q = kernel_range
+        psi += (T - Q @ (Q.T @ T)) @ (np.eye(len(P)) - P) / alpha
+    return psi
 
 
 @cache
@@ -147,14 +165,13 @@ def null_space_laplacians():
 def cv_table_refit(train, L, grid, method, seed, kernel_spec=None):
     """Reference k-fold CV table: each grid point refitted on each fold.
 
-    Every fit starts afresh: a new Gram matrix, a new Laplacian
-    object (so no eigendecomposition is reused) and no spectral cache.
-    Rows follow the sorted (alpha, beta, sigma_sq) order of cross_validate.
+    Every fit starts afresh, from a new Gram matrix, and solves through
+    dense_eigh_dual_solve: no eigendecomposition is reused, and none comes
+    from the library's SpectralCache. Rows follow the sorted
+    (alpha, beta, sigma_sq) order of cross_validate.
     """
     from krgraph.evaluation import fold_assignment, nmse_db
-    from krgraph.graphs import Laplacian
     from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
-    from krgraph.solver import Hyperparams, fit_krg, fit_lrg
 
     primal = method in ("LR", "LRG")
     betas = [0.0] if method in ("LR", "KR") else list(grid.betas)
@@ -165,19 +182,18 @@ def cv_table_refit(train, L, grid, method, seed, kernel_spec=None):
                     key=lambda p: (p[0], p[1], 0.0 if p[2] is None else p[2]))
     table = []
     for alpha, beta, sigma_sq in points:
-        hyper = Hyperparams(alpha=alpha, beta=beta)
         scores = []
         for val_rows in folds:
             fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
             X_fit, T_fit = train.X[fit_rows], train.T[fit_rows]
             X_val = train.X[val_rows]
-            fresh_L = Laplacian(L.matrix.copy())
             if primal:
-                Y = X_val @ fit_lrg(X_fit, T_fit, fresh_L, hyper)
+                Y = X_val @ dense_eigh_dual_solve(
+                    X_fit.T @ X_fit, L.matrix, X_fit.T @ T_fit, alpha, beta)
             else:
                 spec = kernel_spec or KernelSpec(kind="rbf", sigma_sq=sigma_sq)
                 K, spec = gram_matrix(X_fit, spec)
-                psi = fit_krg(K, T_fit, fresh_L, hyper).psi
+                psi = dense_eigh_dual_solve(K, L.matrix, T_fit, alpha, beta)
                 Y = kernel_cross_matrix(X_fit, X_val, spec) @ psi
             scores.append(nmse_db(Y, T_ref[val_rows]))
         table.append({"params": {"alpha": alpha, "beta": beta,

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from krgraph.graphs import (Graph, Laplacian, load_matrix_csv, save_graph_json,
 from krgraph.kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from krgraph.solver import (Hyperparams, cost_terms, fit_krg, load_model,
                             sylvester_residual)
-from oracles import dense_kron_dual_solve, random_laplacian_matrix
+from oracles import (dense_eigh_dual_solve, dense_kron_dual_solve,
+                     random_laplacian_matrix)
 
 
 def write_config(tmp_path, name, doc):
@@ -208,7 +210,52 @@ def fit_configs(tmp_path, beta, with_laplacian):
     return write_config(tmp_path, "fit.json", doc), X, T, L
 
 
+def large_fit_config(tmp_path, alpha):
+    """fit on N = 600 rbf inputs in 2-D, whose Gram has numerical rank 21,
+    so the fit takes the rank-revealing spectral cache."""
+    rng = np.random.default_rng(12)
+    X, T = rng.standard_normal((600, 2)), rng.standard_normal((600, 4))
+    L = random_laplacian_matrix(rng, 4)
+    for name, A in (("X600.csv", X), ("T600.csv", T), ("L4.csv", L)):
+        save_matrix_csv(tmp_path / name, A)
+    cfg = write_config(tmp_path, "fit600.json", {
+        "x_csv": str(tmp_path / "X600.csv"), "t_csv": str(tmp_path / "T600.csv"),
+        "laplacian_csv": str(tmp_path / "L4.csv"),
+        "kernel": {"kind": "rbf", "sigma_sq": 1.0}, "alpha": alpha, "beta": 1.0})
+    return cfg, X, T, L
+
+
 class TestFitPredict:
+    def test_large_low_rank_fit_matches_dense_oracle_and_logs(self, tmp_path,
+                                                              caplog):
+        caplog.set_level(logging.INFO, logger="krgraph")
+        cfg, X, T, L = large_fit_config(tmp_path, alpha=0.1)
+        assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "big"]) == 0
+        small, *_ = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
+        assert run(["fit", "--config", small, "--out-dir", tmp_path / "s"]) == 0
+        assert [m for m in caplog.messages if "spectral cache" in m] == [
+            "spectral cache of the N=600 Gram: rank 21, pivoted Cholesky to "
+            "the trace bound",
+            "spectral cache of the N=8 Gram: rank 8, eigh"]
+        psi = load_model(tmp_path / "big" / "model.json").psi
+        K, _ = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.0))
+        expected = dense_eigh_dual_solve(K, L, T, 0.1, 1.0)
+        assert np.linalg.norm(psi - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_large_low_rank_alpha_zero_is_one_json_error(self, tmp_path):
+        """theta is 0 on the complement of the Gram's numerical range, so
+        alpha = 0 is singular; stderr holds the error line alone."""
+        cfg, *_ = large_fit_config(tmp_path, alpha=0.0)
+        out = tmp_path / "o"
+        proc = _cli_subprocess("fit", cfg, out)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "SingularSystemError"
+        assert "theta=0.000e+00" in err["message"]
+        assert not (out / "model.json").exists()
+
     def test_fit_matches_dense_oracle(self, tmp_path):
         cfg, X, T, L = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
         out = tmp_path / "fit"

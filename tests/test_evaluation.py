@@ -196,6 +196,27 @@ class TestCrossValidate:
                                    rtol=0, atol=1e-9)
         assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
 
+    @pytest.mark.parametrize("method", ["KR", "KRG"])
+    def test_low_rank_folds_match_refit_oracle(self, method):
+        """640 rows in 5 folds fit 512 rows each, so each fold's linear
+        Gram, of rank 3, takes the rank-revealing cache, and each score
+        adds the part of the targets outside its range."""
+        train, L = _toy_dataset(9, n=640, M=6)
+        spec = KernelSpec(kind="linear")
+        X_fold = train.X[:512]
+        assert solver.SpectralCache.build(X_fold @ X_fold.T,
+                                          L).u.shape == (512, 3)
+        grid = CvGrid(alphas=[0.01, 0.5], betas=[0.0, 2.0], folds=5)
+        best, table = cross_validate(train, L, grid, method, seed=2,
+                                     kernel_spec=spec)
+        expected = cv_table_refit(train, L, grid, method, seed=2,
+                                  kernel_spec=spec)
+        assert [r["params"] for r in table] == [r["params"] for r in expected]
+        np.testing.assert_allclose([r["nmse_db"] for r in table],
+                                   [r["nmse_db"] for r in expected],
+                                   rtol=0, atol=1e-9)
+        assert best == min(expected, key=lambda r: r["nmse_db"])["params"]
+
     @pytest.mark.parametrize("method", ["LRG", "KRG"])
     def test_unsorted_repeated_grid_matches_refit_oracle(self, method):
         train, L = _toy_dataset(7, n=15, M=4)

@@ -20,7 +20,8 @@ from krgraph.graphlearn import (
     project_simplex,
     weights_to_laplacian,
 )
-from krgraph.solver import Hyperparams, cost_terms, fit_krg
+from krgraph.kernels import KernelSpec, gram_matrix
+from krgraph.solver import Hyperparams, SpectralCache, cost_terms, fit_krg
 from oracles import dense_edge_qp, edge_overlap_matrix, random_psd
 
 
@@ -319,6 +320,23 @@ class TestAlternatingFit:
                 cost_w, cost_l = costs[k]
                 assert cost_w <= prev_after_l * (1 + 1e-10) + 1e-12
                 assert cost_l <= cost_w * (1 + 1e-10) + 1e-12
+
+    def test_substeps_monotone_on_a_low_rank_gram(self):
+        """At N = 600 the paper-normalized rbf Gram of 2-D inputs takes
+        the rank-revealing cache, whose W-steps are still exact."""
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((600, 2))
+        K, _ = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=1.0))
+        T = np.sin(X @ rng.standard_normal((2, 8))) \
+            + 0.1 * rng.standard_normal((600, 8))
+        L0 = Laplacian(np.zeros((8, 8)))
+        assert SpectralCache.build(K, L0).u.shape[1] < 600 // 4
+        _, _, costs = alternating_fit(K, T, Hyperparams(alpha=0.3, beta=1.0),
+                                      GraphLearnConfig(nu=0.5, max_outer_iters=6))
+        for k in range(1, len(costs)):
+            cost_w, cost_l = costs[k]
+            assert cost_w <= costs[k - 1][1] * (1 + 1e-10) + 1e-12
+            assert cost_l <= cost_w * (1 + 1e-10) + 1e-12
 
     def test_fits_and_learns_with_hyper_beta(self):
         K, T = self._setup(17)

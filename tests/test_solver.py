@@ -7,7 +7,7 @@ import scipy.linalg
 from krgraph import kernels, solver
 from krgraph.errors import (ConvergenceError, DimensionError, KrgraphError,
                             SingularSystemError)
-from krgraph.graphs import Laplacian
+from krgraph.graphs import Laplacian, eigh_psd
 from krgraph.kernels import KernelSpec, gram_matrix
 from krgraph.solver import (
     Hyperparams,
@@ -28,6 +28,7 @@ from krgraph.solver import (
     sylvester_residual,
 )
 from oracles import (
+    dense_eigh_dual_solve,
     dense_kron_dual_solve,
     dense_kron_primal_solve,
     infinite_beta_dual_solve,
@@ -141,6 +142,105 @@ class TestInfiniteBetaLimit:
         expected = infinite_beta_dual_solve(K, L.matrix, T, 0.1)
         np.testing.assert_allclose(out, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+
+
+def large_gram(kind, N=600, seed=0, M=10):
+    """A Gram past the rank-revealing gate: the paper-normalized rbf on 2-D
+    inputs, whose Z grows with N so that K is flat and numerically of low
+    rank, or the linear kernel on 3-D inputs, of rank 3. Returns
+    (K, X, L, T)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, 2 if kind == "rbf" else 3))
+    spec = KernelSpec(kind=kind, sigma_sq=1.0 if kind == "rbf" else None)
+    K, _ = gram_matrix(X, spec)
+    L = Laplacian(random_laplacian_matrix(rng, M))
+    return K, X, L, rng.standard_normal((N, M))
+
+
+class TestRankRevealingCache:
+    """At N >= 512 a pivoted Cholesky that meets the trace bound below
+    rank N // 4 gives a cache of u's r columns, theta = 0 on the rest."""
+
+    @pytest.mark.parametrize("kind, rank", [("rbf", 21), ("linear", 3)])
+    def test_low_rank_gram_within_the_trace_bound(self, kind, rank):
+        K, _, L, _ = large_gram(kind)
+        cache = SpectralCache.build(K, L)
+        assert cache.u.shape == (600, rank) and cache.theta.shape == (rank,)
+        assert cache.origin == "pivoted Cholesky to the trace bound"
+        assert cache.theta.min() >= 0
+        np.testing.assert_allclose(cache.u.T @ cache.u, np.eye(rank),
+                                   rtol=0, atol=1e-13)
+        bound = np.finfo(float).eps * np.trace(K)
+        assert np.linalg.norm(K - (cache.u * cache.theta) @ cache.u.T, 2) \
+            <= 10 * bound
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_eigh_oracle(self, kind, beta, seed):
+        K, _, L, T = large_gram(kind, seed=seed)
+        cache = SpectralCache.build(K, L)
+        assert cache.u.shape[1] < 600 // 4
+        for alpha in (0.1, 0.01):
+            out = solve_sylvester_spectral(cache, T, Hyperparams(alpha, beta))
+            expected = dense_eigh_dual_solve(K, L.matrix, T, alpha, beta)
+            assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(
+                expected)
+
+    @pytest.mark.parametrize("case", ["er50_p0.03_seed0", "learned12"])
+    def test_huge_beta_is_the_limit(self, case):
+        """The linear Gram has exact rank 3, so the limit keeps T's part in
+        its null space off L's, over alpha; the rbf Gram is full rank only
+        below roundoff, so there the fitted K Psi is what is determined."""
+        L = Laplacian(NULL_SPACE_CASES[case])
+        hyper = Hyperparams(alpha=0.1, beta=1e20)
+        for kind in ("linear", "rbf"):
+            K, X, _, _ = large_gram(kind, M=2)
+            T = np.random.default_rng(5).standard_normal((600, L.num_nodes))
+            out = solve_sylvester_spectral(SpectralCache.build(K, L), T, hyper)
+            if kind == "linear":
+                expected = infinite_beta_dual_solve(
+                    K, L.matrix, T, 0.1, kernel_range=np.linalg.qr(X)[0])
+            else:
+                out, expected = K @ out, K @ infinite_beta_dual_solve(
+                    K, L.matrix, T, 0.1)
+            assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(
+                expected)
+
+    def test_alpha_zero_names_the_complement(self):
+        K, _, L, T = large_gram("rbf")
+        cache = SpectralCache.build(K, L)
+        with pytest.raises(SingularSystemError,
+                           match=r"eta=0\.000e\+00 at kernel eigenvalue "
+                                 r"theta=0\.000e\+00.*needs alpha > 0"):
+            solve_sylvester_spectral(cache, T, Hyperparams(0.0, 1.0))
+        with pytest.raises(SingularSystemError, match=r"theta=0\.000e\+00"):
+            fit_krg(K, T, L, Hyperparams(0.0, 0.0))
+
+    def test_shrinkage_and_grid_cover_the_range_only(self):
+        K, _, L, T = large_gram("linear")
+        cache = SpectralCache.build(K, L)
+        assert shrinkage_factors(cache, Hyperparams(0.1, 1.0)).shape == (3, 10)
+        C = solve_sylvester_eigenbasis(cache, T, [0.1, 1.0], [0.0, 2.0])
+        assert C.shape == (2, 2, 3, 10)
+
+    @pytest.mark.parametrize("N, low_rank", [(511, True), (512, False)])
+    def test_otherwise_eigh_psd_bit_for_bit(self, N, low_rank):
+        """Below the gate even a low-rank Gram, and past the rank cap a
+        full-rank one, get eigh_psd's eigenpairs, also with `overwrite`."""
+        if low_rank:
+            K, _, L, _ = large_gram("rbf", N=N)
+        else:
+            rng = np.random.default_rng(6)
+            K, L = random_psd(rng, N), Laplacian(random_laplacian_matrix(rng, 4))
+        theta, U = eigh_psd(K)
+        cache = SpectralCache.build(K, L)
+        in_place = SpectralCache.build(K.copy(), L, overwrite=True)
+        for built in (cache, in_place):
+            assert np.array_equal(built.theta, theta)
+            assert np.array_equal(built.u, U)
+        assert cache.origin == ("eigh" if low_rank else "eigh, the pivoted "
+                                "Cholesky having reached its rank cap 128")
 
 
 class TestSylvesterGrid:
@@ -643,3 +743,14 @@ class TestSingularityRule:
         with pytest.raises(ConvergenceError, match=r"\(5, 5\)"):
             fit_krg(np.eye(5), np.ones((5, 2)), L,
                     Hyperparams(0.1, 0.0))
+
+    def test_spectral_cache_svd_failure_is_convergence_error(self,
+                                                             monkeypatch):
+        def fail(a, **kw):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        K, _, L, _ = large_gram("linear")
+        monkeypatch.setattr(scipy.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError,
+                           match=r"SVD of a \(600, 3\) pivoted Cholesky"):
+            SpectralCache.build(K, L)

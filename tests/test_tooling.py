@@ -62,11 +62,16 @@ def test_config_keys_are_field_names(cls, keys):
     assert {f.name for f in dataclasses.fields(cls)} == set(keys)
 
 
-def test_cli_import_does_not_load_scipy_stats():
+# modules whose import would grow the CLI's start-up time: the statistics
+# package, and the iterative and randomized eigensolvers that the spectral
+# cache does without
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse.linalg",
+                                    "scipy.linalg.interpolative"])
+def test_cli_import_does_not_load_scipy_stats(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, krgraph.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, krgraph.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

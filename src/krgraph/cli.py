@@ -21,7 +21,7 @@ from jsonschema.validators import validator_for
 
 from . import evaluation, graphlearn, graphs, solver, synthdata
 from .errors import ConfigError, DataFormatError, DimensionError, KrgraphError
-from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
+from .kernels import KernelSpec, gram_matrix
 
 log = logging.getLogger("krgraph")
 
@@ -290,19 +290,17 @@ def cmd_fit(cfg, out):
     L = _load_laplacian(cfg, T.shape[1], [cfg["beta"]])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
-    # fit_krg's check, made before K is overwritten
+    # fit_krg's check, made before the decomposition
     if T.shape != (K.shape[0], L.num_nodes):
         raise DimensionError(f"targets {T.shape} incompatible with "
                              f"N={K.shape[0]}, M={L.num_nodes}")
-    # an eigh build works in K's buffer, after which K holds no Gram; the
-    # report's one Y = K Psi takes the Gram built again, bit for bit, once
-    # the cache's eigenvectors are freed
-    cache = solver.SpectralCache.build(K, L, overwrite=True)
+    cache = solver.SpectralCache.build(K, L)
     model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
     log.info("spectral cache of the N=%d Gram: rank %d, %s", *cache.u.shape,
              cache.origin)
-    del K, cache
-    Y = kernel_cross_matrix(X, X, spec) @ model.psi
+    del cache  # out of the peak of Y and of save_model, as K is next
+    Y = K @ model.psi  # the report's one Gram product
+    del K
     solver.save_model(out / "model.json", model)
     residual = solver.sylvester_residual(Y, model.psi, T, L, hyper)
     costs = solver.cost_terms(Y, model.psi, T, L, hyper)

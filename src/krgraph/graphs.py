@@ -94,7 +94,7 @@ class Laplacian:
         return lam, V
 
 
-def eigh_psd(A, overwrite=False):
+def eigh_psd(A):
     """Eigenpairs of a symmetric PSD matrix, roundoff negatives in [-1e-10, 0)
     set to 0; an eigensolver that does not converge is a ConvergenceError.
 
@@ -103,21 +103,10 @@ def eigh_psd(A, overwrite=False):
     peak. The eigenvectors are copied to C order, numpy's layout, once
     that workspace is freed: BLAS rounds products with the Fortran-order
     array differently.
-
-    With `overwrite`, LAPACK works in the buffer of a C-order float64 A,
-    one N x N copy less again, and A's contents are undefined on return.
-    A's lower triangle is first mirrored into its upper one, which is the
-    triangle LAPACK reads there: the eigenpairs are the same bit for bit
-    as without `overwrite`, also for a matrix symmetric only to roundoff.
     """
     A = np.asarray(A, dtype=float)
-    if overwrite:  # row by row: no N x N temporary
-        for i in range(A.shape[0] - 1):
-            A[i, i + 1:] = A[i + 1:, i]
     try:
-        # A.T is the Fortran-order view that LAPACK can work in unchanged
-        vals, vecs = scipy.linalg.eigh(A.T if overwrite else A, driver="evd",
-                                       overwrite_a=overwrite, check_finite=False)
+        vals, vecs = scipy.linalg.eigh(A, driver="evd", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh of a {A.shape} matrix: {exc}") from exc
     vals[(vals < 0) & (vals >= -_EIG_CLAMP)] = 0.0

@@ -80,6 +80,9 @@ class KernelSpec:
 
     @staticmethod
     def from_json(doc):
+        if not isinstance(doc, dict):
+            raise KrgraphError(f"kernel spec must be a JSON object, got "
+                               f"{type(doc).__name__}")
         pre = doc.get("precomputed")
         return KernelSpec(
             kind=doc["kind"],

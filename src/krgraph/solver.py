@@ -70,12 +70,11 @@ class SpectralCache:
     origin: str = "eigh"  # how u and theta were found, for the fit log
 
     @staticmethod
-    def build(K, L: Laplacian, overwrite=False) -> "SpectralCache":
+    def build(K, L: Laplacian) -> "SpectralCache":
         """At N >= _LOW_RANK_MIN_N, a pivoted Cholesky K ~ G^T G that meets
         the trace bound below rank N // 4 gives u and theta as G^T's left
         singular vectors and squared singular values. Otherwise K is
-        eigendecomposed (graphs.eigh_psd); with `overwrite`, in its own
-        buffer, and K then holds no Gram afterwards."""
+        eigendecomposed (graphs.eigh_psd). Either way K is only read."""
         K = np.asarray(K, dtype=float)
         n = K.shape[0]
         G = _pivoted_cholesky(K, n // 4) if n >= _LOW_RANK_MIN_N else None
@@ -88,7 +87,7 @@ class SpectralCache:
                                        f"Cholesky factor: {exc}") from exc
             theta, origin = s**2, "pivoted Cholesky to the trace bound"
         else:
-            theta, U = eigh_psd(K, overwrite=overwrite)
+            theta, U = eigh_psd(K)
             origin = ("eigh" if n < _LOW_RANK_MIN_N else "eigh, the pivoted "
                       f"Cholesky having reached its rank cap {n // 4}")
         lam, V = L.eigendecomposition()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krgraph import cli, graphlearn, solver
+from krgraph import cli, graphlearn, kernels, solver
 from krgraph.cli import main
 from krgraph.evaluation import krr_baseline
 from krgraph.graphs import (Graph, Laplacian, load_matrix_csv, save_graph_json,
@@ -310,8 +310,10 @@ class TestFitPredict:
                     report["roughness_cost"]] == list(terms)
 
     def test_report_forms_one_gram_product(self, tmp_path, monkeypatch):
-        """The report's residual and costs share one Y = K Psi."""
-        products = []
+        """The report's residual and costs share one Y = K Psi, formed from
+        the Gram that the fit solved with; an rbf fit builds no other
+        kernel matrix."""
+        products, cross_kernels = [], []
 
         class CountingGram(np.ndarray):
             def __matmul__(self, other):
@@ -319,13 +321,28 @@ class TestFitPredict:
                 return np.asarray(self) @ other
 
         cfg, _, T, _ = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
+        doc = dict(json.loads(Path(cfg).read_text(encoding="utf-8")),
+                   kernel={"kind": "rbf", "sigma_sq": 0.7})
+        cfg = write_config(tmp_path, "rbf.json", doc)
         expected = tmp_path / "expected"
         assert run(["fit", "--config", cfg, "--out-dir", expected]) == 0
-        monkeypatch.setattr(cli, "kernel_cross_matrix", lambda *a: (
-            kernel_cross_matrix(*a).view(CountingGram)))
+
+        def counting_gram(X, spec):
+            K, spec = gram_matrix(X, spec)
+            return K.view(CountingGram), spec
+
+        def counting_cross_kernel(*args):
+            cross_kernels.append(args)
+            return kernel_cross_matrix(*args)
+
+        monkeypatch.setattr(cli, "gram_matrix", counting_gram)
+        for module in (kernels, solver):
+            monkeypatch.setattr(module, "kernel_cross_matrix",
+                                counting_cross_kernel)
         out = tmp_path / "counted"
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 0
         assert products == [T.shape]
+        assert cross_kernels == []
         for name in ("model.json", "fit_report.json"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
 
@@ -365,10 +382,18 @@ class TestFitPredict:
                                f"targets {shape} incompatible with N=8, M=4")
         assert calls == [] and list(out.iterdir()) == []
 
-    def test_fit_peaks_at_three_gram_sizes(self, tmp_path):
-        """The Gram is eigendecomposed in its own buffer, and the report
-        needs no N x N temporary besides the rebuilt Gram: the peak is K
-        plus syevd's 1 + 6N + 2N^2 workspace, about 3 N^2 doubles."""
+    @pytest.mark.parametrize("sigma_sq, origin, bound", [
+        (1.0, "rank 48, pivoted Cholesky", 3.5),
+        (1e-4, "rank 600, eigh, the pivoted Cholesky having reached its "
+         "rank cap 150", 4.5),
+    ], ids=["low_rank", "full_rank"])
+    def test_fit_peak_in_gram_sizes(self, tmp_path, caplog, sigma_sq, origin,
+                                    bound):
+        """fit's traced peak, in N x N doubles. A Gram of low numerical rank
+        takes the pivoted Cholesky, which only reads K and whose factor is
+        at most N^2 / 4 doubles. A full-rank one is eigendecomposed: K, the
+        copy that syevd works in and its 1 + 6N + 2N^2 workspace make about
+        4 N^2. The report's Y = K Psi needs no N x N temporary."""
         N = 600
         rng = np.random.default_rng(21)
         save_matrix_csv(tmp_path / "X.csv", rng.standard_normal((N, 3)))
@@ -377,8 +402,9 @@ class TestFitPredict:
         cfg = write_config(tmp_path, "fit.json", {
             "x_csv": str(tmp_path / "X.csv"), "t_csv": str(tmp_path / "T.csv"),
             "laplacian_csv": str(tmp_path / "L.csv"),
-            "kernel": {"kind": "rbf", "sigma_sq": 1.0}, "alpha": 0.5,
+            "kernel": {"kind": "rbf", "sigma_sq": sigma_sq}, "alpha": 0.5,
             "beta": 0.8})
+        caplog.set_level(logging.INFO, logger="krgraph")
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -386,7 +412,8 @@ class TestFitPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - base) / (8 * N**2) <= 3.5
+        assert f"N=600 Gram: {origin}" in caplog.text
+        assert (peak - base) / (8 * N**2) <= bound
 
     def test_positive_beta_without_graph_fails(self, tmp_path, capsys):
         cfg, *_ = fit_configs(tmp_path, beta=0.8, with_laplacian=False)
@@ -1152,6 +1179,10 @@ def _bad_file_case(tmp_path, case):
             model["kernel_spec"] = dict(kernel, rbf_normalizer={
                 "zero": 0.0, "negative": -1.0, "nan": float("nan"),
                 "string": "1.0", "on_linear": 1.0}[z])
+        elif case.startswith("model_kernel_spec_"):
+            model["kernel_spec"] = {
+                "list": [model["kernel_spec"]], "string": "linear",
+                "null": None}[case.removeprefix("model_kernel_spec_")]
         else:
             del model["kernel_spec"]
         bad.write_text(json.dumps(model), encoding="utf-8")
@@ -1172,6 +1203,8 @@ class TestFileBoundaryErrors:
         "model_rbf_normalizer_zero",
         "model_rbf_normalizer_negative", "model_rbf_normalizer_nan",
         "model_rbf_normalizer_string", "model_rbf_normalizer_on_linear",
+        "model_kernel_spec_list", "model_kernel_spec_string",
+        "model_kernel_spec_null",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
         command, doc, name = _bad_file_case(tmp_path, case)

@@ -64,9 +64,9 @@ class TestSpectralCache:
         assert cache.theta.min() >= 0
         assert cache.lam.min() >= 0
 
-    def test_only_an_opt_in_overwrites_the_kernel(self):
-        """Only the fit command lets LAPACK work in K's buffer; every
-        other caller reads its K again after the build."""
+    def test_no_build_overwrites_the_kernel(self):
+        """Every caller reads its K again after the build: an eigh build, a
+        pivoted Cholesky one and an eigh one past the rank cap only read K."""
         from krgraph.graphlearn import GraphLearnConfig, alternating_fit
 
         rng = np.random.default_rng(1)
@@ -75,14 +75,17 @@ class TestSpectralCache:
         T = rng.standard_normal((9, 5))
         K0, L0 = K.copy(), L.matrix.copy()
         hyper = Hyperparams(alpha=0.3, beta=0.5)
-        cache = SpectralCache.build(K, L)
+        SpectralCache.build(K, L)
         fit_krg(K, T, L, hyper)
         alternating_fit(K, T, hyper, GraphLearnConfig(nu=0.5, max_outer_iters=2))
         assert np.array_equal(K, K0) and np.array_equal(L.matrix, L0)
-        in_place = SpectralCache.build(K, L, overwrite=True)
-        assert not np.array_equal(K, K0)
-        for name in ("u", "theta", "v", "lam"):
-            assert np.array_equal(getattr(in_place, name), getattr(cache, name))
+        for K, origin in [
+                (large_gram("linear")[0], "pivoted Cholesky to the trace bound"),
+                (random_psd(rng, 512), "eigh, the pivoted Cholesky having "
+                 "reached its rank cap 128")]:
+            K0 = K.copy()
+            assert SpectralCache.build(K, L).origin == origin
+            assert np.array_equal(K, K0)
 
 
 class TestSylvesterSpectral:
@@ -227,7 +230,7 @@ class TestRankRevealingCache:
     @pytest.mark.parametrize("N, low_rank", [(511, True), (512, False)])
     def test_otherwise_eigh_psd_bit_for_bit(self, N, low_rank):
         """Below the gate even a low-rank Gram, and past the rank cap a
-        full-rank one, get eigh_psd's eigenpairs, also with `overwrite`."""
+        full-rank one, get eigh_psd's eigenpairs."""
         if low_rank:
             K, _, L, _ = large_gram("rbf", N=N)
         else:
@@ -235,10 +238,8 @@ class TestRankRevealingCache:
             K, L = random_psd(rng, N), Laplacian(random_laplacian_matrix(rng, 4))
         theta, U = eigh_psd(K)
         cache = SpectralCache.build(K, L)
-        in_place = SpectralCache.build(K.copy(), L, overwrite=True)
-        for built in (cache, in_place):
-            assert np.array_equal(built.theta, theta)
-            assert np.array_equal(built.u, U)
+        assert np.array_equal(cache.theta, theta)
+        assert np.array_equal(cache.u, U)
         assert cache.origin == ("eigh" if low_rank else "eigh, the pivoted "
                                 "Cholesky having reached its rank cap 128")
 

@@ -218,3 +218,63 @@ def test_every_definition_is_reached():
                  if node.name not in outside
                  and package[node.name] <= _referenced_names(node)[node.name]]
     assert unreached == []
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter name, position) of each parameter with a
+    default of each function and method; the position is among the
+    arguments a call passes, so a method's self is not counted, and is
+    None for a keyword-only parameter."""
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = isinstance(parent, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list)
+            for i in range(len(positional) - len(args.defaults),
+                           len(positional)):
+                yield node.name, positional[i].arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _settings(tree):
+    """(callee name, number of positional arguments, keyword names) of
+    each call; a * or ** argument counts as setting every position or
+    every keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(
+                node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield (name, float("inf") if starred else len(node.args),
+                   keywords)
+
+
+# cli.main's argv is None when the console script calls main()
+UNSET_DEFAULTS_ALLOWED = {("main", "argv")}
+
+
+def test_every_default_is_set_by_some_caller():
+    """Each default-valued parameter in the package is set, by keyword or
+    by position, by a call in the package or in the acceptance gate, the
+    callee matched by name: a parameter that only the unit tests set is a
+    knob with no user."""
+    paths = sorted((ROOT / "src" / "krgraph").glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+    calls = [call for tree in trees + [ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]
+        for call in _settings(tree)]
+    unset = [(function, parameter)
+             for tree in trees
+             for function, parameter, position in _defaulted_parameters(tree)
+             if not any(name == function and (
+                 parameter in keywords or None in keywords
+                 or position is not None and count > position)
+                 for name, count, keywords in calls)]
+    assert sorted(set(unset) - UNSET_DEFAULTS_ALLOWED) == []

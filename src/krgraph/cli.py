@@ -20,7 +20,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from . import evaluation, graphlearn, graphs, solver, synthdata
-from .errors import ConfigError, DataFormatError, DimensionError, KrgraphError
+from .errors import ConfigError, DataFormatError, KrgraphError
 from .kernels import KernelSpec, gram_matrix
 
 log = logging.getLogger("krgraph")
@@ -290,10 +290,7 @@ def cmd_fit(cfg, out):
     L = _load_laplacian(cfg, T.shape[1], [cfg["beta"]])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
-    # fit_krg's check, made before the decomposition
-    if T.shape != (K.shape[0], L.num_nodes):
-        raise DimensionError(f"targets {T.shape} incompatible with "
-                             f"N={K.shape[0]}, M={L.num_nodes}")
+    solver.check_targets(T, K.shape[0], L)  # before the decomposition
     cache = solver.SpectralCache.build(K, L)
     model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
     log.info("spectral cache of the N=%d Gram: rank %d, %s", *cache.u.shape,

@@ -15,7 +15,7 @@ from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
                       kernel_cross_matrix)
 from .solver import (Hyperparams, SpectralCache, check_weights, fit_krg,
-                     solve_sylvester_eigenbasis)
+                     grid_error_energies)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
 NMSE_FLOOR_DB = -300.0
@@ -98,12 +98,8 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
     ConfigError. Returns (best_params, cv_table): the alpha/beta/sigma_sq
     dict that scores best, ties broken toward smaller values, and a
     (params, mean NMSE dB) record per grid point. Each fold and sigma_sq
-    solves its whole (alpha, beta) grid at once in the joint eigenbasis
-    (solve_sylvester_eigenbasis) and scores it there: V is L's full
-    orthogonal eigenbasis, so ||A_val U C V^T - T_val||_F equals
-    ||(A_val U) C - T_val V||_F, one small product per grid point. A
-    low-rank cache adds RHS's part on U's complement, fitted as that part
-    over alpha, as (A_val rest V) / alpha.
+    scores its whole (alpha, beta) grid at once, from one spectral cache
+    (solver.grid_error_energies).
     """
     if method not in METHODS:
         raise KrgraphError(f"cross_validate does not handle method {method!r}")
@@ -141,17 +137,8 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                     kind="rbf", sigma_sq=sigma_sq))
                 cache = SpectralCache.build(K, L)
                 rhs, A_val = T_fit, kernel_cross_matrix(X_fit, X_val, spec)
-            # the grid's coefficients live only inside this expression, so
-            # the next fold's solve does not run beside them (peak memory)
-            residual = ((A_val @ cache.u)
-                        @ solve_sylvester_eigenbasis(cache, rhs, *distinct[:2])
-                        - T_val @ cache.v)
-            rest = cache.complement(rhs)
-            if rest is not None:  # fitted there as rest / alpha
-                residual += ((A_val @ rest @ cache.v)
-                             / np.asarray(distinct[0])[:, None, None, None])
-            scores[:, :, s, f] = nmse_db_from_energies(
-                np.sum(residual**2, axis=(2, 3)), signal)
+            scores[:, :, s, f] = nmse_db_from_energies(grid_error_energies(
+                cache, rhs, *distinct[:2], A_val, T_val), signal)
     mean = scores.mean(axis=-1)
     index_of = [{v: i for i, v in enumerate(values)} for values in distinct]
     # one row per grid entry, repeats included, in sorted (alpha, beta,

@@ -27,8 +27,8 @@ from scipy.spatial.distance import cdist
 from .errors import ConvergenceError, DimensionError, KrgraphError
 from .graphs import (Graph, Laplacian, build_laplacian, save_json_lines,
                      spectral_rescale)
-from .solver import (Hyperparams, SpectralCache, check_weights, cost_terms,
-                     fit_krg)
+from .solver import (Hyperparams, SpectralCache, check_targets, check_weights,
+                     cost_terms, fit_krg)
 
 # the edge-weight QP stops at this KKT residual, or fails after this many steps
 _KKT_TOL = 1e-6
@@ -173,6 +173,7 @@ def alternating_fit(K, T, hyper: Hyperparams,
     T = np.asarray(T, dtype=float)
     M = _num_nodes(T)
     L = Laplacian(np.zeros((M, M)))
+    check_targets(T, K.shape[0], L)  # before the decomposition
     cache = SpectralCache.build(K, L)
     costs, records = [], []
     for it in range(cfg.max_outer_iters):

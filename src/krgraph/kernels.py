@@ -11,7 +11,7 @@ Supported kernels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -35,6 +35,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise KrgraphError(f"unknown kernel kind {self.kind!r}")
+        if isinstance(self.sigma_sq, bool):
+            raise KrgraphError(f"sigma_sq is a number, got {self.sigma_sq!r}")
         if self.kind == "rbf":
             if self.sigma_sq is None or not 0 < self.sigma_sq < np.inf:
                 raise KrgraphError("rbf kernel requires a finite sigma_sq > 0, "
@@ -83,6 +85,10 @@ class KernelSpec:
         if not isinstance(doc, dict):
             raise KrgraphError(f"kernel spec must be a JSON object, got "
                                f"{type(doc).__name__}")
+        unknown = doc.keys() - {f.name for f in fields(KernelSpec)}
+        if unknown:
+            raise KrgraphError(f"kernel spec has unknown keys "
+                               f"{', '.join(sorted(unknown))}")
         pre = doc.get("precomputed")
         return KernelSpec(
             kind=doc["kind"],

@@ -6,7 +6,7 @@ symmetric PSD. Jointly diagonalizing B and L turns the system into an
 entrywise division, so one eigendecomposition pair and one projected
 right-hand side U^T RHS V serve a whole (alpha, beta) grid at once.
 solve_sylvester_eigenbasis returns the grid's solutions in the joint
-eigenbasis, C = (U^T RHS V) / eta; cross-validation scores them there,
+eigenbasis, C = (U^T RHS V) / eta; grid_error_energies scores them there,
 since V is orthogonal and ||A U C V^T - T||_F = ||A U C - T V||_F. A
 single solve is the grid's one-point case, projected back: X = U C V^T.
 
@@ -55,6 +55,9 @@ class Hyperparams:
     beta: float
 
     def __post_init__(self):
+        if np.ndim(self.alpha) or np.ndim(self.beta):
+            raise KrgraphError("alpha and beta are numbers, got "
+                               f"{self.alpha!r} and {self.beta!r}")
         check_weights(alpha=self.alpha, beta=self.beta)
 
 
@@ -97,18 +100,6 @@ class SpectralCache:
         """The same sample-side eigenpairs, paired with L's."""
         lam, V = L.eigendecomposition()
         return replace(self, v=V, lam=lam)
-
-    def complement(self, RHS):
-        """RHS's part outside the span of u, where theta is 0 and eta is
-        alpha; None when u is square, and that part is empty. It is
-        projected out twice: one pass leaves roundoff along u of the size
-        of RHS's part there, which a kernel row would scale by theta /
-        alpha ("twice is enough", Giraud et al. 2005)."""
-        if self.u.shape[1] == self.u.shape[0]:
-            return None
-        for _ in range(2):
-            RHS = RHS - self.u @ (self.u.T @ RHS)
-        return RHS
 
 
 def _pivoted_cholesky(K, rank_cap):
@@ -175,9 +166,14 @@ def _checked_eta(cache: SpectralCache, alphas, betas):
 
 
 def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
-    """C[a, b] = (U^T RHS V) / eta[a, b]: the solution of
-    (K + alpha_a I) X + beta_b K X L = RHS in the joint eigenbasis,
-    X[a, b] = U C[a, b] V^T, for every grid point from one projection."""
+    """(C, rest): C[a, b] = (U^T RHS V) / eta[a, b] is the solution of
+    (K + alpha_a I) X + beta_b K X L = RHS in the joint eigenbasis for
+    every grid point, from one projection P = U^T RHS; X[a, b] is
+    U C[a, b] V^T + rest / alpha_a. rest is RHS's part on u's complement,
+    where theta is 0 and eta is alpha, and None when u is square. It is
+    projected out twice, the first pass reusing P: one pass leaves
+    roundoff along u of the size of RHS's part there, which a kernel row
+    would scale by theta / alpha ("twice is enough", Giraud et al. 2005)."""
     RHS = np.asarray(RHS, dtype=float)
     if RHS.shape != (cache.u.shape[0], cache.v.shape[0]):
         raise DimensionError(
@@ -185,20 +181,51 @@ def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
             f"({cache.u.shape[0]}, {cache.v.shape[0]})"
         )
     eta = _checked_eta(cache, alphas, betas)
-    return (cache.u.T @ RHS @ cache.v) / eta
+    P = cache.u.T @ RHS
+    C = (P @ cache.v) / eta
+    if cache.u.shape[1] == cache.u.shape[0]:
+        return C, None
+    rest = RHS - cache.u @ P
+    rest -= cache.u @ (cache.u.T @ rest)
+    return C, rest
 
 
 def solve_sylvester_spectral(cache: SpectralCache, RHS, hyper: Hyperparams):
     """Solve (K + alpha I) X + beta K X L = RHS: X = U C V^T, with C the
     one-point grid's solution in the joint eigenbasis, plus RHS's part on
-    u's complement over alpha. C is not named, so it is freed before the
-    second product (peak memory)."""
-    X = cache.u @ solve_sylvester_eigenbasis(
-        cache, RHS, [hyper.alpha], [hyper.beta])[0, 0] @ cache.v.T
-    rest = cache.complement(np.asarray(RHS, dtype=float))
+    u's complement over alpha."""
+    C, rest = solve_sylvester_eigenbasis(cache, RHS, [hyper.alpha],
+                                         [hyper.beta])
+    X = cache.u @ C[0, 0] @ cache.v.T
     if rest is not None:
         X += rest / hyper.alpha
     return X
+
+
+def grid_error_energies(cache: SpectralCache, RHS, alphas, betas, A, T_ref):
+    """E[a, b] = ||A X[a, b] - T_ref||_F^2 over the (alpha, beta) grid of
+    solves X[a, b] of (K + alpha_a I) X + beta_b K X L = RHS, without
+    forming X: V is L's full orthogonal eigenbasis, so ||A U C V^T - T_ref||_F
+    equals ||(A U) C - T_ref V||_F, one small product per grid point, and
+    u's complement adds (A rest V) / alpha."""
+    C, rest = solve_sylvester_eigenbasis(cache, RHS, alphas, betas)
+    residual = (A @ cache.u) @ C - T_ref @ cache.v
+    if rest is not None:
+        residual += ((A @ rest @ cache.v)
+                     / np.asarray(alphas, dtype=float)[:, None, None, None])
+    return np.sum(residual**2, axis=(2, 3))
+
+
+def check_targets(T, n, L: Laplacian):
+    """T as a float array; a DimensionError unless it is n x M, one row per
+    sample and one column per node of L. Callers check before they build a
+    spectral cache."""
+    T = np.asarray(T, dtype=float)
+    if T.shape != (n, L.num_nodes):
+        raise DimensionError(
+            f"targets {T.shape} incompatible with N={n}, M={L.num_nodes}"
+        )
+    return T
 
 
 def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
@@ -206,12 +233,8 @@ def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
             cache: SpectralCache | None = None) -> KrgModel:
     """Solve (K + alpha I) Psi + beta K Psi L = T for the dual coefficients;
     spec is the one gram_matrix returned with K."""
-    T = np.asarray(T, dtype=float)
     n = K.shape[0]
-    if T.shape != (n, L.num_nodes):
-        raise DimensionError(
-            f"targets {T.shape} incompatible with N={n}, M={L.num_nodes}"
-        )
+    T = check_targets(T, n, L)
     if cache is None:
         cache = SpectralCache.build(K, L)
     psi = solve_sylvester_spectral(cache, T, hyper)
@@ -242,11 +265,7 @@ def fit_lrg(Phi, T, L: Laplacian, hyper: Hyperparams):
     Gram; the dense (M*K_feat)-sized Kronecker system is never formed.
     """
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
-    T = np.asarray(T, dtype=float)
-    if T.shape != (Phi.shape[0], L.num_nodes):
-        raise DimensionError(
-            f"targets {T.shape} incompatible with N={Phi.shape[0]}, M={L.num_nodes}"
-        )
+    T = check_targets(T, Phi.shape[0], L)
     cache = SpectralCache.build(Phi.T @ Phi, L)
     return solve_sylvester_spectral(cache, Phi.T @ T, hyper)
 
@@ -291,8 +310,9 @@ def dual_cost_gradient(K, psi, T, L: Laplacian, hyper: Hyperparams):
 
 
 def shrinkage_factors(cache: SpectralCache, hyper: Hyperparams):
-    """zeta[n, m] = theta_n / eta[n, m]; each in [0, 1) for alpha > 0, and
-    0 on u's complement."""
+    """zeta[n, m] = theta_n / eta[n, m], each in [0, 1) for alpha > 0,
+    for the r range rows of u only. On u's complement theta is 0, so each
+    factor there would be 0; no row stands for it."""
     return cache.theta[:, None] / _checked_eta(cache, [hyper.alpha], [hyper.beta])[0, 0]
 
 
@@ -317,7 +337,8 @@ def load_model(path) -> KrgModel:
     doc = load_json(path)
     try:
         version = doc.get("version") if isinstance(doc, dict) else None
-        if version != MODEL_FORMAT_VERSION:
+        # True == 1 in Python, so the type is checked too
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise DataFormatError(f"unsupported model version {version!r}")
         spec = KernelSpec.from_json(doc["kernel_spec"])
         x_train = np.array(doc["x_train"], dtype=float)

@@ -382,6 +382,30 @@ class TestFitPredict:
                                f"targets {shape} incompatible with N=8, M=4")
         assert calls == [] and list(out.iterdir()) == []
 
+    def test_learn_graph_checks_the_targets_before_the_build(
+            self, tmp_path, capsys, monkeypatch):
+        """A t_csv one row short stops learn-graph, as it stops fit, before
+        any spectral cache is built, with the same one error line."""
+        cfg, *_ = fit_configs(tmp_path, beta=0.0, with_laplacian=False)
+        save_matrix_csv(tmp_path / "T.csv", np.ones((7, 4)))
+        builds, build = [], solver.SpectralCache.build
+        monkeypatch.setattr(solver.SpectralCache, "build", staticmethod(
+            lambda *a: builds.append(a) or build(*a)))
+        doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        errors = []
+        for command, extra in [("fit", {}), ("learn-graph", {"nu": 0.5})]:
+            capsys.readouterr()
+            out = tmp_path / command
+            assert run([command, "--config",
+                        write_config(tmp_path, "cmd.json", dict(doc, **extra)),
+                        "--out-dir", out]) == 1
+            errors.append(capsys.readouterr().err)
+            assert list(out.iterdir()) == []
+        assert builds == [] and errors[0] == errors[1]
+        assert json.loads(errors[1]) == {
+            "error": "DimensionError",
+            "message": "targets (7, 4) incompatible with N=8, M=4"}
+
     @pytest.mark.parametrize("sigma_sq, origin, bound", [
         (1.0, "rank 48, pivoted Cholesky", 3.5),
         (1e-4, "rank 600, eigh, the pivoted Cholesky having reached its "
@@ -1182,7 +1206,16 @@ def _bad_file_case(tmp_path, case):
         elif case.startswith("model_kernel_spec_"):
             model["kernel_spec"] = {
                 "list": [model["kernel_spec"]], "string": "linear",
-                "null": None}[case.removeprefix("model_kernel_spec_")]
+                "null": None, "unknown_key": dict(model["kernel_spec"],
+                                                  sigmasq=1.0),
+            }[case.removeprefix("model_kernel_spec_")]
+        elif case == "model_version_true":  # True == 1 in Python
+            model["version"] = True
+        elif case == "model_sigma_sq_true":
+            model["kernel_spec"] = {"kind": "rbf", "sigma_sq": True}
+        elif case.startswith("model_hyper_"):  # a grid, not one weight
+            model["hyper"][case.removeprefix("model_hyper_").split("_")[0]] \
+                = [1.0, 2.0]
         else:
             del model["kernel_spec"]
         bad.write_text(json.dumps(model), encoding="utf-8")
@@ -1204,7 +1237,9 @@ class TestFileBoundaryErrors:
         "model_rbf_normalizer_negative", "model_rbf_normalizer_nan",
         "model_rbf_normalizer_string", "model_rbf_normalizer_on_linear",
         "model_kernel_spec_list", "model_kernel_spec_string",
-        "model_kernel_spec_null",
+        "model_kernel_spec_null", "model_kernel_spec_unknown_key",
+        "model_version_true", "model_sigma_sq_true",
+        "model_hyper_alpha_grid", "model_hyper_beta_grid",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
         command, doc, name = _bad_file_case(tmp_path, case)

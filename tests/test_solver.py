@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from krgraph.solver import (
     dual_cost_gradient,
     fit_krg,
     fit_lrg,
+    grid_error_energies,
     load_model,
     predict_krg,
     predict_lrg,
@@ -224,8 +226,67 @@ class TestRankRevealingCache:
         K, _, L, T = large_gram("linear")
         cache = SpectralCache.build(K, L)
         assert shrinkage_factors(cache, Hyperparams(0.1, 1.0)).shape == (3, 10)
-        C = solve_sylvester_eigenbasis(cache, T, [0.1, 1.0], [0.0, 2.0])
-        assert C.shape == (2, 2, 3, 10)
+        C, rest = solve_sylvester_eigenbasis(cache, T, [0.1, 1.0], [0.0, 2.0])
+        assert C.shape == (2, 2, 3, 10) and rest.shape == T.shape
+        assert np.abs(cache.u.T @ rest).max() <= 1e-12 * np.abs(T).max()
+
+    @pytest.mark.parametrize("score", [False, True], ids=["solve", "grid"])
+    def test_rhs_projected_onto_u_once(self, score):
+        """A low-rank solve, or a grid score, forms u^T RHS once and reuses
+        it for the complement's first pass; the second pass projects that
+        pass's remainder. Two products with u^T, bit for bit the result."""
+        K, _, L, T = large_gram("rbf")
+        cache = SpectralCache.build(K, L)
+        r, N = cache.u.T.shape
+        operands = []
+
+        class CountingBasis(np.ndarray):
+            def __matmul__(self, other):
+                if self.shape == (r, N):  # u^T
+                    operands.append(other)
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(8)
+        A, T_ref = rng.standard_normal((7, N)), rng.standard_normal((7, 10))
+
+        def run(cache):
+            if score:
+                return grid_error_energies(cache, T, [0.1, 1.0], [0.0, 2.0],
+                                           A, T_ref)
+            return solve_sylvester_spectral(cache, T, Hyperparams(0.1, 1.0))
+
+        expected = run(cache)
+        counted = dataclasses.replace(cache, u=cache.u.view(CountingBasis))
+        assert np.array_equal(run(counted), expected)
+        assert [other is T for other in operands] == [True, False]
+
+    @pytest.mark.parametrize("case", ["full_rank", "low_rank", "primal"])
+    def test_grid_error_energies_match_back_projected_solves(self, case):
+        """||A X[a, b] - T_ref||_F^2 from the joint eigenbasis equals the
+        same energy of each point's solve, formed and multiplied out."""
+        rng = np.random.default_rng(9)
+        if case == "low_rank":
+            K, _, L, RHS = large_gram("rbf")
+            A = rng.standard_normal((7, 600))
+        elif case == "full_rank":
+            K, L = random_psd(rng, 9), Laplacian(random_laplacian_matrix(rng, 10))
+            RHS, A = rng.standard_normal((9, 10)), rng.standard_normal((7, 9))
+        else:  # feature Gram: RHS = Phi^T T, scored on validation features
+            Phi, L = rng.standard_normal((30, 4)), Laplacian(
+                random_laplacian_matrix(rng, 10))
+            K, RHS = Phi.T @ Phi, Phi.T @ rng.standard_normal((30, 10))
+            A = rng.standard_normal((7, 4))
+        cache = SpectralCache.build(K, L)
+        assert (cache.u.shape[1] < cache.u.shape[0]) == (case == "low_rank")
+        T_ref = rng.standard_normal((7, 10))
+        alphas, betas = [0.05, 1.0, 0.3], [0.0, 2.0]
+        energies = grid_error_energies(cache, RHS, alphas, betas, A, T_ref)
+        assert energies.shape == (3, 2)
+        for a, b in np.ndindex(3, 2):
+            X = solve_sylvester_spectral(cache, RHS,
+                                         Hyperparams(alphas[a], betas[b]))
+            assert energies[a, b] == pytest.approx(
+                np.sum((A @ X - T_ref) ** 2), rel=1e-10)
 
     @pytest.mark.parametrize("N, low_rank", [(511, True), (512, False)])
     def test_otherwise_eigh_psd_bit_for_bit(self, N, low_rank):
@@ -255,8 +316,8 @@ class TestSylvesterGrid:
         K, L, T = self._instance(40)
         cache = SpectralCache.build(K, L)
         alphas, betas = [0.5, 0.01, 0.5, 2.0], [0.0, 3.0, 0.7]
-        C = solve_sylvester_eigenbasis(cache, T, alphas, betas)
-        assert C.shape == (4, 3, 9, 6)
+        C, rest = solve_sylvester_eigenbasis(cache, T, alphas, betas)
+        assert C.shape == (4, 3, 9, 6) and rest is None
         for a, alpha in enumerate(alphas):
             for b, beta in enumerate(betas):
                 one = solve_sylvester_spectral(cache, T, Hyperparams(alpha, beta))
@@ -266,7 +327,8 @@ class TestSylvesterGrid:
         K, L, T = self._instance(41)
         cache = SpectralCache.build(K, L)
         alphas, betas = [0.05, 1.0], [0.0, 0.4, 5.0]
-        X = cache.u @ solve_sylvester_eigenbasis(cache, T, alphas, betas) @ cache.v.T
+        C, _ = solve_sylvester_eigenbasis(cache, T, alphas, betas)
+        X = cache.u @ C @ cache.v.T
         for a, alpha in enumerate(alphas):
             for b, beta in enumerate(betas):
                 np.testing.assert_allclose(
@@ -296,7 +358,8 @@ class TestSylvesterGrid:
         K, L, T = self._instance(42)
         cache = SpectralCache.build(K, L)
         alphas, betas = rng.uniform(0.01, 2.0, 3), rng.uniform(0.0, 5.0, 4)
-        X = cache.u @ solve_sylvester_eigenbasis(cache, T, alphas, betas) @ cache.v.T
+        C, _ = solve_sylvester_eigenbasis(cache, T, alphas, betas)
+        X = cache.u @ C @ cache.v.T
         for a, b in np.ndindex(3, 4):
             assert np.array_equal(X[a, b], solve_sylvester_spectral(
                 cache, T, Hyperparams(alphas[a], betas[b])))

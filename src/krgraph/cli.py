@@ -145,11 +145,11 @@ SCHEMAS = {
         "properties": {
             "methods": {"type": "array",
                         "items": {"enum": ["KR", "KRG"]},
-                        "minItems": 1},
+                        "minItems": 1, "uniqueItems": True},
             "n_train": {"type": "array", "items": {"type": "integer"},
-                        "minItems": 1},
+                        "minItems": 1, "uniqueItems": True},
             "snr_db": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
+                       "minItems": 1, "uniqueItems": True},
             "realizations": {"type": "integer", "minimum": 1},
             **_SYNTH_LAW_PROPERTIES,
             "grid": _GRID_SCHEMA,

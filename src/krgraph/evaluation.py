@@ -217,6 +217,13 @@ class BenchScenario:
                     f"benchmark supports KR/KRG cells, got {m!r}; synthetic "
                     "data has no features, and KRR has its own command"
                 )
+        for axis, values in (("methods", self.methods),
+                             ("n_train", self.n_train),
+                             ("snr_db", [float(snr) for snr in self.snr_db])):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"bench {axis} repeats {repeated[0]!r}: "
+                                  "each cell would run and be written twice")
         if self.realizations < 1:
             raise KrgraphError("need at least one realization")
         if self.grid.sigma_sqs:

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DimensionError, KrgraphError
 from .graphs import (Graph, Laplacian, build_laplacian, save_json_lines,
                      spectral_rescale)
+from .kernels import squared_distances
 from .solver import (Hyperparams, SpectralCache, check_targets, check_weights,
                      cost_terms, fit_krg)
 
@@ -92,7 +92,7 @@ def _smoothness_costs(Y, beta):
     Y = np.asarray(Y, dtype=float)
     M = Y.shape[1]
     with np.errstate(over="ignore"):
-        return beta * cdist(Y.T, Y.T, "sqeuclidean")[np.triu_indices(M, 1)]
+        return beta * squared_distances(Y.T, Y.T)[np.triu_indices(M, 1)]
 
 
 def minimize_edge_weights(c, M, radius, nu):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConvergenceError, DataFormatError, InvalidGraphError,
                      KrgraphError)
@@ -97,20 +96,15 @@ class Laplacian:
 def eigh_psd(A):
     """Eigenpairs of a symmetric PSD matrix, roundoff negatives in [-1e-10, 0)
     set to 0; an eigensolver that does not converge is a ConvergenceError.
-
-    LAPACK's divide-and-conquer syevd, as numpy.linalg.eigh runs it, with
-    the same eigenpairs bit for bit, but one N x N workspace less at the
-    peak. The eigenvectors are copied to C order, numpy's layout, once
-    that workspace is freed: BLAS rounds products with the Fortran-order
-    array differently.
-    """
+    numpy.linalg.eigh runs LAPACK's divide-and-conquer syevd on the lower
+    triangle."""
     A = np.asarray(A, dtype=float)
     try:
-        vals, vecs = scipy.linalg.eigh(A, driver="evd", check_finite=False)
+        vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh of a {A.shape} matrix: {exc}") from exc
     vals[(vals < 0) & (vals >= -_EIG_CLAMP)] = 0.0
-    return vals, np.ascontiguousarray(vecs)
+    return vals, vecs
 
 
 def build_laplacian(g: Graph) -> Laplacian:

@@ -15,11 +15,16 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateKernelError, DimensionError, KrgraphError
 
 VALID_KINDS = ("linear", "rbf", "precomputed")
+
+
+def _positive_number(value):
+    """An int or float (not a bool) in (0, inf)."""
+    return (type(value) is not bool and isinstance(value, (int, float))
+            and 0 < value < np.inf)
 
 
 @dataclass(frozen=True)
@@ -35,17 +40,15 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise KrgraphError(f"unknown kernel kind {self.kind!r}")
-        if isinstance(self.sigma_sq, bool):
-            raise KrgraphError(f"sigma_sq is a number, got {self.sigma_sq!r}")
-        if self.kind == "rbf":
-            if self.sigma_sq is None or not 0 < self.sigma_sq < np.inf:
-                raise KrgraphError("rbf kernel requires a finite sigma_sq > 0, "
-                                   f"got {self.sigma_sq}")
-        Z = self.rbf_normalizer
-        if Z is not None and not (self.kind == "rbf" and type(Z) is not bool
-                                  and isinstance(Z, (int, float)) and 0 < Z < np.inf):
-            raise KrgraphError(f"rbf_normalizer is a finite number > 0 on an rbf "
-                               f"kernel, got {Z!r} on {self.kind}")
+        if self.kind == "rbf" and not _positive_number(self.sigma_sq):
+            raise KrgraphError("rbf kernel requires a finite sigma_sq > 0, "
+                               f"got {self.sigma_sq!r}")
+        for name in ("sigma_sq", "rbf_normalizer"):
+            value = getattr(self, name)
+            if value is not None and not (self.kind == "rbf"
+                                          and _positive_number(value)):
+                raise KrgraphError(f"{name} is a finite number > 0 on an rbf "
+                                   f"kernel, got {value!r} on {self.kind}")
         if self.kind == "precomputed":
             if self.precomputed is None:
                 raise KrgraphError("precomputed kernel requires a matrix")
@@ -125,6 +128,32 @@ def _finite(block):
     return block
 
 
+# squared_distances fills its output this many entries at a time, so that
+# the block and its one term buffer stay in the cache whatever the shape
+_DISTANCE_BLOCK = 1 << 16
+
+
+@_QUIET_OVERFLOW
+def squared_distances(A, B):
+    """The len(A) x len(B) matrix of ||a_i - b_j||^2, bit for bit as
+    scipy.spatial.distance.cdist(A, B, "sqeuclidean") gives it: each entry
+    adds (a_k - b_k)^2 into 0 one feature at a time, in feature order.
+    A's rows go in blocks of _DISTANCE_BLOCK // len(B)."""
+    A_cols = np.ascontiguousarray(np.asarray(A, dtype=float).T)
+    B_cols = np.ascontiguousarray(np.asarray(B, dtype=float).T)
+    out = np.zeros((A_cols.shape[1], B_cols.shape[1]))
+    rows = max(1, _DISTANCE_BLOCK // max(1, B_cols.shape[1]))
+    term = np.empty((min(rows, len(out)), B_cols.shape[1]))
+    for start in range(0, len(out), rows):
+        block = out[start:start + rows]
+        step = term[:len(block)]
+        for a, b in zip(A_cols[:, start:start + rows], B_cols, strict=True):
+            np.subtract(a[:, None], b, out=step)
+            step *= step
+            block += step
+    return out
+
+
 @_QUIET_OVERFLOW
 def gram_matrix(X, spec: KernelSpec):
     """(N x N training Gram matrix, spec fitted to X): an rbf spec gains X's
@@ -133,7 +162,7 @@ def gram_matrix(X, spec: KernelSpec):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if spec.kind != "rbf":
         return kernel_cross_matrix(X, X, spec), spec
-    sq = cdist(X, X, "sqeuclidean")
+    sq = squared_distances(X, X)
     Z = float(sq.sum()) / X.shape[0]
     if not 0 < Z < np.inf:
         raise DegenerateKernelError(
@@ -166,5 +195,5 @@ def kernel_cross_matrix(X_train, X_test, spec: KernelSpec):
         return _finite(X_test @ X_train.T)
     if spec.rbf_normalizer is None:
         raise DegenerateKernelError("rbf cross-kernel needs the training normalizer")
-    return _finite(_rbf_in_place(cdist(X_test, X_train, "sqeuclidean"),
+    return _finite(_rbf_in_place(squared_distances(X_test, X_train),
                                  spec.sigma_sq, spec.rbf_normalizer))

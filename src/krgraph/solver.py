@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConvergenceError, DataFormatError, DimensionError,
                      KrgraphError, SingularSystemError)
@@ -40,10 +39,12 @@ _LOW_RANK_TOL = np.finfo(float).eps
 
 
 def check_weights(**named_values):
-    """KrgraphError unless each weight (a number or a grid) is finite, >= 0."""
+    """KrgraphError unless each weight (a number or a grid of numbers, not
+    bools) is finite and >= 0."""
     for name, value in named_values.items():
         values = list(value) if np.ndim(value) else [value]
-        if not all(0 <= v < np.inf for v in values):
+        if not all(not isinstance(v, (bool, np.bool_)) and 0 <= v < np.inf
+                   for v in values):
             raise KrgraphError(f"{name} must be finite and >= 0, got {values}")
 
 
@@ -83,8 +84,7 @@ class SpectralCache:
         G = _pivoted_cholesky(K, n // 4) if n >= _LOW_RANK_MIN_N else None
         if G is not None:
             try:
-                U, s, _ = scipy.linalg.svd(G.T, full_matrices=False,
-                                           overwrite_a=True, check_finite=False)
+                U, s, _ = np.linalg.svd(G.T, full_matrices=False)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"SVD of a {G.T.shape} pivoted "
                                        f"Cholesky factor: {exc}") from exc

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DimensionError, KrgraphError
 from .graphs import (Graph, Laplacian, barabasi_albert, build_laplacian,
@@ -84,7 +83,13 @@ def sample_inverse_wishart_covariance(S: int, seed: int):
     rvs(S + 2, np.eye(S), random_state=np.random.default_rng(seed)): A is
     lower triangular with N(0, 1) below the diagonal and chi(3 + i), that
     is chi(dof - S + 1 + i), on it, and the sample is A^{-1} A^{-T}.
+
+    numpy has no triangular solve that gives trsm's bits, so scipy's BLAS
+    wrappers are imported here, by the commands that draw data (synth and
+    bench), and by no other.
     """
+    from scipy.linalg.blas import get_blas_funcs
+
     if S < 2:
         raise KrgraphError("covariance dimension must be >= 2")
     rng = np.random.default_rng(seed)

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from krgraph import cli, graphlearn, kernels, solver
 from krgraph.cli import main
@@ -359,7 +358,7 @@ class TestFitPredict:
 
         def eigh(*args, **kwargs):
             raise AssertionError("eigendecomposition before the index check")
-        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["fit", "--config", write_config(tmp_path, "p.json", doc),
@@ -1213,6 +1212,10 @@ def _bad_file_case(tmp_path, case):
             model["version"] = True
         elif case == "model_sigma_sq_true":
             model["kernel_spec"] = {"kind": "rbf", "sigma_sq": True}
+        elif case == "model_sigma_sq_on_linear":  # read by no linear kernel
+            model["kernel_spec"] = {"kind": "linear", "sigma_sq": 2.0}
+        elif case == "model_hyper_bool":  # True <= 1 in Python
+            model["hyper"] = {"alpha": True, "beta": False}
         elif case.startswith("model_hyper_"):  # a grid, not one weight
             model["hyper"][case.removeprefix("model_hyper_").split("_")[0]] \
                 = [1.0, 2.0]
@@ -1239,6 +1242,7 @@ class TestFileBoundaryErrors:
         "model_kernel_spec_list", "model_kernel_spec_string",
         "model_kernel_spec_null", "model_kernel_spec_unknown_key",
         "model_version_true", "model_sigma_sq_true",
+        "model_sigma_sq_on_linear", "model_hyper_bool",
         "model_hyper_alpha_grid", "model_hyper_beta_grid",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
@@ -1493,6 +1497,20 @@ class TestInvalidValuesRejected:
         _assert_one_json_error(capsys, "ConfigError", f"config.{key} is not")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, values", [
+        ("n_train", [6, 6]), ("snr_db", [5, 5.0]), ("methods", ["KR", "KR"]),
+    ])
+    def test_bench_repeated_axis_value(self, tmp_path, capsys, key, values):
+        """A repeat would run its cells twice and write each row twice."""
+        doc = dict(BENCH_CFG, **{key: values})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", f"config.{key}",
+                               "non-unique")
+        assert not out.exists()
+
     def test_bench_negative_snr(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])
         capsys.readouterr()
@@ -1548,7 +1566,7 @@ class TestInvalidValuesRejected:
         def fail(a, **kw):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 1

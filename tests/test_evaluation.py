@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from krgraph import evaluation, solver
 from krgraph.errors import ConfigError, KrgraphError, SingularSystemError
@@ -471,14 +470,14 @@ class TestRunBenchmark:
         cv = evaluation.cross_validate
         monkeypatch.setattr(evaluation, "cross_validate",
                             lambda *a, **k: cv_calls.append(1) or cv(*a, **k))
-        eigh = scipy.linalg.eigh
+        eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
             if np.shape(a) == (M, M):
                 laplacians.append(np.asarray(a).tobytes())
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         results, failures = run_benchmark(small_scenario(
             methods=("KR", "KRG"), realizations=R, snr_db=(0.0, 5.0),
             num_nodes=M))
@@ -504,6 +503,15 @@ class TestRunBenchmark:
             "negative_n_train"])
     def test_values_the_cell_seed_cannot_take_rejected(self, override):
         with pytest.raises(KrgraphError, match="master_seed >= 0"):
+            small_scenario(**override)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"n_train": (8, 9, 8)}, "n_train repeats 8"),
+        ({"snr_db": (5, 0.0, 5.0)}, "snr_db repeats 5.0"),
+        ({"methods": ("KR", "KRG", "KR")}, "methods repeats 'KR'"),
+    ], ids=["n_train", "snr_db", "methods"])
+    def test_repeated_axis_value_rejected(self, override, message):
+        with pytest.raises(ConfigError, match=message):
             small_scenario(**override)
 
     def test_sigma_grid_rejected_in_scenario(self):

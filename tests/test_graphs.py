@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from krgraph.errors import (ConvergenceError, DataFormatError,
@@ -84,8 +83,8 @@ class TestBuildLaplacian:
     def test_eigendecomposition_computed_once_and_read_only(self, monkeypatch):
         L = build_laplacian(K3)
         calls = []
-        eigh = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh",
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, **kw: calls.append(1) or eigh(a, **kw))
         lam, V = L.eigendecomposition()
         again = L.eigendecomposition()
@@ -128,7 +127,7 @@ class TestLaplacianNullSpace:
         def eigh(a, **kw):
             return np.array([-3e-9, 2e-9, 40.0]), np.eye(3)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         lam, _ = build_laplacian(K3).eigendecomposition()
         np.testing.assert_array_equal(lam, [0.0, 0.0, 40.0])
 
@@ -453,7 +452,7 @@ def test_json_reader_names_file(tmp_path, load, data):
 class TestEighPsd:
     def test_sets_only_roundoff_negatives_to_zero(self, monkeypatch):
         vals = np.array([-1e-9, -1e-10, -1e-12, 0.0, 2.0])
-        monkeypatch.setattr(scipy.linalg, "eigh",
+        monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, **kw: (vals.copy(), np.eye(5)))
         lam, V = eigh_psd(np.eye(5))
         assert lam.tolist() == [-1e-9, 0.0, 0.0, 0.0, 2.0]
@@ -493,7 +492,7 @@ class TestEighPsd:
         def fail(a, **kw):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match=r"\(4, 4\).*converge"):
             eigh_psd(np.eye(4))
         with pytest.raises(ConvergenceError, match=r"\(3, 3\)"):

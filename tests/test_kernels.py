@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from krgraph import kernels
 from krgraph.errors import DegenerateKernelError, DimensionError, KrgraphError
 from krgraph.kernels import (
     KernelSpec,
     gram_matrix,
     kernel_cross_matrix,
+    squared_distances,
 )
 
 
@@ -68,6 +71,46 @@ class TestKernelSpec:
             extra = {"precomputed": np.eye(2)}
         with pytest.raises(KrgraphError, match="rbf_normalizer"):
             KernelSpec(kind=kind, rbf_normalizer=Z, **extra)
+
+    @pytest.mark.parametrize("kind", ["linear", "precomputed"])
+    @pytest.mark.parametrize("sigma_sq", [2.0, True, 0.0])
+    def test_sigma_sq_on_rbf_only(self, kind, sigma_sq):
+        """By the rbf_normalizer rule: a value that nothing reads is no
+        part of a linear or precomputed spec."""
+        extra = {"precomputed": np.eye(2)} if kind == "precomputed" else {}
+        with pytest.raises(KrgraphError,
+                           match=f"sigma_sq is a finite number > 0 on an "
+                                 f"rbf kernel, got {sigma_sq!r} on {kind}"):
+            KernelSpec(kind=kind, sigma_sq=sigma_sq, **extra)
+
+
+class TestSquaredDistances:
+    """Bit for bit against scipy's cdist, whose (a_k - b_k)^2 terms are
+    added in feature order."""
+
+    ROWS_PER_BLOCK = kernels._DISTANCE_BLOCK // 300  # at len(B) = 300
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3000, 8), None),                   # the fit_predict Gram
+        ((60, 200), None),                   # graph learning's edge costs
+        ((1, 7), (40, 7)), ((40, 7), (1, 7)),
+        ((25, 1), (30, 1)),
+        ((2 * ROWS_PER_BLOCK + 5, 4), (300, 4)),  # a partial last block
+        ((13, 5), (300, 5)),
+    ])
+    def test_equals_cdist(self, a_shape, b_shape):
+        rng = np.random.default_rng(a_shape[0])
+        A = rng.standard_normal(a_shape) * np.logspace(-3, 3, a_shape[1])
+        B = A if b_shape is None else (
+            rng.standard_normal(b_shape) * np.logspace(-3, 3, b_shape[1]))
+        D = squared_distances(A, B)
+        assert np.array_equal(D, cdist(A, B, "sqeuclidean"))
+        if b_shape is None:
+            assert np.all(np.diag(D) == 0)
+
+    def test_feature_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            squared_distances(np.ones((3, 2)), np.ones((3, 4)))
 
 
 class TestGramMatrix:

@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from krgraph import kernels, solver
 from krgraph.errors import (ConvergenceError, DimensionError, KrgraphError,
@@ -769,6 +768,7 @@ class TestCheckWeights:
     @pytest.mark.parametrize("alpha,beta,name", [
         (np.nan, 0.0, "alpha"), (0.1, np.nan, "beta"), (np.inf, 0.0, "alpha"),
         (0.1, np.inf, "beta"), (-0.1, 0.0, "alpha"), (0.1, -1.0, "beta"),
+        (True, 0.0, "alpha"), (0.1, False, "beta"),  # True <= 1 in Python
     ])
     def test_hyperparams_reject_nan_inf_and_negative(self, alpha, beta, name):
         with pytest.raises(KrgraphError,
@@ -783,6 +783,9 @@ class TestCheckWeights:
         with pytest.raises(KrgraphError, match=r"betas must be finite and >= 0, "
                                                r"got \[0.0, nan\]"):
             check_weights(alphas=[0.1], betas=[0.0, float("nan")])
+        with pytest.raises(KrgraphError, match=r"alphas must be finite and "
+                                               r">= 0, got \[0.5, True\]"):
+            check_weights(alphas=[0.5, True])
 
 
 class TestSingularityRule:
@@ -803,7 +806,7 @@ class TestSingularityRule:
 
         L = Laplacian(np.zeros((2, 2)))
         L.eigendecomposition()
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match=r"\(5, 5\)"):
             fit_krg(np.eye(5), np.ones((5, 2)), L,
                     Hyperparams(0.1, 0.0))
@@ -814,7 +817,7 @@ class TestSingularityRule:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         K, _, L, _ = large_gram("linear")
-        monkeypatch.setattr(scipy.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError,
                            match=r"SVD of a \(600, 3\) pivoted Cholesky"):
             SpectralCache.build(K, L)

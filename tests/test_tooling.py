@@ -62,10 +62,12 @@ def test_config_keys_are_field_names(cls, keys):
     assert {f.name for f in dataclasses.fields(cls)} == set(keys)
 
 
-# modules whose import would grow the CLI's start-up time: the statistics
-# package, and the iterative and randomized eigensolvers that the spectral
-# cache does without
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.sparse.linalg",
+# modules whose import would grow the CLI's start-up time: scipy itself
+# (numpy runs every decomposition; only the data sampler imports scipy's
+# BLAS, in its body), the statistics package, and the iterative and
+# randomized eigensolvers that the spectral cache does without
+@pytest.mark.parametrize("module", ["scipy", "scipy.stats",
+                                    "scipy.sparse.linalg",
                                     "scipy.linalg.interpolative"])
 def test_cli_import_does_not_load_scipy_stats(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -290,12 +290,7 @@ def cmd_fit(cfg, out):
     L = _load_laplacian(cfg, T.shape[1], [cfg["beta"]])
     hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
     K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
-    solver.check_targets(T, K.shape[0], L)  # before the decomposition
-    cache = solver.SpectralCache.build(K, L)
-    model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec, cache=cache)
-    log.info("spectral cache of the N=%d Gram: rank %d, %s", *cache.u.shape,
-             cache.origin)
-    del cache  # out of the peak of Y and of save_model, as K is next
+    model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec)
     Y = K @ model.psi  # the report's one Gram product
     del K
     solver.save_model(out / "model.json", model)
@@ -387,7 +382,7 @@ def _write_plot_data(out, results, scenario):
                   [(snr, n, snr) for snr in scenario.snr_db])
     if len(scenario.n_train) > 1:
         for snr in scenario.snr_db:
-            table(out / f"plot_nmse_vs_n_snr{snr:g}.csv", "n_train",
+            table(out / evaluation.nmse_vs_n_file(snr), "n_train",
                   [(n, n, snr) for n in scenario.n_train])
 
 

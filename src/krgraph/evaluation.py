@@ -4,7 +4,7 @@ seeded NMSE benchmark harness."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,8 +14,8 @@ from .errors import (ConfigError, DimensionError, KrgraphError,
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
                       kernel_cross_matrix)
-from .solver import (Hyperparams, SpectralCache, check_weights, fit_krg,
-                     grid_error_energies)
+from .solver import (Hyperparams, SpectralCache, check_weights,
+                     grid_error_energies, solve_sylvester_spectral)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
 NMSE_FLOOR_DB = -300.0
@@ -217,30 +217,49 @@ class BenchScenario:
                     f"benchmark supports KR/KRG cells, got {m!r}; synthetic "
                     "data has no features, and KRR has its own command"
                 )
-        for axis, values in (("methods", self.methods),
-                             ("n_train", self.n_train),
-                             ("snr_db", [float(snr) for snr in self.snr_db])):
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ConfigError(f"bench {axis} repeats {repeated[0]!r}: "
-                                  "each cell would run and be written twice")
+        # a cell's seeds come from (master_seed, n, round(1000 snr), r),
+        # which SeedSequence takes only as non-negative integers
+        if (self.master_seed < 0 or not all(n >= 1 for n in self.n_train)
+                or not all(0 <= 1000 * snr < np.inf for snr in self.snr_db)):
+            raise KrgraphError(
+                "bench needs master_seed >= 0, n_train >= 1 and snr_db >= 0 "
+                f"with 1000 snr_db finite, got {self.master_seed}, "
+                f"{list(self.n_train)}, {list(self.snr_db)}")
+        # distinct SNRs also clash on a seed key or a plot file
+        for axis, values, keys in (
+                ("methods", self.methods, lambda _: ()),
+                ("n_train", self.n_train, lambda _: ()),
+                ("snr_db", [float(snr) for snr in self.snr_db],
+                 lambda snr: ("seed key round(1000 snr) = "
+                              f"{_snr_seed_key(snr)}",
+                              f"plot file {nmse_vs_n_file(snr)}"))):
+            for a, b in combinations(values, 2):
+                if a == b:
+                    raise ConfigError(f"bench {axis} repeats {b!r}: each "
+                                      "cell would run and be written twice")
+                shared = [k for k, k_b in zip(keys(a), keys(b)) if k == k_b]
+                if shared:
+                    raise ConfigError(f"bench {axis} values {a!r} and {b!r} "
+                                      f"share the {' and the '.join(shared)}")
         if self.realizations < 1:
             raise KrgraphError("need at least one realization")
         if self.grid.sigma_sqs:
             raise ConfigError("bench does not read grid.sigma_sqs: its kernel "
                               "is the synthetic precomputed covariance")
-        # a cell's seeds come from (master_seed, n, round(1000 snr), r),
-        # which SeedSequence takes only as non-negative integers
-        if (self.master_seed < 0 or not all(n >= 1 for n in self.n_train)
-                or not all(0 <= snr < np.inf for snr in self.snr_db)):
-            raise KrgraphError(
-                "bench needs master_seed >= 0, n_train >= 1 and finite "
-                f"snr_db >= 0, got {self.master_seed}, {list(self.n_train)}, "
-                f"{list(self.snr_db)}")
+
+
+def _snr_seed_key(snr):
+    """The SNR's part of a cell's seed; SeedSequence takes integers."""
+    return int(round(snr * 1000))
+
+
+def nmse_vs_n_file(snr):
+    """The file name of the NMSE-against-n_train table at one SNR."""
+    return f"plot_nmse_vs_n_snr{snr:g}.csv"
 
 
 def _realization_seed(master, n, snr, r):
-    ss = np.random.SeedSequence((master, int(n), int(round(snr * 1000)), int(r)))
+    ss = np.random.SeedSequence((master, int(n), _snr_seed_key(snr), int(r)))
     return int(ss.generate_state(1)[0])
 
 
@@ -307,7 +326,7 @@ def _run_cell(scenario, n, snr):
             best = min((row for row in table if row["params"]["beta"] in betas),
                        key=lambda row: row["nmse_db"])["params"]
             hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])
-            psi = fit_krg(K_train, train.T, L, hyper, cache=cache).psi
+            psi = solve_sylvester_spectral(cache, train.T, hyper)
             for k, (K, T0) in enumerate(zip(blocks, refs)):
                 energy = float(np.sum((K @ psi - T0) ** 2))
                 err[method][k] += energy

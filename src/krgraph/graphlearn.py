@@ -28,7 +28,7 @@ from .graphs import (Graph, Laplacian, build_laplacian, save_json_lines,
                      spectral_rescale)
 from .kernels import squared_distances
 from .solver import (Hyperparams, SpectralCache, check_targets, check_weights,
-                     cost_terms, fit_krg)
+                     cost_terms, fit_krg, solve_sylvester_spectral)
 
 # the edge-weight QP stops at this KKT residual, or fails after this many steps
 _KKT_TOL = 1e-6
@@ -177,12 +177,12 @@ def alternating_fit(K, T, hyper: Hyperparams,
     cache = SpectralCache.build(K, L)
     costs, records = [], []
     for it in range(cfg.max_outer_iters):
-        model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
+        psi = solve_sylvester_spectral(cache.with_laplacian(L), T, hyper)
         # one K Psi serves both costs and the L-step
-        Y = K @ model.psi
-        cost_w = joint_cost(Y, model.psi, T, L, hyper, cfg)
+        Y = K @ psi
+        cost_w = joint_cost(Y, psi, T, L, hyper, cfg)
         w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg)
-        cost_l = joint_cost(Y, model.psi, T, L_new, hyper, cfg)
+        cost_l = joint_cost(Y, psi, T, L_new, hyper, cfg)
         del Y   # N x M; not held through the next fit
         costs.append((cost_w, cost_l))
         records.append({

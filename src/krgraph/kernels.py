@@ -49,6 +49,9 @@ class KernelSpec:
                                           and _positive_number(value)):
                 raise KrgraphError(f"{name} is a finite number > 0 on an rbf "
                                    f"kernel, got {value!r} on {self.kind}")
+        if self.precomputed is not None and self.kind != "precomputed":
+            raise KrgraphError("a precomputed matrix belongs to a precomputed "
+                               f"kernel, got one on {self.kind}")
         if self.kind == "precomputed":
             if self.precomputed is None:
                 raise KrgraphError("precomputed kernel requires a matrix")

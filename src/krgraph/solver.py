@@ -17,6 +17,7 @@ alpha there and that part of the solution is (RHS - U U^T RHS) / alpha.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (ConvergenceError, DataFormatError, DimensionError,
 from .graphs import Laplacian, eigh_psd, load_json, save_json
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 
+log = logging.getLogger("krgraph")
 _ETA_FLOOR = 1e-14
 
 # SpectralCache.build first tries a pivoted Cholesky K ~ G^T G on a Gram of
@@ -238,6 +240,9 @@ def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
     if cache is None:
         cache = SpectralCache.build(K, L)
     psi = solve_sylvester_spectral(cache, T, hyper)
+    # after the solve, so a failed fit logs only its error
+    log.info("spectral cache of the N=%d Gram: rank %d, %s", *cache.u.shape,
+             cache.origin)
     if x_train is None:
         x_train = np.zeros((n, 0))
     if spec is None:

@@ -272,8 +272,7 @@ class TestFitPredict:
         assert report["residual_norm"] <= 1e-8 * report["target_norm"]
 
     def test_fit_report_costs_are_the_shared_cost_terms(self, tmp_path):
-        """fit eigendecomposes K in its own buffer and builds K again for the
-        report: for each kernel kind, model and report are those of
+        """For each kernel kind, fit's model and report are those of
         gram_matrix's K, bit for bit."""
         cfg, X, T, L = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
         doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
@@ -380,6 +379,23 @@ class TestFitPredict:
         _assert_one_json_error(capsys, "DimensionError",
                                f"targets {shape} incompatible with N=8, M=4")
         assert calls == [] and list(out.iterdir()) == []
+
+    def test_fit_checks_the_targets_and_builds_the_cache_once(
+            self, tmp_path, monkeypatch, caplog):
+        """fit_krg alone checks the targets, builds the spectral cache and
+        logs it; fit repeats none of it."""
+        calls = []
+        check, build = solver.check_targets, solver.SpectralCache.build
+        monkeypatch.setattr(solver, "check_targets",
+                            lambda *a: calls.append("check") or check(*a))
+        monkeypatch.setattr(solver.SpectralCache, "build", staticmethod(
+            lambda *a: calls.append("build") or build(*a)))
+        caplog.set_level(logging.INFO, logger="krgraph")
+        cfg, *_ = fit_configs(tmp_path, beta=0.8, with_laplacian=True)
+        assert run(["fit", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+        assert calls == ["check", "build"]
+        assert [m for m in caplog.messages if "spectral cache" in m] == [
+            "spectral cache of the N=8 Gram: rank 8, eigh"]
 
     def test_learn_graph_checks_the_targets_before_the_build(
             self, tmp_path, capsys, monkeypatch):
@@ -574,6 +590,18 @@ class TestLearnGraph:
         assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, error, message)
         assert list(out.iterdir()) == []
+
+    def test_final_refit_logs_its_spectral_cache(self, tmp_path, caplog):
+        """Only the refit on the learned graph makes a model, through
+        fit_krg, which logs the cache its solve used."""
+        rng = np.random.default_rng(6)
+        cfg = self._precomputed_config(tmp_path, np.arange(6.0)[:, None],
+                                       rng.standard_normal((6, 3)))
+        caplog.set_level(logging.INFO, logger="krgraph")
+        assert run(["learn-graph", "--config", cfg, "--out-dir",
+                    tmp_path / "o"]) == 0
+        assert [m for m in caplog.messages if "spectral cache" in m] == [
+            "spectral cache of the N=6 Gram: rank 6, eigh"]
 
     def test_nu_zero_puts_the_budget_on_one_edge(self, tmp_path):
         """Without the ||L||_F^2 term the L-step is linear, and its
@@ -1214,6 +1242,8 @@ def _bad_file_case(tmp_path, case):
             model["kernel_spec"] = {"kind": "rbf", "sigma_sq": True}
         elif case == "model_sigma_sq_on_linear":  # read by no linear kernel
             model["kernel_spec"] = {"kind": "linear", "sigma_sq": 2.0}
+        elif case == "model_precomputed_on_linear":  # read by no linear kernel
+            model["kernel_spec"] = {"kind": "linear", "precomputed": [[1.0]]}
         elif case == "model_hyper_bool":  # True <= 1 in Python
             model["hyper"] = {"alpha": True, "beta": False}
         elif case.startswith("model_hyper_"):  # a grid, not one weight
@@ -1242,8 +1272,8 @@ class TestFileBoundaryErrors:
         "model_kernel_spec_list", "model_kernel_spec_string",
         "model_kernel_spec_null", "model_kernel_spec_unknown_key",
         "model_version_true", "model_sigma_sq_true",
-        "model_sigma_sq_on_linear", "model_hyper_bool",
-        "model_hyper_alpha_grid", "model_hyper_beta_grid",
+        "model_sigma_sq_on_linear", "model_precomputed_on_linear",
+        "model_hyper_bool", "model_hyper_alpha_grid", "model_hyper_beta_grid",
     ])
     def test_bad_file_is_data_format_error(self, tmp_path, capsys, case):
         command, doc, name = _bad_file_case(tmp_path, case)
@@ -1510,6 +1540,18 @@ class TestInvalidValuesRejected:
         _assert_one_json_error(capsys, "ConfigError", f"config.{key}",
                                "non-unique")
         assert not out.exists()
+
+    def test_bench_snrs_sharing_a_plot_file(self, tmp_path, capsys):
+        """Distinct to the schema, but one plot_nmse_vs_n_snr5.csv and one
+        set of realization seeds: rejected before anything is written."""
+        doc = dict(BENCH_CFG, n_train=[6, 8], snr_db=[5.0, 5.0000001])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "5.0 and 5.0000001",
+                               "plot_nmse_vs_n_snr5.csv")
+        assert list(out.iterdir()) == []
 
     def test_bench_negative_snr(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])

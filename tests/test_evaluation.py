@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,15 @@ class TestRunBenchmark:
         assert len(cv_calls) == cells * R
         assert len(laplacians) == len(set(laplacians)) == cells * R
 
+    def test_no_model_is_constructed(self, monkeypatch):
+        """A cell scores its selected fits from psi alone: no KrgModel."""
+        models, make = [], solver.KrgModel
+        monkeypatch.setattr(solver, "KrgModel",
+                            lambda **kw: models.append(kw) or make(**kw))
+        results, failures = run_benchmark(small_scenario())
+        assert not failures and len(results) == 2
+        assert models == []
+
     def test_programming_error_propagates(self, monkeypatch):
         # only a KrgraphError is a cell failure; anything else is a bug
         def broken(*args, **kwargs):
@@ -498,9 +509,9 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("override", [
         {"snr_db": (5.0, -5.0)}, {"snr_db": (np.nan,)}, {"snr_db": (np.inf,)},
-        {"master_seed": -1}, {"n_train": (8, -8)},
-    ], ids=["negative_snr", "nan_snr", "inf_snr", "negative_seed",
-            "negative_n_train"])
+        {"snr_db": (1e306,)}, {"master_seed": -1}, {"n_train": (8, -8)},
+    ], ids=["negative_snr", "nan_snr", "inf_snr", "snr_seed_key_overflows",
+            "negative_seed", "negative_n_train"])
     def test_values_the_cell_seed_cannot_take_rejected(self, override):
         with pytest.raises(KrgraphError, match="master_seed >= 0"):
             small_scenario(**override)
@@ -509,9 +520,19 @@ class TestRunBenchmark:
         ({"n_train": (8, 9, 8)}, "n_train repeats 8"),
         ({"snr_db": (5, 0.0, 5.0)}, "snr_db repeats 5.0"),
         ({"methods": ("KR", "KRG", "KR")}, "methods repeats 'KR'"),
-    ], ids=["n_train", "snr_db", "methods"])
+        # distinct SNRs whose cells would draw the same realizations, or
+        # whose NMSE-against-n_train tables would overwrite one another
+        ({"snr_db": (5.0, 5.0000001)}, "snr_db values 5.0 and 5.0000001 "
+         "share the seed key round(1000 snr) = 5000 and the plot file "
+         "plot_nmse_vs_n_snr5.csv"),
+        ({"snr_db": (0.0, 5.0, 5.0004)}, "snr_db values 5.0 and 5.0004 "
+         "share the seed key round(1000 snr) = 5000"),
+        ({"snr_db": (1234.5671, 1234.5679)}, "snr_db values 1234.5671 and "
+         "1234.5679 share the plot file plot_nmse_vs_n_snr1234.57.csv"),
+    ], ids=["n_train", "snr_db", "methods", "snr_db_seed_key_and_file",
+            "snr_db_seed_key", "snr_db_file"])
     def test_repeated_axis_value_rejected(self, override, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             small_scenario(**override)
 
     def test_sigma_grid_rejected_in_scenario(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from krgraph import graphlearn
+from krgraph import graphlearn, solver
 from krgraph.errors import ConvergenceError, DimensionError, KrgraphError
 from krgraph.graphs import (Laplacian, build_laplacian, erdos_renyi,
                             spectral_rescale)
@@ -408,6 +408,18 @@ class TestAlternatingFit:
         assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
         np.testing.assert_array_equal(model.psi, expected[0].psi)
         np.testing.assert_array_equal(L.matrix, expected[1].matrix)
+
+    @pytest.mark.parametrize("iterations", [1, 3, 5])
+    def test_one_model_whatever_the_iterations(self, monkeypatch, iterations):
+        """The W-steps need only psi; the final refit makes the one model."""
+        models, make = [], solver.KrgModel
+        monkeypatch.setattr(solver, "KrgModel",
+                            lambda **kw: models.append(kw) or make(**kw))
+        K, T = self._setup(17)
+        cfg = GraphLearnConfig(nu=0.5, max_outer_iters=iterations, tol=1e-12)
+        model, _, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
+        assert len(costs) == iterations and len(models) == 1
+        np.testing.assert_array_equal(model.psi, models[0]["psi"])
 
     def test_one_k_psi_per_outer_iteration(self):
         """Both joint costs and the L-step of an iteration share Y = K Psi."""

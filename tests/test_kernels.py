@@ -83,6 +83,15 @@ class TestKernelSpec:
                                  f"rbf kernel, got {sigma_sq!r} on {kind}"):
             KernelSpec(kind=kind, sigma_sq=sigma_sq, **extra)
 
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_precomputed_matrix_on_precomputed_only(self, kind):
+        """By the same rule: no linear or rbf kernel reads the matrix, and
+        to_json would write it into the model file."""
+        extra = {"sigma_sq": 1.0} if kind == "rbf" else {}
+        with pytest.raises(KrgraphError, match="a precomputed matrix belongs "
+                           f"to a precomputed kernel, got one on {kind}"):
+            KernelSpec(kind=kind, precomputed=np.eye(3), **extra)
+
 
 class TestSquaredDistances:
     """Bit for bit against scipy's cdist, whose (a_k - b_k)^2 terms are

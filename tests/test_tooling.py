@@ -155,19 +155,20 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-@pytest.mark.parametrize("name", ["evaluation.py", "graphlearn.py"])
+@pytest.mark.parametrize("name", ["cli.py", "evaluation.py", "graphlearn.py"])
 def test_only_the_solver_reads_the_spectral_cache(name):
     """The Gram's eigenbasis, and its complement when the Gram is held in
     its numerical range, stay inside solver: its callers read no eigenpair
-    field of a cache and call no eigenbasis solve, only the solves and the
-    grid scorer that add the complement term themselves."""
+    field of a cache, nor the origin that fit_krg logs, and call no
+    eigenbasis solve, only the solves and the grid scorer that add the
+    complement term themselves."""
     tree = ast.parse((ROOT / "src" / "krgraph" / name).read_text(
         encoding="utf-8"))
     attributes = {n.attr for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute)}
     names = {n.id if isinstance(n, ast.Name) else n.name
              for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.alias))}
-    assert attributes & {"u", "v", "theta", "lam"} == set()
+    assert attributes & {"u", "v", "theta", "lam", "origin"} == set()
     assert "solve_sylvester_eigenbasis" not in attributes | names
 
 

@@ -132,7 +132,7 @@ SCHEMAS = {
             "t_csv": {"type": "string"},
             "t0_csv": {"type": "string"},
             **_GRAPH_PROPERTIES,
-            "method": {"enum": ["LR", "LRG", "KR", "KRG"]},
+            "method": {"enum": list(evaluation.METHODS)},
             "kernel": _KERNEL_SCHEMA,
             "grid": _GRID_SCHEMA,
             "seed": {"type": "integer"},
@@ -144,7 +144,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "methods": {"type": "array",
-                        "items": {"enum": ["KR", "KRG"]},
+                        "items": {"enum": list(evaluation.BENCH_METHODS)},
                         "minItems": 1, "uniqueItems": True},
             "n_train": {"type": "array", "items": {"type": "integer"},
                         "minItems": 1, "uniqueItems": True},
@@ -338,8 +338,8 @@ def cmd_cv(cfg, out):
     train = synthdata.Dataset(X=X, T=T, T0=T0)
     grid = evaluation.CvGrid(**cfg["grid"])
     # KR and LR fit at beta = 0 whatever the grid holds
-    L = _load_laplacian(cfg, T.shape[1],
-                        grid.betas if cfg["method"] in ("KRG", "LRG") else ())
+    graph_free = cfg["method"] in evaluation.GRAPH_FREE
+    L = _load_laplacian(cfg, T.shape[1], () if graph_free else grid.betas)
     # without a kernel, KR and KRG sweep an rbf kernel over grid.sigma_sqs
     spec = _kernel_spec(cfg["kernel"]) if "kernel" in cfg else None
     best, table = evaluation.cross_validate(

@@ -14,14 +14,16 @@ from .errors import (ConfigError, DimensionError, KrgraphError,
 from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
                       kernel_cross_matrix)
-from .solver import (Hyperparams, SpectralCache, check_weights,
-                     grid_error_energies, solve_sylvester_spectral)
+from .solver import (Hyperparams, SpectralCache, check_targets,
+                     check_weights, grid_error_energies,
+                     solve_sylvester_spectral)
 from .synthdata import Dataset, SynthConfig, make_synthetic_dataset
 
 NMSE_FLOOR_DB = -300.0
 
 METHODS = ("LR", "LRG", "KR", "KRG")
-_GRAPH_FREE = ("LR", "KR")       # beta pinned to 0
+GRAPH_FREE = ("LR", "KR")        # beta pinned to 0
+BENCH_METHODS = ("KR", "KRG")
 _PRIMAL = ("LR", "LRG")          # fit on raw features, linear model
 
 
@@ -112,11 +114,9 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                           "kernel_spec")
     if method not in _PRIMAL and kernel_spec is None and not grid.sigma_sqs:
         raise KrgraphError("rbf kernel needs a sigma_sq grid")
-    if train.T.shape[1] != L.num_nodes:
-        raise DimensionError(f"targets {train.T.shape} incompatible with "
-                             f"M={L.num_nodes}")
+    check_targets(train.T, train.n, L)
     folds = fold_assignment(train.n, grid.folds, seed)
-    betas = (0.0,) if method in _GRAPH_FREE else tuple(grid.betas)
+    betas = (0.0,) if method in GRAPH_FREE else tuple(grid.betas)
     sigmas = tuple(grid.sigma_sqs) or (None,)
     T_ref = train.T0 if train.T0 is not None else train.T
     # scores[a, b, s, fold] over the distinct grid values, fold last so
@@ -212,7 +212,7 @@ class BenchScenario:
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in ("KR", "KRG"):
+            if m not in BENCH_METHODS:
                 raise KrgraphError(
                     f"benchmark supports KR/KRG cells, got {m!r}; synthetic "
                     "data has no features, and KRR has its own command"
@@ -246,6 +246,11 @@ class BenchScenario:
         if self.grid.sigma_sqs:
             raise ConfigError("bench does not read grid.sigma_sqs: its kernel "
                               "is the synthetic precomputed covariance")
+        # the synthetic law, checked before any cell runs; a realization
+        # replaces its snr_db and seed. Not a field: no config key names it
+        object.__setattr__(self, "law", SynthConfig(
+            self.num_nodes, self.num_samples, self.graph_model,
+            self.graph_param, snr_db=0.0, seed=self.master_seed))
 
 
 def _snr_seed_key(snr):
@@ -297,15 +302,8 @@ def _run_cell(scenario, n, snr):
     dbs = {m: ([], []) for m in scenario.methods}
     for r in range(scenario.realizations):
         seed = _realization_seed(scenario.master_seed, n, snr, r)
-        cfg = SynthConfig(
-            num_nodes=scenario.num_nodes,
-            num_samples=scenario.num_samples,
-            graph_model=scenario.graph_model,
-            graph_param=scenario.graph_param,
-            snr_db=snr,
-            seed=seed,
-        )
-        train_full, test, graph, C_S = make_synthetic_dataset(cfg)
+        train_full, test, graph, C_S = make_synthetic_dataset(
+            replace(scenario.law, snr_db=snr, seed=seed))
         if n > train_full.n:
             raise KrgraphError(f"n_train={n} exceeds training pool {train_full.n}")
         sub = np.sort(np.random.default_rng(seed + 17).permutation(train_full.n)[:n])
@@ -322,7 +320,7 @@ def _run_cell(scenario, n, snr):
         signal = [float(np.sum(T0**2)) for T0 in refs]
         sig = [total + energy for total, energy in zip(sig, signal)]
         for method in err:
-            betas = (0.0,) if method == "KR" else grid.betas
+            betas = (0.0,) if method in GRAPH_FREE else grid.betas
             best = min((row for row in table if row["params"]["beta"] in betas),
                        key=lambda row: row["nmse_db"])["params"]
             hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])

@@ -202,7 +202,7 @@ def alternating_fit(K, T, hyper: Hyperparams,
         if converged:
             break
     # refit so the returned coefficients match the final Laplacian
-    model = fit_krg(K, T, L, hyper, cache=cache.with_laplacian(L))
+    model = fit_krg(K, T, L, hyper, cache=cache)
     # written only now, so a failed fit leaves no log behind
     if log_path:
         save_json_lines(log_path, records)

@@ -234,11 +234,12 @@ def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
             x_train=None, spec: KernelSpec | None = None,
             cache: SpectralCache | None = None) -> KrgModel:
     """Solve (K + alpha I) Psi + beta K Psi L = T for the dual coefficients;
-    spec is the one gram_matrix returned with K."""
+    spec is the one gram_matrix returned with K. A given cache supplies
+    only K's eigenpairs: the solve always pairs them with L's."""
     n = K.shape[0]
     T = check_targets(T, n, L)
-    if cache is None:
-        cache = SpectralCache.build(K, L)
+    cache = (SpectralCache.build(K, L) if cache is None
+             else cache.with_laplacian(L))
     psi = solve_sylvester_spectral(cache, T, hyper)
     # after the solve, so a failed fit logs only its error
     log.info("spectral cache of the N=%d Gram: rank %d, %s", *cache.u.shape,

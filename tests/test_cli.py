@@ -838,7 +838,7 @@ class TestCv:
                                     {"graph_json": tmp_path / "graph5.json"})
         assert code == 1
         _assert_one_json_error(capsys, "DimensionError",
-                               "targets (8, 4) incompatible with M=5")
+                               "targets (8, 4) incompatible with N=8, M=5")
         assert not path.exists()
 
 BENCH_CFG = {
@@ -1553,6 +1553,17 @@ class TestInvalidValuesRejected:
                                "plot_nmse_vs_n_snr5.csv")
         assert list(out.iterdir()) == []
 
+    def test_bench_law_synth_rejects(self, tmp_path, capsys):
+        """synth's rules on the synthetic law run before any cell: no cell
+        fails on it, and no results are written."""
+        doc = dict(BENCH_CFG, graph_model="barabasi_albert", graph_param=2.5)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError", "graph_param")
+        assert list(out.iterdir()) == []
+
     def test_bench_negative_snr(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])
         capsys.readouterr()
@@ -1630,7 +1641,7 @@ REJECTIONS = {
     # sizes whose dense float64 square numpy cannot hold
     "synth_num_nodes_1e20": ("KrgraphError", f"num_nodes={10**20} is"),
     "synth_num_samples_2_32": ("KrgraphError", f"num_samples={2**32}"),
-    "bench_num_nodes_1e20": ("KrgraphError", "2 benchmark cells failed"),
+    "bench_num_nodes_1e20": ("KrgraphError", f"num_nodes={10**20} is"),
     # Laplacian invariants of fit's laplacian_csv
     "laplacian_not_square": ("InvalidGraphError", "must be square"),
     "laplacian_not_symmetric": ("InvalidGraphError", "must be symmetric"),

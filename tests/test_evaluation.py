@@ -548,6 +548,12 @@ class TestRunBenchmark:
             with pytest.raises(KrgraphError):
                 small_scenario(methods=(method,))
 
+    def test_synthetic_law_rejected_at_construction(self):
+        """SynthConfig's rules run once, before any cell, not once per
+        realization of every cell."""
+        with pytest.raises(KrgraphError, match="attachment count"):
+            small_scenario(graph_model="barabasi_albert", graph_param=2.5)
+
     def test_results_csv_schema(self, tmp_path):
         results, _ = run_benchmark(small_scenario(realizations=1))
         path = tmp_path / "results.csv"

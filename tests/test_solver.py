@@ -430,6 +430,21 @@ class TestFitKrg:
                 + hyper.beta * K @ psi @ L.matrix - T
             assert np.linalg.norm(resid, "fro") <= 1e-8 * np.linalg.norm(T, "fro")
 
+    def test_given_cache_supplies_only_the_kernel_eigenpairs(self):
+        """A cache built with another Laplacian solves with L, the one the
+        model records, bit for bit as a fit that builds its own cache."""
+        rng = np.random.default_rng(9)
+        K = random_psd(rng, 12)
+        L1, L2 = (Laplacian(random_laplacian_matrix(rng, 5)) for _ in "ab")
+        assert not np.array_equal(L1.matrix, L2.matrix)
+        T = rng.standard_normal((12, 5))
+        hyper = Hyperparams(alpha=0.2, beta=0.8)
+        model = fit_krg(K, T, L2, hyper, cache=SpectralCache.build(K, L1))
+        assert model.laplacian is L2
+        assert np.array_equal(model.psi, fit_krg(K, T, L2, hyper).psi)
+        resid = sylvester_residual(K @ model.psi, model.psi, T, L2, hyper)
+        assert np.linalg.norm(resid, "fro") <= 1e-10 * np.linalg.norm(T, "fro")
+
     def test_alpha_zero_singular_kernel_raises(self):
         K = np.zeros((4, 4))
         L = Laplacian(np.zeros((3, 3)))

@@ -17,7 +17,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from krgraph.cli import SCHEMAS
-from krgraph.evaluation import BenchScenario, CvGrid
+from krgraph.evaluation import METHODS, BenchScenario, CvGrid
 from krgraph.graphlearn import GraphLearnConfig
 from krgraph.solver import Hyperparams
 from krgraph.synthdata import SynthConfig
@@ -170,6 +170,15 @@ def test_only_the_solver_reads_the_spectral_cache(name):
              for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.alias))}
     assert attributes & {"u", "v", "theta", "lam", "origin"} == set()
     assert "solve_sylvester_eigenbasis" not in attributes | names
+
+
+def test_cli_names_no_method():
+    """The method names, and which of them the bench runs or pins beta to
+    0 for, are stated in evaluation; cli reads them from there."""
+    tree = ast.parse((ROOT / "src" / "krgraph" / "cli.py").read_text(
+        encoding="utf-8"))
+    assert [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+            and n.value in METHODS] == []
 
 
 def _directory_makers(path):

@@ -3,7 +3,9 @@ seeded NMSE benchmark harness."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -251,6 +253,11 @@ class BenchScenario:
         object.__setattr__(self, "law", SynthConfig(
             self.num_nodes, self.num_samples, self.graph_model,
             self.graph_param, snr_db=0.0, seed=self.master_seed))
+        pool = self.num_samples // 2        # make_synthetic_dataset's split
+        for n in self.n_train:
+            if n > pool:
+                raise ConfigError(f"bench n_train={n} exceeds the training "
+                                  f"pool of num_samples // 2 = {pool} rows")
 
 
 def _snr_seed_key(snr):
@@ -273,17 +280,20 @@ def run_benchmark(scenario: BenchScenario):
 
     Data seeds depend only on (master_seed, n, snr, realization), and the
     methods of an (n, snr) cell share each realization's data and CV
-    table. Returns (results, failures), both in (method, n, snr) order.
+    table. The realizations run on one forked worker per CPU (_map_tasks)
+    and each cell sums them in realization order, so the results do not
+    depend on the worker count. Returns (results, failures), both in
+    (method, n, snr) order.
     """
-    cells = []
-    for n, snr in product(scenario.n_train, scenario.snr_db):
-        try:
-            cells.append((n, snr, _run_cell(scenario, n, snr)))
-        except KrgraphError as exc:  # cell isolation: report, keep going
-            cells.append((n, snr, f"{type(exc).__name__}: {exc}"))
+    cells = list(product(scenario.n_train, scenario.snr_db))
+    R = scenario.realizations
+    outcomes = _map_tasks(partial(_run_realization, scenario),
+                          [(n, snr, r) for n, snr in cells for r in range(R)])
+    reduced = [_reduce_cell(scenario, n, snr, outcomes[i * R:(i + 1) * R])
+               for i, (n, snr) in enumerate(cells)]
     results, failures = [], []
     for method in scenario.methods:
-        for n, snr, outcome in cells:
+        for (n, snr), outcome in zip(cells, reduced):
             if isinstance(outcome, str):
                 failures.append({"method": method, "n_train": n,
                                  "snr_db": snr, "error": outcome})
@@ -292,20 +302,41 @@ def run_benchmark(scenario: BenchScenario):
     return results, failures
 
 
-def _run_cell(scenario, n, snr):
-    """Train and test rows per method; one KRG CV table per realization,
-    over the grid's betas plus 0, selects for KR (beta = 0 rows) too."""
+def _map_tasks(fn, tasks):
+    """[fn(task) for task in tasks], on min(CPUs this process may run on,
+    tasks) workers; with one, in this process. The workers are forked, all
+    before the pool starts its own thread, so they start with this
+    process's imports and module attributes; a worker that dies is a
+    KrgraphError."""
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers <= 1:
+        return list(map(fn, tasks))
+    # imported here, as synthdata imports scipy: no other command loads them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            return list(pool.map(fn, tasks))
+        except BrokenProcessPool as exc:
+            raise KrgraphError(f"a bench worker process died, e.g. killed "
+                               f"for lack of memory: {exc}") from None
+
+
+def _run_realization(scenario, task):
+    """Realization r of the (n, snr) cell, task = (n, snr, r): its train
+    and test signal energies, and per method its train and test (error
+    energy, NMSE dB) pairs. One KRG CV table, over the grid's betas plus
+    0, selects for KR (beta = 0 rows) too. A KrgraphError comes back as
+    the failure message of the cell."""
+    n, snr, r = task
     grid = scenario.grid
     cv_grid = replace(grid, betas=sorted({0.0, *grid.betas}))
-    sig = [0.0, 0.0]                                  # train, test
-    err = {m: [0.0, 0.0] for m in scenario.methods}
-    dbs = {m: ([], []) for m in scenario.methods}
-    for r in range(scenario.realizations):
+    try:
         seed = _realization_seed(scenario.master_seed, n, snr, r)
         train_full, test, graph, C_S = make_synthetic_dataset(
             replace(scenario.law, snr_db=snr, seed=seed))
-        if n > train_full.n:
-            raise KrgraphError(f"n_train={n} exceeds training pool {train_full.n}")
         sub = np.sort(np.random.default_rng(seed + 17).permutation(train_full.n)[:n])
         train = Dataset(X=train_full.X[sub], T=train_full.T[sub],
                         T0=train_full.T0[sub])
@@ -318,17 +349,39 @@ def _run_cell(scenario, n, snr):
         blocks = (K_train, kernel_cross_matrix(train.X, test.X, spec))
         refs = (train.T0, test.T0)
         signal = [float(np.sum(T0**2)) for T0 in refs]
-        sig = [total + energy for total, energy in zip(sig, signal)]
-        for method in err:
+        scores = {}
+        for method in scenario.methods:
             betas = (0.0,) if method in GRAPH_FREE else grid.betas
             best = min((row for row in table if row["params"]["beta"] in betas),
                        key=lambda row: row["nmse_db"])["params"]
             hyper = Hyperparams(alpha=best["alpha"], beta=best["beta"])
             psi = solve_sylvester_spectral(cache, train.T, hyper)
-            for k, (K, T0) in enumerate(zip(blocks, refs)):
-                energy = float(np.sum((K @ psi - T0) ** 2))
-                err[method][k] += energy
-                dbs[method][k].append(nmse_db_from_energies(energy, signal[k]))
+            energies = [float(np.sum((K @ psi - T0) ** 2))
+                        for K, T0 in zip(blocks, refs)]
+            scores[method] = [(energy, nmse_db_from_energies(energy, total))
+                              for energy, total in zip(energies, signal)]
+    except KrgraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return signal, scores
+
+
+def _reduce_cell(scenario, n, snr, outcomes):
+    """The cell's train and test BenchResults per method from its
+    realizations' outcomes, summed in realization order; the failure
+    message of the first realization that failed, if one did."""
+    failed = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    if failed:
+        return failed[0]
+    sig = [0.0, 0.0]                                  # train, test
+    err = {m: [0.0, 0.0] for m in scenario.methods}
+    dbs = {m: ([], []) for m in scenario.methods}
+    for signal, scores in outcomes:
+        for k in range(2):
+            sig[k] += signal[k]
+            for m in err:
+                energy, db = scores[m][k]
+                err[m][k] += energy
+                dbs[m][k].append(db)
     return {m: [BenchResult(method=m, n_train=n, snr_db=snr, split=split,
                             nmse_db=nmse_db_from_energies(err[m][k], sig[k]),
                             nmse_db_mean=float(np.mean(dbs[m][k])),

@@ -1,5 +1,6 @@
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -924,6 +925,29 @@ class TestBench:
             assert row[:4] == expected[:4]
             assert float(row[4]) == pytest.approx(float(expected[4]), abs=1e-12)
 
+    def test_dead_worker_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        """A worker that dies (killed for memory, say; here os._exit) fails
+        the command, not a cell: one JSON line, exit 1, nothing written and
+        no process left behind."""
+        parent, make = os.getpid(), cli.evaluation.make_synthetic_dataset
+
+        def draw(cfg):
+            if os.getpid() != parent:
+                os._exit(1)
+            return make(cfg)
+
+        monkeypatch.setattr(cli.evaluation, "make_synthetic_dataset", draw)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config",
+                    write_config(tmp_path, "bench.json", BENCH_CFG),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "KrgraphError",
+                               "bench worker process died")
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
 
 class TestKrr:
     def test_estimate_matches_library_call(self, tmp_path):
@@ -1564,6 +1588,17 @@ class TestInvalidValuesRejected:
         _assert_one_json_error(capsys, "KrgraphError", "graph_param")
         assert list(out.iterdir()) == []
 
+    def test_bench_n_train_above_the_pool(self, tmp_path, capsys):
+        """num_samples fixes the training pool before any cell runs."""
+        doc = dict(BENCH_CFG, n_train=[6, 9])
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", "n_train=9 exceeds",
+                               "num_samples // 2 = 8")
+        assert list(out.iterdir()) == []
+
     def test_bench_negative_snr(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])
         capsys.readouterr()
@@ -1737,9 +1772,12 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("case", REJECTIONS)
-def test_rejected_with_one_json_line(tmp_path, capsys, case):
+def test_rejected_with_one_json_line(tmp_path, capsys, monkeypatch, case):
     """Exit 1 with one JSON line and no numpy warning; what the command
-    wrote before it failed (bench's results) holds only finite numbers."""
+    wrote before it failed (bench's results) holds only finite numbers.
+    bench runs in this process, where the warnings are caught: a forked
+    worker would record its warnings in its own copy of the list."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     command, doc = _rejected_case(tmp_path, case)
     cfg = write_config(tmp_path, "case.json", doc)
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -413,6 +414,17 @@ class TestHeatKernel:
 SMALL_GRID = CvGrid(alphas=[0.1, 1.0], betas=[0.0, 1.0], folds=3)
 
 
+def _record(path, value):
+    """Append value as one line of path: run_benchmark's realizations run
+    in forked workers, whose list appends this process never sees."""
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write(f"{value}\n")
+
+
+def _recorded(path):
+    return path.read_text(encoding="ascii").splitlines() if path.exists() else []
+
+
 def small_scenario(**overrides):
     base = dict(methods=("KRG",), n_train=(8,), snr_db=(5.0,),
                 realizations=2, num_nodes=8, num_samples=20,
@@ -444,17 +456,17 @@ class TestRunBenchmark:
         assert a == b
 
     def test_failed_cell_isolated(self):
-        sc = small_scenario(n_train=(8, 500))  # 500 exceeds the pool
+        sc = small_scenario(snr_db=(5.0, 4000.0))  # the noise draw rejects 4000
         results, failures = run_benchmark(sc)
         assert len(failures) == 1
-        assert failures[0]["n_train"] == 500
+        assert failures[0]["snr_db"] == 4000.0
         assert len(results) == 2  # the valid cell still completed
 
     @pytest.mark.parametrize("betas", [(0.0, 1.0), (0.3, 1.0)],
                              ids=["zero_in_grid", "zero_not_in_grid"])
     def test_two_methods_equal_separate_runs(self, betas):
-        # a failing cell (n_train=500) checks the order of failures too
-        sc = dict(n_train=(8, 500), snr_db=(0.0, 5.0),
+        # two failing cells (snr_db=4000) check the order of failures too
+        sc = dict(n_train=(8, 6), snr_db=(0.0, 4000.0),
                   grid=CvGrid(alphas=[0.1, 1.0], betas=betas, folds=3))
         both = run_benchmark(small_scenario(methods=("KR", "KRG"), **sc))
         kr = run_benchmark(small_scenario(methods=("KR",), **sc))
@@ -463,40 +475,63 @@ class TestRunBenchmark:
         assert both[1] == kr[1] + krg[1]
         assert len(both[0]) == 8 and len(both[1]) == 4
 
-    def test_one_dataset_and_laplacian_eigh_per_realization(self, monkeypatch):
+    def test_one_dataset_and_laplacian_eigh_per_realization(self, monkeypatch,
+                                                            tmp_path):
         R, M = 3, 9  # M differs from every Gram size, so 9 x 9 eighs are L's
-        seeds, cv_calls, laplacians = [], [], []
+        files = [tmp_path / name for name in ("seeds", "cv", "laplacians")]
         make = evaluation.make_synthetic_dataset
         monkeypatch.setattr(evaluation, "make_synthetic_dataset",
-                            lambda cfg: seeds.append(cfg.seed) or make(cfg))
+                            lambda cfg: _record(files[0], cfg.seed) or make(cfg))
         cv = evaluation.cross_validate
         monkeypatch.setattr(evaluation, "cross_validate",
-                            lambda *a, **k: cv_calls.append(1) or cv(*a, **k))
+                            lambda *a, **k: _record(files[1], 1) or cv(*a, **k))
         eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
             if np.shape(a) == (M, M):
-                laplacians.append(np.asarray(a).tobytes())
+                _record(files[2], np.asarray(a).tobytes().hex())
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         results, failures = run_benchmark(small_scenario(
             methods=("KR", "KRG"), realizations=R, snr_db=(0.0, 5.0),
             num_nodes=M))
+        seeds, cv_calls, laplacians = map(_recorded, files)
         assert not failures and len(results) == 8
         cells = 2
         assert len(seeds) == len(set(seeds)) == cells * R
         assert len(cv_calls) == cells * R
         assert len(laplacians) == len(set(laplacians)) == cells * R
 
-    def test_no_model_is_constructed(self, monkeypatch):
+    def test_no_model_is_constructed(self, monkeypatch, tmp_path):
         """A cell scores its selected fits from psi alone: no KrgModel."""
-        models, make = [], solver.KrgModel
+        path, make = tmp_path / "models", solver.KrgModel
         monkeypatch.setattr(solver, "KrgModel",
-                            lambda **kw: models.append(kw) or make(**kw))
+                            lambda **kw: _record(path, sorted(kw)) or make(**kw))
         results, failures = run_benchmark(small_scenario())
+        models = _recorded(path)
         assert not failures and len(results) == 2
         assert models == []
+
+    def test_workers_give_the_in_process_results(self, monkeypatch, tmp_path):
+        """Forked workers and one process give equal results and failures,
+        in the same order; the draw rejects snr_db 4000, in each
+        realization of its cells."""
+        path, make = tmp_path / "pids", evaluation.make_synthetic_dataset
+        monkeypatch.setattr(evaluation, "make_synthetic_dataset",
+                            lambda cfg: _record(path, os.getpid()) or make(cfg))
+        scenario = small_scenario(methods=("KR", "KRG"), n_train=(6, 8),
+                                  snr_db=(5.0, 4000.0), realizations=3)
+        runs = []
+        for cpus in ({0, 1}, {0}):   # two workers, then none
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+            path.unlink(missing_ok=True)
+            runs.append((run_benchmark(scenario), set(_recorded(path))))
+        (pooled, pooled_pids), (alone, alone_pids) = runs
+        assert pooled[0] == alone[0] and pooled[1] == alone[1]
+        assert len(alone[0]) == 8 and len(alone[1]) == 4
+        assert alone_pids == {str(os.getpid())}
+        assert pooled_pids and str(os.getpid()) not in pooled_pids
 
     def test_programming_error_propagates(self, monkeypatch):
         # only a KrgraphError is a cell failure; anything else is a bug
@@ -547,6 +582,33 @@ class TestRunBenchmark:
         for method in ("KRR", "LR", "LRG"):
             with pytest.raises(KrgraphError):
                 small_scenario(methods=(method,))
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["workers", "alone"])
+    def test_first_failed_realization_is_the_cells_failure(self, monkeypatch,
+                                                           cpus):
+        failing = {evaluation._realization_seed(7, 8, 5.0, r): r for r in (2, 1)}
+        make = evaluation.make_synthetic_dataset
+
+        def draw(cfg):
+            if cfg.seed in failing:
+                raise KrgraphError(f"realization {failing[cfg.seed]}")
+            return make(cfg)
+
+        monkeypatch.setattr(evaluation, "make_synthetic_dataset", draw)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        results, failures = run_benchmark(small_scenario(
+            snr_db=(0.0, 5.0), realizations=3))
+        assert len(results) == 2 and results[0].snr_db == 0.0
+        assert failures == [{"method": "KRG", "n_train": 8, "snr_db": 5.0,
+                             "error": "KrgraphError: realization 1"}]
+
+    def test_n_train_above_the_pool_rejected_at_construction(self):
+        """num_samples fixes the training pool before any draw."""
+        with pytest.raises(ConfigError, match=re.escape(
+                "n_train=11 exceeds the training pool of num_samples // 2 "
+                "= 10 rows")):
+            small_scenario(n_train=(8, 11))
+        small_scenario(n_train=(8, 10))
 
     def test_synthetic_law_rejected_at_construction(self):
         """SynthConfig's rules run once, before any cell, not once per

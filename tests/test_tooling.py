@@ -64,11 +64,13 @@ def test_config_keys_are_field_names(cls, keys):
 
 # modules whose import would grow the CLI's start-up time: scipy itself
 # (numpy runs every decomposition; only the data sampler imports scipy's
-# BLAS, in its body), the statistics package, and the iterative and
-# randomized eigensolvers that the spectral cache does without
+# BLAS, in its body), the statistics package, the iterative and
+# randomized eigensolvers that the spectral cache does without, and the
+# process pool, which only bench's run imports
 @pytest.mark.parametrize("module", ["scipy", "scipy.stats",
                                     "scipy.sparse.linalg",
-                                    "scipy.linalg.interpolative"])
+                                    "scipy.linalg.interpolative",
+                                    "multiprocessing", "concurrent.futures"])
 def test_cli_import_does_not_load_scipy_stats(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -87,11 +89,19 @@ SHIPPED_SNR_SWEEP_SHA256 = (
 REFERENCE_DB_TOL = 1e-8   # perfbench/checks.py's NMSE agreement
 
 
-def test_shipped_snr_sweep_matches_its_reference(tmp_path):
+def _first_cpu_only():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("preexec_fn", [None, _first_cpu_only],
+                         ids=["all_cpus", "one_cpu"])
+def test_shipped_snr_sweep_matches_its_reference(tmp_path, preexec_fn):
     """The paper's experiment as shipped (master_seed 2026) writes the
     results.csv of SHIPPED_SNR_SWEEP_SHA256, whose NMSE column is within
     REFERENCE_DB_TOL of the one perfbench/snr_reference.json records for
-    that seed; BLAS runs on one thread, as when the reference was recorded."""
+    that seed; BLAS runs on one thread, as when the reference was recorded.
+    The bytes are the same on one forked worker per CPU as in one process
+    (one_cpu)."""
     config = ROOT / "configs" / "bench_snr_sweep.json"
     assert json.loads(config.read_text(encoding="utf-8"))["master_seed"] == 2026
     reference = json.loads((ROOT / "perfbench" / "snr_reference.json")
@@ -102,7 +112,8 @@ def test_shipped_snr_sweep_matches_its_reference(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "krgraph", "bench", "--config", str(config),
          "--out-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=preexec_fn)
     assert proc.returncode == 0, proc.stderr
     results = (tmp_path / "results.csv").read_bytes()
     assert hashlib.sha256(results).hexdigest() == SHIPPED_SNR_SWEEP_SHA256

@@ -258,6 +258,11 @@ class BenchScenario:
             if n > pool:
                 raise ConfigError(f"bench n_train={n} exceeds the training "
                                   f"pool of num_samples // 2 = {pool} rows")
+        # each realization cross-validates on its n_train rows
+        if any(n < self.grid.folds for n in self.n_train):
+            raise ConfigError(f"bench grid.folds={self.grid.folds} exceeds the "
+                              f"smallest n_train={min(self.n_train)}: its "
+                              "training rows cannot fill that many folds")
 
 
 def _snr_seed_key(snr):
@@ -311,7 +316,8 @@ def _map_tasks(fn, tasks):
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers <= 1:
         return list(map(fn, tasks))
-    # imported here, as synthdata imports scipy: no other command loads them
+    # imported here, as only bench's run uses the process pool: no other
+    # command's start-up loads it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

@@ -1,10 +1,13 @@
+import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from krgraph import evaluation, solver
+from krgraph.cli import main
 from krgraph.errors import ConfigError, KrgraphError, SingularSystemError
 from krgraph.evaluation import (
     BenchScenario,
@@ -609,6 +612,30 @@ class TestRunBenchmark:
                 "= 10 rows")):
             small_scenario(n_train=(8, 11))
         small_scenario(n_train=(8, 10))
+
+    def test_folds_above_the_smallest_n_train_rejected_before_any_draw(
+            self, monkeypatch, tmp_path):
+        """Each realization cross-validates on its n_train rows, so a fold
+        count above the smallest fails at construction: bench draws no
+        data and writes no results file."""
+        grid = replace(SMALL_GRID, folds=5)
+        with pytest.raises(ConfigError, match=re.escape(
+                "bench grid.folds=5 exceeds the smallest n_train=3")):
+            small_scenario(n_train=(3, 10), grid=grid)
+        small_scenario(n_train=(5, 10), grid=grid)
+        draws = tmp_path / "draws"
+        monkeypatch.setattr(evaluation, "make_synthetic_dataset",
+                            lambda cfg: _record(draws, cfg.seed))
+        config, out = tmp_path / "bench.json", tmp_path / "out"
+        config.write_text(json.dumps({
+            "methods": ["KR", "KRG"], "n_train": [3, 10], "snr_db": [5.0],
+            "realizations": 2, "num_nodes": 8, "num_samples": 20,
+            "graph_model": "erdos_renyi", "graph_param": 0.4,
+            "grid": {"alphas": [0.1], "betas": [0.0, 1.0], "folds": 5},
+            "master_seed": 7}), encoding="utf-8")
+        assert main(["bench", "--config", str(config),
+                     "--out-dir", str(out)]) == 1
+        assert _recorded(draws) == [] and list(out.glob("results.*")) == []
 
     def test_synthetic_law_rejected_at_construction(self):
         """SynthConfig's rules run once, before any cell, not once per

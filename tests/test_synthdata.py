@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg.blas import get_blas_funcs
 from scipy.stats import invwishart
 
 from krgraph.errors import KrgraphError
@@ -7,6 +14,7 @@ from krgraph.graphs import Graph, Laplacian, barabasi_albert, build_laplacian
 from krgraph.synthdata import (
     Dataset,
     SynthConfig,
+    _trsm_trmm,
     add_noise_snr,
     generate_correlated_rows,
     make_synthetic_dataset,
@@ -62,6 +70,80 @@ class TestInverseWishart:
                                       random_state=np.random.default_rng(seed))
             assert np.array_equal(
                 sample_inverse_wishart_covariance(S, seed), expected)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SYNTH_CONFIG = SRC.parent / "configs" / "synth_er.json"
+
+
+def _python(code, *args):
+    """Run code in a fresh interpreter: the BLAS binding is made once per
+    process, and scipy may already be loaded in this one."""
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+
+
+# prints the scipy modules loaded after a draw and after synth; neither
+# runs the scipy or scipy.linalg package init
+_MODULES_AFTER_DRAW = """
+import sys
+from krgraph.cli import main
+from krgraph.synthdata import sample_inverse_wishart_covariance
+sample_inverse_wishart_covariance(5, 0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert main(["synth", "--config", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+# synth with importlib.util.find_spec("scipy") answering None, or a
+# package whose one directory is sys.argv[3]
+_SYNTH_WITHOUT_FBLAS = """
+import importlib.util, sys
+from importlib.machinery import ModuleSpec
+from krgraph.cli import main
+find_spec = importlib.util.find_spec
+
+def without_fblas(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    if not sys.argv[3]:
+        return None
+    spec = ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [sys.argv[3]]
+    return spec
+
+importlib.util.find_spec = without_fblas
+sys.exit(main(["synth", "--config", sys.argv[1], "--out-dir", sys.argv[2]]))
+"""
+
+
+class TestBlasBinding:
+    def test_draws_load_the_extension_but_not_scipy_linalg(self, tmp_path):
+        proc = _python(_MODULES_AFTER_DRAW, str(SYNTH_CONFIG), str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['scipy.linalg._fblas']"] * 2
+
+    def test_binds_the_routines_get_blas_funcs_returns(self):
+        assert all(a is b for a, b in zip(
+            _trsm_trmm(), get_blas_funcs(("trsm", "trmm"), (np.eye(2),))))
+
+    @pytest.mark.parametrize("empty_dir", [False, True],
+                             ids=["no_scipy", "no_extension"])
+    def test_missing_extension_is_one_json_error(self, tmp_path, empty_dir):
+        """synth exits 1 with the one-line JSON error, which names the
+        directory searched, and writes no file."""
+        searched, out = tmp_path / "scipy", tmp_path / "out"
+        (searched / "linalg").mkdir(parents=True)
+        proc = _python(_SYNTH_WITHOUT_FBLAS, str(SYNTH_CONFIG), str(out),
+                       str(searched) if empty_dir else "")
+        message = ("the covariance sampler needs scipy's BLAS wrapper"
+                   + (f" _fblas, and {searched / 'linalg'} has none"
+                      if empty_dir else ", and scipy is not on the import path"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [json.dumps(
+            {"error": "KrgraphError", "message": message})]
+        assert list(out.iterdir()) == []
 
 
 class TestCorrelatedRows:

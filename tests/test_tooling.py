@@ -63,10 +63,11 @@ def test_config_keys_are_field_names(cls, keys):
 
 
 # modules whose import would grow the CLI's start-up time: scipy itself
-# (numpy runs every decomposition; only the data sampler imports scipy's
-# BLAS, in its body), the statistics package, the iterative and
-# randomized eigensolvers that the spectral cache does without, and the
-# process pool, which only bench's run imports
+# (numpy runs every decomposition; the data sampler loads only scipy's
+# compiled BLAS wrapper, when it first draws, and never the scipy
+# package), the statistics package, the iterative and randomized
+# eigensolvers that the spectral cache does without, and the process
+# pool, which only bench's run imports
 @pytest.mark.parametrize("module", ["scipy", "scipy.stats",
                                     "scipy.sparse.linalg",
                                     "scipy.linalg.interpolative",
@@ -164,6 +165,20 @@ MODULES = sorted(p for p in (ROOT / "src" / "krgraph").glob("*.py")
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_no_module_imports_scipy():
+    """The package runs on numpy: the covariance sampler binds scipy's
+    BLAS extension by file (synthdata._trsm_trmm), and no module imports
+    scipy, whose package inits cost 0.2 s and more."""
+    imports = []
+    for path in sorted((ROOT / "src" / "krgraph").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((path.name, node.module))
+    assert [i for i in imports if i[1].split(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("name", ["cli.py", "evaluation.py", "graphlearn.py"])

@@ -13,233 +13,235 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import evaluation, graphlearn, graphs, solver, synthdata
 from .errors import ConfigError, DataFormatError, KrgraphError
-from .kernels import KernelSpec, gram_matrix
+from .kernels import VALID_KINDS, KernelSpec, gram_matrix
 
 log = logging.getLogger("krgraph")
 
 
 # ---------------------------------------------------------------------------
-# Config schemas (unknown keys rejected everywhere)
-
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["linear", "rbf", "precomputed"]},
-        "sigma_sq": {"type": "number", "exclusiveMinimum": 0},
-        "matrix_csv": {"type": "string"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "betas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "sigma_sqs": {"type": "array", "items": {"type": "number"}},
-        "folds": {"type": "integer", "minimum": 2},
-    },
-    "required": ["alphas", "betas"],
-    "additionalProperties": False,
-}
-
-# fit and cv read either key through _load_laplacian
-_GRAPH_PROPERTIES = {
-    "graph_json": {"type": "string"},
-    "laplacian_csv": {"type": "string"},
-}
-
-# the synthetic law, which synth draws once and bench once per realization
-_SYNTH_LAW_PROPERTIES = {
-    "num_nodes": {"type": "integer", "minimum": 2},
-    "num_samples": {"type": "integer", "minimum": 2, "multipleOf": 2},
-    "graph_model": {"enum": ["erdos_renyi", "barabasi_albert"]},
-    "graph_param": {"type": "number"},
-}
-
-SCHEMAS = {
-    "synth": {
-        "type": "object",
-        "properties": {
-            **_SYNTH_LAW_PROPERTIES,
-            "snr_db": {"type": "number"},
-            "seed": {"type": "integer"},
-        },
-        "required": [*_SYNTH_LAW_PROPERTIES, "snr_db", "seed"],
-        "additionalProperties": False,
-    },
-    "ingest": {
-        "type": "object",
-        "properties": {
-            "inputs_csv": {"type": "string"},
-            "targets_csv": {"type": "string"},
-            "distances_csv": {"type": "string"},
-        },
-        "required": ["inputs_csv", "targets_csv"],
-        "additionalProperties": False,
-    },
-    "fit": {
-        "type": "object",
-        "properties": {
-            "x_csv": {"type": "string"},
-            "t_csv": {"type": "string"},
-            **_GRAPH_PROPERTIES,
-            "kernel": _KERNEL_SCHEMA,
-            "alpha": {"type": "number", "minimum": 0},
-            "beta": {"type": "number", "minimum": 0},
-        },
-        "required": ["x_csv", "t_csv", "kernel", "alpha", "beta"],
-        "additionalProperties": False,
-    },
-    "predict": {
-        "type": "object",
-        "properties": {
-            "model_json": {"type": "string"},
-            "x_csv": {"type": "string"},
-        },
-        "required": ["model_json", "x_csv"],
-        "additionalProperties": False,
-    },
-    "learn-graph": {
-        "type": "object",
-        "properties": {
-            "x_csv": {"type": "string"},
-            "t_csv": {"type": "string"},
-            "kernel": _KERNEL_SCHEMA,
-            "alpha": {"type": "number", "exclusiveMinimum": 0},
-            "beta": {"type": "number", "minimum": 0},
-            "nu": {"type": "number", "minimum": 0},
-            "max_outer_iters": {"type": "integer", "minimum": 1},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-            "trace_budget": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["x_csv", "t_csv", "kernel", "alpha", "beta", "nu"],
-        "additionalProperties": False,
-    },
-    "cv": {
-        "type": "object",
-        "properties": {
-            "x_csv": {"type": "string"},
-            "t_csv": {"type": "string"},
-            "t0_csv": {"type": "string"},
-            **_GRAPH_PROPERTIES,
-            "method": {"enum": list(evaluation.METHODS)},
-            "kernel": _KERNEL_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "seed": {"type": "integer"},
-        },
-        "required": ["x_csv", "t_csv", "method", "grid", "seed"],
-        "additionalProperties": False,
-    },
-    "bench": {
-        "type": "object",
-        "properties": {
-            "methods": {"type": "array",
-                        "items": {"enum": list(evaluation.BENCH_METHODS)},
-                        "minItems": 1, "uniqueItems": True},
-            "n_train": {"type": "array", "items": {"type": "integer"},
-                        "minItems": 1, "uniqueItems": True},
-            "snr_db": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1, "uniqueItems": True},
-            "realizations": {"type": "integer", "minimum": 1},
-            **_SYNTH_LAW_PROPERTIES,
-            "grid": _GRID_SCHEMA,
-            "master_seed": {"type": "integer"},
-        },
-        "required": ["methods", "n_train", "snr_db", "realizations",
-                     *_SYNTH_LAW_PROPERTIES, "grid", "master_seed"],
-        "additionalProperties": False,
-    },
-    "krr": {
-        "type": "object",
-        "properties": {
-            "kernel_csv": {"type": "string"},
-            "graph_json": {"type": "string"},
-            "tau": {"type": "number", "exclusiveMinimum": 0},
-            "observed_idx": {"type": "array", "items": {"type": "integer"},
-                             "minItems": 1},
-            "x": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            "mu": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["observed_idx", "x", "mu"],
-        "additionalProperties": False,
-    },
-}
-
-
-def _non_finite_number(doc, path="config"):
-    """The key path of the first number in doc that is NaN, infinite, or
-    too large for a float, else None; JSON's reader accepts NaN and
-    Infinity, and reads 1e400 as infinity."""
-    if isinstance(doc, dict):
-        items = ((f"{path}.{key}", v) for key, v in doc.items())
-    elif isinstance(doc, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
-    else:
-        is_number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
-        return path if is_number and not abs(doc) <= sys.float_info.max else None
-    for item_path, value in items:
-        found = _non_finite_number(value, item_path)
-        if found is not None:
-            return found
-    return None
-
+# Configs: one frozen dataclass per command, filled by load_config; each
+# range and enum rule is stated only in a __post_init__
 
 def load_config(path, command):
+    """The command's config, read from the JSON document at path."""
     try:
-        cfg = graphs.load_json(path)
+        doc = graphs.load_json(path)
     except DataFormatError as exc:
         raise ConfigError(f"config {exc}") from exc
-    bad = _non_finite_number(cfg)
-    if bad is not None:
-        raise ConfigError(f"{bad} is not a finite number")
-    # jsonschema.validate without its check of the constant schema itself
-    schema = SCHEMAS[command]
-    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config invalid for {command!r}: "
-                          f"config{error.json_path[1:]}: {error.message}")
-    return cfg
+    return _read(COMMANDS[command][0], doc, "config")
 
 
-# the one key besides "kind" that each kernel kind reads
-_KERNEL_PARAMETER = {"linear": None, "rbf": "sigma_sq",
-                     "precomputed": "matrix_csv"}
+def _read(cls, doc, path):
+    """cls from the JSON object doc at key path `path`, a ConfigError
+    naming the key unless each key is a field, each field without a
+    default is given, and each value fits its field's annotation."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {json.dumps(doc)} is not an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(doc.keys() - fields.keys())
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
+    for name, field in fields.items():
+        if name not in doc and field.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{name}: required key missing")
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _typed(hints[key], value, f"{path}.{key}")
+                  for key, value in doc.items()})
 
 
-def _kernel_spec(doc):
-    unread = doc.keys() - {"kind", _KERNEL_PARAMETER[doc["kind"]]}
-    if unread:
-        raise ConfigError(f"a {doc['kind']} kernel does not read "
-                          f"{', '.join(sorted(unread))}")
-    if doc["kind"] == "precomputed":
-        if "matrix_csv" not in doc:
+# the JSON type of each scalar annotation, and the Python types that json
+# reads it as; bools are no numbers
+_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
+            str: ("a string", str)}
+
+
+def _typed(hint, value, path):
+    """value if it fits hint: a scalar, a dataclass, a Sequence of these,
+    or an Optional one, which may be absent but not null. A number must
+    be finite: json reads NaN and Infinity, and 1e400 as infinity."""
+    if type(None) in typing.get_args(hint):
+        hint, = set(typing.get_args(hint)) - {type(None)}
+    if dataclasses.is_dataclass(hint):
+        return _read(hint, value, path)
+    if typing.get_origin(hint) is Sequence:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: {json.dumps(value)} is not a list")
+        item, = typing.get_args(hint)
+        return [_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    name, types = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}: {json.dumps(value)} is not {name}")
+    if hint is not str and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} is not a finite number")
+    return value
+
+
+@dataclass(frozen=True)
+class KernelConfig:
+    """A config's kernel: linear, rbf with sigma_sq, or precomputed, its
+    matrix in matrix_csv."""
+
+    kind: str
+    sigma_sq: float | None = None
+    matrix_csv: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in VALID_KINDS:
+            raise ConfigError(f"kernel kind must be one of "
+                              f"{', '.join(VALID_KINDS)}, got {self.kind!r}")
+        read = {"rbf": "sigma_sq", "precomputed": "matrix_csv"}.get(self.kind)
+        unread = [key for key in ("matrix_csv", "sigma_sq")
+                  if getattr(self, key) is not None and key != read]
+        if unread:
+            raise ConfigError(f"a {self.kind} kernel does not read "
+                              f"{', '.join(unread)}")
+        if self.kind == "precomputed" and self.matrix_csv is None:
             raise ConfigError("precomputed kernel needs matrix_csv")
-        return KernelSpec(kind="precomputed",
-                          precomputed=graphs.load_matrix_csv(doc["matrix_csv"]))
-    return KernelSpec(kind=doc["kind"], sigma_sq=doc.get("sigma_sq"))
+        # a precomputed spec is made when load_spec reads its matrix
+        if self.kind != "precomputed":
+            object.__setattr__(self, "spec",
+                               KernelSpec(self.kind, sigma_sq=self.sigma_sq))
+
+    def load_spec(self):
+        if self.kind == "precomputed":
+            return KernelSpec(kind="precomputed",
+                              precomputed=graphs.load_matrix_csv(self.matrix_csv))
+        return self.spec
 
 
-def _load_laplacian(cfg, num_nodes, betas):
-    """The config's graph, else the edgeless graph on num_nodes nodes; a
-    beta in betas above 0 needs a graph."""
-    if {"graph_json", "laplacian_csv"} <= cfg.keys():
+def _check_graph_keys(cfg, betas):
+    """fit and cv read at most one of graph_json and laplacian_csv, and
+    need one if a beta in betas is above 0."""
+    given = [key for key in (cfg.graph_json, cfg.laplacian_csv)
+             if key is not None]
+    if len(given) == 2:
         raise ConfigError("give graph_json or laplacian_csv, not both")
-    if "graph_json" in cfg:
-        return graphs.build_laplacian(graphs.load_graph_json(cfg["graph_json"]))
-    if "laplacian_csv" in cfg:
-        return graphs.Laplacian(graphs.load_matrix_csv(cfg["laplacian_csv"]))
-    if any(beta > 0 for beta in betas):
+    if not given and any(beta > 0 for beta in betas):
         raise ConfigError("beta > 0 requires graph_json or laplacian_csv")
+
+
+@dataclass(frozen=True)
+class IngestConfig:
+    inputs_csv: str
+    targets_csv: str
+    distances_csv: str | None = None
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    x_csv: str
+    t_csv: str
+    kernel: KernelConfig
+    alpha: float
+    beta: float
+    graph_json: str | None = None
+    laplacian_csv: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "hyper",
+                           solver.Hyperparams(alpha=self.alpha, beta=self.beta))
+        _check_graph_keys(self, [self.beta])
+
+
+@dataclass(frozen=True)
+class PredictConfig:
+    model_json: str
+    x_csv: str
+
+
+@dataclass(frozen=True, kw_only=True)
+class LearnGraphConfig(graphlearn.GraphLearnConfig):
+    """The graph-learning settings, with the data, kernel and weights."""
+
+    x_csv: str
+    t_csv: str
+    kernel: KernelConfig
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "hyper",
+                           solver.Hyperparams(alpha=self.alpha, beta=self.beta))
+        # the first fit, on the edgeless graph, is plain KR: alpha = 0
+        # leaves a rank-deficient Gram singular
+        if not self.alpha > 0:
+            raise ConfigError(f"learn-graph needs alpha > 0, got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class CvConfig:
+    x_csv: str
+    t_csv: str
+    method: str
+    grid: evaluation.CvGrid
+    seed: int
+    t0_csv: str | None = None
+    graph_json: str | None = None
+    laplacian_csv: str | None = None
+    kernel: KernelConfig | None = None
+
+    def __post_init__(self):
+        if self.method not in evaluation.METHODS:
+            raise ConfigError(f"method must be one of {evaluation.METHODS}, "
+                              f"got {self.method!r}")
+        # numpy seeds the fold split only with a non-negative integer
+        if self.seed < 0:
+            raise KrgraphError(f"seed must be >= 0, got {self.seed}")
+        # KR and LR fit at beta = 0 whatever the grid holds
+        _check_graph_keys(self, () if self.method in evaluation.GRAPH_FREE
+                          else self.grid.betas)
+
+
+@dataclass(frozen=True)
+class KrrConfig:
+    """krr's observations and weight mu, and its kernel: kernel_csv, or
+    the heat kernel of graph_json at tau."""
+
+    observed_idx: Sequence[int]
+    x: Sequence[float]
+    mu: float
+    kernel_csv: str | None = None
+    graph_json: str | None = None
+    tau: float | None = None
+
+    def __post_init__(self):
+        for key in ("observed_idx", "x"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must be non-empty")
+        for key in ("mu", "tau"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
+        heat = (self.graph_json, self.tau)
+        if self.kernel_csv is not None and heat != (None, None):
+            raise ConfigError("krr reads kernel_csv, or graph_json with tau, "
+                              "not both")
+        if self.kernel_csv is None and None in heat:
+            raise ConfigError("krr needs kernel_csv, or graph_json with tau")
+
+
+def _given(cfg):
+    """synth's or ingest's config as its document gave it: an absent key
+    is a field left at None."""
+    return {key: value for key, value in vars(cfg).items() if value is not None}
+
+
+def _load_laplacian(cfg, num_nodes):
+    """The config's graph, else the edgeless graph on num_nodes nodes."""
+    if cfg.graph_json is not None:
+        return graphs.build_laplacian(graphs.load_graph_json(cfg.graph_json))
+    if cfg.laplacian_csv is not None:
+        return graphs.Laplacian(graphs.load_matrix_csv(cfg.laplacian_csv))
     return graphs.Laplacian(np.zeros((num_nodes, num_nodes)))
 
 
@@ -247,27 +249,27 @@ def _load_laplacian(cfg, num_nodes, betas):
 # Commands
 
 def cmd_synth(cfg, out):
-    train, test, graph, C_S = synthdata.make_synthetic_dataset(
-        synthdata.SynthConfig(**cfg))
+    train, test, graph, C_S = synthdata.make_synthetic_dataset(cfg)
     for name, matrix in [("X_train", train.X), ("T_train", train.T),
                          ("T0_train", train.T0), ("X_test", test.X),
                          ("T0_test", test.T0), ("kernel_full", C_S)]:
         graphs.save_matrix_csv(out / f"{name}.csv", matrix)
     graphs.save_graph_json(out / "graph.json", graph)
-    graphs.save_json(out / "manifest.json", {"config": cfg}, pretty=True)
+    graphs.save_json(out / "manifest.json", {"config": _given(cfg)},
+                     pretty=True)
     log.info("wrote synthetic dataset to %s", out)
 
 
 def cmd_ingest(cfg, out):
-    X = graphs.load_matrix_csv(cfg["inputs_csv"], header=True)
-    T = graphs.load_matrix_csv(cfg["targets_csv"])
+    X = graphs.load_matrix_csv(cfg.inputs_csv, header=True)
+    T = graphs.load_matrix_csv(cfg.targets_csv)
     if X.shape[0] != T.shape[0]:
         raise DataFormatError(
             f"row count mismatch: {X.shape[0]} inputs vs {T.shape[0]} targets"
         )
     g = None
-    if "distances_csv" in cfg:
-        D = graphs.load_matrix_csv(cfg["distances_csv"])
+    if cfg.distances_csv is not None:
+        D = graphs.load_matrix_csv(cfg.distances_csv)
         if D.shape != (T.shape[1], T.shape[1]):
             raise DataFormatError(
                 f"distances_csv is {D.shape[0]} x {D.shape[1]}, but the "
@@ -275,7 +277,7 @@ def cmd_ingest(cfg, out):
         g = graphs.geodesic_adjacency(D)
     graphs.save_matrix_csv(out / "X.csv", X)
     graphs.save_matrix_csv(out / "T.csv", T)
-    manifest = {"config": cfg, "n": int(X.shape[0]),
+    manifest = {"config": _given(cfg), "n": int(X.shape[0]),
                 "input_dim": int(X.shape[1]), "num_nodes": int(T.shape[1])}
     if g is not None:
         graphs.save_graph_json(out / "graph.json", g)
@@ -285,44 +287,43 @@ def cmd_ingest(cfg, out):
 
 
 def cmd_fit(cfg, out):
-    X = graphs.load_matrix_csv(cfg["x_csv"])
-    T = graphs.load_matrix_csv(cfg["t_csv"])
-    L = _load_laplacian(cfg, T.shape[1], [cfg["beta"]])
-    hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
-    K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
-    model = solver.fit_krg(K, T, L, hyper, x_train=X, spec=spec)
+    X = graphs.load_matrix_csv(cfg.x_csv)
+    T = graphs.load_matrix_csv(cfg.t_csv)
+    L = _load_laplacian(cfg, T.shape[1])
+    K, spec = gram_matrix(X, cfg.kernel.load_spec())
+    model = solver.fit_krg(K, T, L, cfg.hyper, x_train=X, spec=spec)
     Y = K @ model.psi  # the report's one Gram product
     del K
+    # the report's text is formed before the model is saved, so a report
+    # that overflows leaves no model behind; only its scalars outlive Y
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = {
+            "residual_norm": float(np.linalg.norm(solver.sylvester_residual(
+                Y, model.psi, T, L, cfg.hyper), "fro")),
+            "target_norm": float(np.linalg.norm(T, "fro")),
+            **dict(zip(("data_cost", "coefficient_cost", "roughness_cost"),
+                       solver.cost_terms(Y, model.psi, T, L, cfg.hyper)))}
+    del Y
+    text = graphs.json_text(out / "fit_report.json", report, pretty=True)
     solver.save_model(out / "model.json", model)
-    residual = solver.sylvester_residual(Y, model.psi, T, L, hyper)
-    costs = solver.cost_terms(Y, model.psi, T, L, hyper)
-    graphs.save_json(out / "fit_report.json", {
-        "residual_norm": float(np.linalg.norm(residual, "fro")),
-        "target_norm": float(np.linalg.norm(T, "fro")),
-        **dict(zip(("data_cost", "coefficient_cost", "roughness_cost"), costs)),
-    }, pretty=True)
-    log.info("fitted model on %d samples", Y.shape[0])
+    graphs.write_text(out / "fit_report.json", text)
+    log.info("fitted model on %d samples", T.shape[0])
 
 
 def cmd_predict(cfg, out):
-    model = solver.load_model(cfg["model_json"])
-    X = graphs.load_matrix_csv(cfg["x_csv"])
+    model = solver.load_model(cfg.model_json)
+    X = graphs.load_matrix_csv(cfg.x_csv)
     Y = solver.predict_krg(model, X)
     graphs.save_matrix_csv(out / "predictions.csv", Y)
     log.info("predicted %d rows", Y.shape[0])
 
 
 def cmd_learn_graph(cfg, out):
-    X = graphs.load_matrix_csv(cfg["x_csv"])
-    T = graphs.load_matrix_csv(cfg["t_csv"])
-    K, spec = gram_matrix(X, _kernel_spec(cfg["kernel"]))
-    gl_cfg = graphlearn.GraphLearnConfig(
-        **{f.name: cfg[f.name]
-           for f in dataclasses.fields(graphlearn.GraphLearnConfig)
-           if f.name in cfg})
-    hyper = solver.Hyperparams(alpha=cfg["alpha"], beta=cfg["beta"])
+    X = graphs.load_matrix_csv(cfg.x_csv)
+    T = graphs.load_matrix_csv(cfg.t_csv)
+    K, spec = gram_matrix(X, cfg.kernel.load_spec())
     model, L, costs = graphlearn.alternating_fit(
-        K, T, hyper, gl_cfg, log_path=out / "iterations.jsonl")
+        K, T, cfg.hyper, cfg, log_path=out / "iterations.jsonl")
     solver.save_model(out / "model.json",
                       dataclasses.replace(model, x_train=X, spec=spec))
     graphs.save_matrix_csv(out / "laplacian.csv", L.matrix)
@@ -332,26 +333,21 @@ def cmd_learn_graph(cfg, out):
 
 
 def cmd_cv(cfg, out):
-    X = graphs.load_matrix_csv(cfg["x_csv"])
-    T = graphs.load_matrix_csv(cfg["t_csv"])
-    T0 = graphs.load_matrix_csv(cfg["t0_csv"]) if "t0_csv" in cfg else None
+    X = graphs.load_matrix_csv(cfg.x_csv)
+    T = graphs.load_matrix_csv(cfg.t_csv)
+    T0 = graphs.load_matrix_csv(cfg.t0_csv) if cfg.t0_csv is not None else None
     train = synthdata.Dataset(X=X, T=T, T0=T0)
-    grid = evaluation.CvGrid(**cfg["grid"])
-    # KR and LR fit at beta = 0 whatever the grid holds
-    graph_free = cfg["method"] in evaluation.GRAPH_FREE
-    L = _load_laplacian(cfg, T.shape[1], () if graph_free else grid.betas)
+    L = _load_laplacian(cfg, T.shape[1])
     # without a kernel, KR and KRG sweep an rbf kernel over grid.sigma_sqs
-    spec = _kernel_spec(cfg["kernel"]) if "kernel" in cfg else None
+    spec = cfg.kernel.load_spec() if cfg.kernel is not None else None
     best, table = evaluation.cross_validate(
-        train, L, grid, cfg["method"], seed=cfg["seed"], kernel_spec=spec)
+        train, L, cfg.grid, cfg.method, seed=cfg.seed, kernel_spec=spec)
     graphs.save_json(out / "cv_results.json",
                      {"best_params": best, "table": table}, pretty=True)
     log.info("cross-validation selected %s", best)
 
 
-def cmd_bench(cfg, out):
-    scenario = evaluation.BenchScenario(
-        **{**cfg, "grid": evaluation.CvGrid(**cfg["grid"])})
+def cmd_bench(scenario, out):
     results, failures = evaluation.run_benchmark(scenario)
     evaluation.save_results_csv(out / "results.csv", results)
     evaluation.save_results_json(out / "results.json", results, failures)
@@ -387,31 +383,27 @@ def _write_plot_data(out, results, scenario):
 
 
 def cmd_krr(cfg, out):
-    if "kernel_csv" in cfg and {"graph_json", "tau"} & cfg.keys():
-        raise ConfigError("krr reads kernel_csv, or graph_json with tau, "
-                          "not both")
-    if "kernel_csv" in cfg:
-        K_bar = graphs.load_matrix_csv(cfg["kernel_csv"])
-    elif "graph_json" in cfg and "tau" in cfg:
-        L = graphs.build_laplacian(graphs.load_graph_json(cfg["graph_json"]))
-        K_bar = evaluation.heat_kernel(L, cfg["tau"])
+    if cfg.kernel_csv is not None:
+        K_bar = graphs.load_matrix_csv(cfg.kernel_csv)
     else:
-        raise ConfigError("krr needs kernel_csv, or graph_json with tau")
-    est = evaluation.krr_baseline(K_bar, cfg["observed_idx"],
-                                  np.array(cfg["x"], dtype=float), cfg["mu"])
+        L = graphs.build_laplacian(graphs.load_graph_json(cfg.graph_json))
+        K_bar = evaluation.heat_kernel(L, cfg.tau)
+    est = evaluation.krr_baseline(K_bar, cfg.observed_idx,
+                                  np.array(cfg.x, dtype=float), cfg.mu)
     graphs.save_matrix_csv(out / "estimate.csv", est[:, None])
     log.info("krr estimate written for %d nodes", len(est))
 
 
+# each command's config class and function
 COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "learn-graph": cmd_learn_graph,
-    "cv": cmd_cv,
-    "bench": cmd_bench,
-    "krr": cmd_krr,
+    "synth": (synthdata.SynthConfig, cmd_synth),
+    "ingest": (IngestConfig, cmd_ingest),
+    "fit": (FitConfig, cmd_fit),
+    "predict": (PredictConfig, cmd_predict),
+    "learn-graph": (LearnGraphConfig, cmd_learn_graph),
+    "cv": (CvConfig, cmd_cv),
+    "bench": (evaluation.BenchScenario, cmd_bench),
+    "krr": (KrrConfig, cmd_krr),
 }
 
 
@@ -437,7 +429,7 @@ def main(argv=None):
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out-dir {args.out_dir}: {exc}") from exc
-        COMMANDS[args.command](cfg, out)
+        COMMANDS[args.command][1](cfg, out)
     # numpy raises a MemoryError of its own subclass for a failed allocation
     except (KrgraphError, MemoryError) as exc:
         error = ("MemoryError" if isinstance(exc, MemoryError)

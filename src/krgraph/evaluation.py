@@ -61,13 +61,13 @@ class CvGrid:
 
     def __post_init__(self):
         if not self.alphas or not self.betas:
-            raise KrgraphError("alpha and beta grids must be nonempty")
+            raise KrgraphError("grid alphas and betas must be nonempty")
         check_weights(alphas=self.alphas, betas=self.betas)
         if not all(0 < s < np.inf for s in self.sigma_sqs):
             raise KrgraphError("sigma_sqs must be finite and > 0, "
                                f"got {list(self.sigma_sqs)}")
         if self.folds < 2:
-            raise KrgraphError("need at least 2 folds")
+            raise KrgraphError(f"grid folds must be >= 2, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ class BenchScenario:
         for m in self.methods:
             if m not in BENCH_METHODS:
                 raise KrgraphError(
-                    f"benchmark supports KR/KRG cells, got {m!r}; synthetic "
+                    f"bench methods are KR/KRG cells, got {m!r}; synthetic "
                     "data has no features, and KRR has its own command"
                 )
         # a cell's seeds come from (master_seed, n, round(1000 snr), r),
@@ -235,6 +235,8 @@ class BenchScenario:
                  lambda snr: ("seed key round(1000 snr) = "
                               f"{_snr_seed_key(snr)}",
                               f"plot file {nmse_vs_n_file(snr)}"))):
+            if not values:
+                raise ConfigError(f"bench {axis} must be nonempty")
             for a, b in combinations(values, 2):
                 if a == b:
                     raise ConfigError(f"bench {axis} repeats {b!r}: each "
@@ -244,7 +246,7 @@ class BenchScenario:
                     raise ConfigError(f"bench {axis} values {a!r} and {b!r} "
                                       f"share the {' and the '.join(shared)}")
         if self.realizations < 1:
-            raise KrgraphError("need at least one realization")
+            raise KrgraphError("bench realizations must be >= 1")
         if self.grid.sigma_sqs:
             raise ConfigError("bench does not read grid.sigma_sqs: its kernel "
                               "is the synthetic precomputed covariance")

@@ -188,40 +188,38 @@ def spectral_rescale(L: Laplacian) -> Laplacian:
 # ---------------------------------------------------------------------------
 # I/O: every JSON and CSV file of the package is written and read here
 
-def open_output(path):
-    """path opened for writing, UTF-8 without newline translation; an
-    OSError (a directory in its place, no permission) is a KrgraphError
+def write_text(path, text):
+    """Write text to path, UTF-8 without newline translation; an OSError
+    opening it (a directory in its place, no permission) is a KrgraphError
     naming the file."""
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise KrgraphError(f"{path}: cannot write: {exc}") from exc
+    with fh:
+        fh.write(text)
 
 
-def _json_text(path, doc, **options):
-    """json.dumps(doc, **options); strict JSON has no NaN or infinity, so
-    such a number is a KrgraphError naming path, raised before it is
-    opened."""
+def json_text(path, doc, pretty=False):
+    """doc as one JSON document and a newline: indented with sorted keys
+    if `pretty`, else on one line in insertion order. Strict JSON has no
+    NaN or infinity, so such a number is a KrgraphError naming path, the
+    file the text is for."""
+    options = {"indent": 2, "sort_keys": True} if pretty else {}
     try:
-        return json.dumps(doc, allow_nan=False, **options)
+        return json.dumps(doc, allow_nan=False, **options) + "\n"
     except ValueError as exc:
         raise KrgraphError(f"{path}: not written: {exc}") from exc
 
 
 def save_json(path, doc, pretty=False):
-    """Write doc as one JSON document and a newline: indented with sorted
-    keys if `pretty`, else on one line in insertion order."""
-    text = (_json_text(path, doc, indent=2, sort_keys=True) if pretty
-            else _json_text(path, doc))
-    with open_output(path) as fh:
-        fh.write(text + "\n")
+    """Write doc as json_text gives it."""
+    write_text(path, json_text(path, doc, pretty))
 
 
 def save_json_lines(path, docs):
     """Write each doc as one line of JSON, in insertion order."""
-    text = "".join(_json_text(path, doc) + "\n" for doc in docs)
-    with open_output(path) as fh:
-        fh.write(text)
+    write_text(path, "".join(json_text(path, doc) for doc in docs))
 
 
 def load_json(path):
@@ -237,13 +235,16 @@ def load_json(path):
 def save_csv_rows(path, rows):
     """Write rows of strings as comma-separated lines ending in a newline;
     fields are written as given, never quoted."""
-    with open_output(path) as fh:
-        fh.write("".join(",".join(row) + "\n" for row in rows))
+    write_text(path, "".join(",".join(row) + "\n" for row in rows))
 
 
 def save_matrix_csv(path, mat):
-    """Write a dense matrix as CSV, shortest round-trip decimals."""
+    """Write a dense matrix as CSV, shortest round-trip decimals; a NaN or
+    infinite entry is a KrgraphError, raised before the file is opened."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if not np.isfinite(mat).all():
+        raise KrgraphError(f"{path}: not written: it has NaN or infinite "
+                           "entries")
     save_csv_rows(path, (map(repr, row) for row in mat.tolist()))
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (ConvergenceError, DataFormatError, DimensionError,
                      KrgraphError, SingularSystemError)
 from .graphs import Laplacian, eigh_psd, load_json, save_json
-from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
+from .kernels import (_QUIET_OVERFLOW, KernelSpec, gram_matrix,
+                      kernel_cross_matrix)
 
 log = logging.getLogger("krgraph")
 _ETA_FLOOR = 1e-14
@@ -257,8 +258,10 @@ def fit_krg(K, T, L: Laplacian, hyper: Hyperparams,
     )
 
 
+@_QUIET_OVERFLOW
 def predict_krg(model: KrgModel, X):
-    """Psi^T k(x) for each row x of X; a 1-D X is one point, one y."""
+    """Psi^T k(x) for each row x of X; a 1-D X is one point, one y. An
+    overflow is inf, without a warning; save_matrix_csv refuses it."""
     Y = kernel_cross_matrix(model.x_train, X, model.spec) @ model.psi
     return Y[0] if np.ndim(X) == 1 else Y
 

@@ -31,18 +31,19 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_samples % 2 != 0:
             raise KrgraphError("num_samples must be even (equal train/test split)")
-        if self.num_nodes < 2:
-            raise KrgraphError("need at least 2 nodes")
-        # numpy cannot hold an array of more than sys.maxsize bytes, and
-        # the data has a dense float64 square of each side
+        # each side is at least 2, and its dense float64 square, which the
+        # data has, at most numpy's limit of sys.maxsize bytes
         for key in ("num_nodes", "num_samples"):
             side = getattr(self, key)
+            if side < 2:
+                raise KrgraphError(f"{key} must be >= 2, got {side}")
             if side**2 * 8 > sys.maxsize:
                 raise KrgraphError(f"{key}={side} is too large: its dense "
                                    "float64 square exceeds numpy's limit of "
                                    f"{sys.maxsize} bytes")
         if self.graph_model not in ("erdos_renyi", "barabasi_albert"):
-            raise KrgraphError(f"unknown graph model {self.graph_model!r}")
+            raise KrgraphError("graph_model must be erdos_renyi or "
+                               f"barabasi_albert, got {self.graph_model!r}")
         if not -np.inf < self.graph_param < np.inf:
             raise KrgraphError(f"graph_param must be finite, got {self.graph_param}")
         if (self.graph_model == "barabasi_albert"

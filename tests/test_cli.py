@@ -76,7 +76,8 @@ class TestSynth:
         cfg = write_config(tmp_path, "bad.json", bad)
         assert run(["synth", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
+        assert err["error"] == "KrgraphError"
+        assert "num_samples must be even" in err["message"]
 
     @pytest.mark.parametrize("model, message", [
         ("erdos_renyi", "edge probability must be in [0, 1]"),
@@ -1137,9 +1138,12 @@ class TestInputValidation:
         for method in ("LR", "LRG"):
             cfg = write_config(tmp_path, "bench.json",
                                dict(BENCH_CFG, methods=["KR", method]))
+            capsys.readouterr()
             assert run(["bench", "--config", cfg,
                         "--out-dir", tmp_path / "o"]) == 1
-            assert "ConfigError" in capsys.readouterr().err
+            _assert_one_json_error(capsys, "KrgraphError",
+                                   f"bench methods are KR/KRG cells, got "
+                                   f"{method!r}")
 
     def test_cv_grid_rejects_nus(self, tmp_path, capsys):
         out_data = make_dataset_dir(tmp_path)
@@ -1393,7 +1397,7 @@ class TestUnreadKeysRejected:
         out = tmp_path / "o"
         assert run(["fit", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError", words)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [{"graph_json": "g.json"}, {"tau": 0.5},
                                        {"graph_json": "g.json", "tau": 0.5}],
@@ -1408,7 +1412,7 @@ class TestUnreadKeysRejected:
         out = tmp_path / "o"
         assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError", "not both")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["LR", "LRG"])
     @pytest.mark.parametrize("kernel,sigma_sqs", [
@@ -1442,7 +1446,7 @@ class TestUnreadKeysRejected:
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError",
                                "bench does not read grid.sigma_sqs")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_synth_wishart_dof_offset(self, tmp_path, capsys):
         """The benchmark draws C_S at dof S + 2 only, so synth does too."""
@@ -1561,8 +1565,7 @@ class TestInvalidValuesRejected:
         out = tmp_path / "o"
         assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
                     "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, "ConfigError", f"config.{key}",
-                               "non-unique")
+        _assert_one_json_error(capsys, "ConfigError", f"bench {key} repeats")
         assert not out.exists()
 
     def test_bench_snrs_sharing_a_plot_file(self, tmp_path, capsys):
@@ -1575,7 +1578,7 @@ class TestInvalidValuesRejected:
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError", "5.0 and 5.0000001",
                                "plot_nmse_vs_n_snr5.csv")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bench_law_synth_rejects(self, tmp_path, capsys):
         """synth's rules on the synthetic law run before any cell: no cell
@@ -1586,7 +1589,7 @@ class TestInvalidValuesRejected:
         assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError", "graph_param")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bench_n_train_above_the_pool(self, tmp_path, capsys):
         """num_samples fixes the training pool before any cell runs."""
@@ -1597,7 +1600,7 @@ class TestInvalidValuesRejected:
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError", "n_train=9 exceeds",
                                "num_samples // 2 = 8")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bench_negative_snr(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, snr_db=[5.0, -5.0])
@@ -1606,7 +1609,7 @@ class TestInvalidValuesRejected:
         assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError", "snr_db >= 0", "-5.0")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, seed", [("synth", -1), ("cv", -3)])
     def test_negative_seed(self, tmp_path, capsys, command, seed):
@@ -1625,26 +1628,27 @@ class TestInvalidValuesRejected:
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError",
                                f"seed must be >= 0, got {seed}")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, doc, message", [
         ("fit", {"x_csv": "X.csv", "t_csv": "T.csv", "kernel": {"kind": "linear"},
                  "alpha": -1, "beta": 0.0},
-         "config.alpha: -1 is less than the minimum of 0"),
+         "alpha must be finite and >= 0, got [-1]"),
         ("cv", {"x_csv": "X.csv", "t_csv": "T.csv", "method": "KR", "seed": 0,
                 "grid": {"alphas": [0.1], "betas": [0.0], "folds": 1}},
-         "config.grid.folds: 1 is less than the minimum of 2"),
+         "grid folds must be >= 2, got 1"),
         ("bench", dict(BENCH_CFG, methods=["KR", "LR"]),
-         "config.methods[1]: 'LR' is not one of"),
+         "bench methods are KR/KRG cells, got 'LR'"),
     ], ids=["fit_value", "cv_grid_value", "bench_list_item"])
     def test_schema_error_names_the_key(self, tmp_path, capsys, command, doc,
                                         message):
+        """A range or enum rule's message is its dataclass's, and names
+        the key, before any file is read."""
         capsys.readouterr()
         out = tmp_path / "o"
         assert run([command, "--config", write_config(tmp_path, "c.json", doc),
                     "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, "ConfigError",
-                               f"config invalid for {command!r}: {message}")
+        _assert_one_json_error(capsys, "KrgraphError", message)
         assert not out.exists()
 
     def test_eigh_failure_is_one_json_error(self, tmp_path, capsys,
@@ -1787,7 +1791,7 @@ def test_rejected_with_one_json_line(tmp_path, capsys, monkeypatch, case):
         assert run([command, "--config", cfg, "--out-dir", out]) == 1
     assert [str(w.message) for w in caught] == []
     _assert_one_json_error(capsys, *REJECTIONS[case])
-    for path in out.iterdir():
+    for path in out.glob("*"):   # a config rejected makes no --out-dir
         text = path.read_text(encoding="utf-8")
         if path.suffix == ".json":
             _strict_json(text)
@@ -1844,3 +1848,53 @@ def test_overflow_stderr_is_one_json_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "DegenerateKernelError"
+
+
+def _linear_fit_config(tmp_path, T):
+    """fit on X = [1, 2, 3] and T, linear kernel, alpha 0.1, beta 0."""
+    save_matrix_csv(tmp_path / "X.csv", np.array([[1.0], [2.0], [3.0]]))
+    save_matrix_csv(tmp_path / "T.csv", np.array(T, dtype=float))
+    return write_config(tmp_path, "fit.json", {
+        "x_csv": str(tmp_path / "X.csv"), "t_csv": str(tmp_path / "T.csv"),
+        "kernel": {"kind": "linear"}, "alpha": 0.1, "beta": 0.0})
+
+
+def _run_without_warnings(args):
+    """The exit code of run(args), asserting that numpy warned nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def test_predict_that_overflows_writes_no_predictions(tmp_path, capsys):
+    """At x = 3e307 one prediction overflows to inf: predict exits 1 with
+    one JSON line, no numpy warning, and no predictions.csv."""
+    fit = _linear_fit_config(tmp_path, [[1, 2], [2, 1], [3, 3.5]])
+    assert run(["fit", "--config", fit, "--out-dir", tmp_path / "m"]) == 0
+    save_matrix_csv(tmp_path / "X_new.csv", np.array([[3e307]]))
+    cfg = write_config(tmp_path, "predict.json", {
+        "model_json": str(tmp_path / "m" / "model.json"),
+        "x_csv": str(tmp_path / "X_new.csv")})
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert _run_without_warnings(
+        ["predict", "--config", cfg, "--out-dir", out]) == 1
+    _assert_one_json_error(capsys, "KrgraphError",
+                           "predictions.csv: not written")
+    assert list(out.iterdir()) == []
+
+
+def test_fit_whose_report_overflows_leaves_no_model(tmp_path, capsys):
+    """Targets of 1e300 fit, but the report's norms and costs overflow:
+    fit exits 1 with one JSON line, no numpy warning, and neither
+    model.json nor fit_report.json."""
+    cfg = _linear_fit_config(tmp_path, [[1e300, 2], [2, -1e300], [3, 3.5]])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert _run_without_warnings(
+        ["fit", "--config", cfg, "--out-dir", out]) == 1
+    _assert_one_json_error(capsys, "KrgraphError",
+                           "fit_report.json: not written")
+    assert list(out.iterdir()) == []

@@ -394,8 +394,9 @@ def _json_dump_bytes(path, doc, **kwargs):
 
 
 @pytest.mark.parametrize("mat", [
-    [[-0.0, np.inf, -np.inf], [np.nan, 1e16, 5e-324], [0.1, -2.5e-300, 1.0]],
-    [[-0.0], [np.inf], [np.nan], [1e16], [5e-324]],
+    [[-0.0, 1.7976931348623157e308, -1.7976931348623157e308],
+     [2.2250738585072014e-308, 1e16, 5e-324], [0.1, -2.5e-300, 1.0]],
+    [[-0.0], [1.7976931348623157e308], [-5e-324], [1e16], [5e-324]],
     np.random.default_rng(14).standard_normal((7, 5)),
 ], ids=["special_values", "one_column", "random"])
 def test_matrix_csv_bytes_equal_csv_writer(tmp_path, mat):
@@ -404,6 +405,16 @@ def test_matrix_csv_bytes_equal_csv_writer(tmp_path, mat):
     reference = _csv_writer_bytes(
         tmp_path / "ref.csv", ([repr(float(v)) for v in row] for row in mat))
     assert (tmp_path / "new.csv").read_bytes() == reference
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_matrix_csv_with_non_finite_entry_is_not_written(tmp_path, value):
+    """No command writes a NaN or an infinity into a CSV file: the writer
+    rejects it before the file is opened."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(KrgraphError, match="out.csv: not written: it has NaN"):
+        save_matrix_csv(path, [[1.0, value], [0.5, 2.0]])
+    assert not path.exists()
 
 
 def test_csv_rows_bytes_equal_csv_writer(tmp_path):

@@ -1,5 +1,5 @@
 """The shipped configs stay runnable, the README names only files that
-exist, and the config schemas match the dataclasses they fill."""
+exist, and the package keeps its start-up and its structure lean."""
 
 import ast
 import dataclasses
@@ -9,14 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
-import jsonschema
 import pytest
-from jsonschema.validators import validator_for
 
-from krgraph.cli import SCHEMAS
+from krgraph.cli import COMMANDS, load_config
 from krgraph.evaluation import METHODS, BenchScenario, CvGrid
 from krgraph.graphlearn import GraphLearnConfig
 from krgraph.solver import Hyperparams
@@ -33,45 +33,74 @@ def _command(path):
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
 def test_shipped_config_validates(path):
-    assert _command(path) in SCHEMAS, f"no schema for {path.name}"
-    jsonschema.validate(json.loads(path.read_text(encoding="utf-8")),
-                        SCHEMAS[_command(path)])
+    assert _command(path) in COMMANDS, f"no command for {path.name}"
+    load_config(str(path), _command(path))
 
 
-@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def _readable(hint):
+    """Whether cli.load_config can read a JSON value into a field of this
+    annotation: an int, float or str, a frozen dataclass of such fields, a
+    Sequence of one of these, or an Optional one."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (hint,) = set(args) - {type(None)}
+        args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return (hint.__dataclass_params__.frozen
+                and all(map(_readable, typing.get_type_hints(hint).values())))
+    if typing.get_origin(hint) is Sequence:
+        return _readable(args[0])
+    return hint in (int, float, str)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_schema_is_valid_under_its_metaschema(command):
-    """load_config validates each config against a schema it does not check
-    itself; each schema is checked here, once."""
-    schema = SCHEMAS[command]
-    validator_for(schema).check_schema(schema)
+    """Each command's schema is its config dataclass, and the annotations
+    that load_config reads are its metaschema: a field of any other
+    annotation would fail while a config is read, not be rejected."""
+    assert _readable(COMMANDS[command][0])
 
 
-@pytest.mark.parametrize("cls, keys", [
-    (SynthConfig, SCHEMAS["synth"]["properties"]),
-    (BenchScenario, SCHEMAS["bench"]["properties"]),
-    (CvGrid, SCHEMAS["cv"]["properties"]["grid"]["properties"]),
-    (GraphLearnConfig, set(SCHEMAS["learn-graph"]["properties"])
-     - {"x_csv", "t_csv", "kernel"} - {"alpha", "beta"}),
-    (Hyperparams, set(SCHEMAS["fit"]["properties"])
-     & set(SCHEMAS["learn-graph"]["properties"]) - {"x_csv", "t_csv", "kernel"}),
+def _config_class(command, *keys):
+    """The dataclass that load_config fills at keys of command's config."""
+    cls = COMMANDS[command][0]
+    for key in keys:
+        cls = typing.get_type_hints(cls)[key]
+    return cls
+
+
+@pytest.mark.parametrize("cls, holders", [
+    (SynthConfig, [("synth",)]),
+    (BenchScenario, [("bench",)]),
+    (CvGrid, [("cv", "grid"), ("bench", "grid")]),
+    (GraphLearnConfig, [("learn-graph",)]),
+    (Hyperparams, [("fit",), ("learn-graph",)]),
 ], ids=["synth", "bench", "grid", "learn_graph", "hyperparams"])
-def test_config_keys_are_field_names(cls, keys):
-    """The CLI builds these dataclasses from the config's own keys, so each
-    default is stated only on the dataclass; alpha and beta fill
-    Hyperparams in fit and learn-graph alike."""
-    assert {f.name for f in dataclasses.fields(cls)} == set(keys)
+def test_config_keys_are_field_names(cls, holders):
+    """load_config fills each field of these dataclasses from the config
+    key of its name, with the dataclass's own default, so each default is
+    stated once; alpha and beta fill Hyperparams in fit and learn-graph
+    alike."""
+    for path in holders:
+        read = {f.name: f.default
+                for f in dataclasses.fields(_config_class(*path))}
+        expected = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert expected.items() <= read.items()
 
 
 # modules whose import would grow the CLI's start-up time: scipy itself
 # (numpy runs every decomposition; the data sampler loads only scipy's
 # compiled BLAS wrapper, when it first draws, and never the scipy
 # package), the statistics package, the iterative and randomized
-# eigensolvers that the spectral cache does without, and the process
-# pool, which only bench's run imports
+# eigensolvers that the spectral cache does without, the process pool,
+# which only bench's run imports, and jsonschema with the packages it
+# brings (cli.load_config reads each config into its dataclass)
 @pytest.mark.parametrize("module", ["scipy", "scipy.stats",
                                     "scipy.sparse.linalg",
                                     "scipy.linalg.interpolative",
-                                    "multiprocessing", "concurrent.futures"])
+                                    "multiprocessing", "concurrent.futures",
+                                    "jsonschema", "attrs", "referencing",
+                                    "rpds"])
 def test_cli_import_does_not_load_scipy_stats(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

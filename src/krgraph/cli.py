@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import sys
-import typing
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,52 +36,7 @@ def load_config(path, command):
         doc = graphs.load_json(path)
     except DataFormatError as exc:
         raise ConfigError(f"config {exc}") from exc
-    return _read(COMMANDS[command][0], doc, "config")
-
-
-def _read(cls, doc, path):
-    """cls from the JSON object doc at key path `path`, a ConfigError
-    naming the key unless each key is a field, each field without a
-    default is given, and each value fits its field's annotation."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: {json.dumps(doc)} is not an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(doc.keys() - fields.keys())
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
-    for name, field in fields.items():
-        if name not in doc and field.default is dataclasses.MISSING:
-            raise ConfigError(f"{path}.{name}: required key missing")
-    hints = typing.get_type_hints(cls)
-    return cls(**{key: _typed(hints[key], value, f"{path}.{key}")
-                  for key, value in doc.items()})
-
-
-# the JSON type of each scalar annotation, and the Python types that json
-# reads it as; bools are no numbers
-_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
-            str: ("a string", str)}
-
-
-def _typed(hint, value, path):
-    """value if it fits hint: a scalar, a dataclass, a Sequence of these,
-    or an Optional one, which may be absent but not null. A number must
-    be finite: json reads NaN and Infinity, and 1e400 as infinity."""
-    if type(None) in typing.get_args(hint):
-        hint, = set(typing.get_args(hint)) - {type(None)}
-    if dataclasses.is_dataclass(hint):
-        return _read(hint, value, path)
-    if typing.get_origin(hint) is Sequence:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: {json.dumps(value)} is not a list")
-        item, = typing.get_args(hint)
-        return [_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-    name, types = _SCALARS[hint]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{path}: {json.dumps(value)} is not {name}")
-    if hint is not str and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path} is not a finite number")
-    return value
+    return graphs.read_object(COMMANDS[command][0], doc, "config")
 
 
 @dataclass(frozen=True)
@@ -191,9 +145,7 @@ class CvConfig:
     kernel: KernelConfig | None = None
 
     def __post_init__(self):
-        if self.method not in evaluation.METHODS:
-            raise ConfigError(f"method must be one of {evaluation.METHODS}, "
-                              f"got {self.method!r}")
+        evaluation.check_cv_plan(self.method, self.kernel, self.grid.sigma_sqs)
         # numpy seeds the fold split only with a non-negative integer
         if self.seed < 0:
             raise KrgraphError(f"seed must be >= 0, got {self.seed}")
@@ -218,6 +170,11 @@ class KrrConfig:
         for key in ("observed_idx", "x"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must be non-empty")
+        if len(self.x) != len(self.observed_idx):
+            raise ConfigError(f"x has {len(self.x)} values and observed_idx "
+                              f"{len(self.observed_idx)} indices")
+        if len(set(self.observed_idx)) != len(self.observed_idx):
+            raise ConfigError("observed_idx repeats an index")
         for key in ("mu", "tau"):
             value = getattr(self, key)
             if value is not None and not value > 0:
@@ -228,12 +185,6 @@ class KrrConfig:
                               "not both")
         if self.kernel_csv is None and None in heat:
             raise ConfigError("krr needs kernel_csv, or graph_json with tau")
-
-
-def _given(cfg):
-    """synth's or ingest's config as its document gave it: an absent key
-    is a field left at None."""
-    return {key: value for key, value in vars(cfg).items() if value is not None}
 
 
 def _load_laplacian(cfg, num_nodes):
@@ -255,8 +206,8 @@ def cmd_synth(cfg, out):
                          ("T0_test", test.T0), ("kernel_full", C_S)]:
         graphs.save_matrix_csv(out / f"{name}.csv", matrix)
     graphs.save_graph_json(out / "graph.json", graph)
-    graphs.save_json(out / "manifest.json", {"config": _given(cfg)},
-                     pretty=True)
+    graphs.save_json(out / "manifest.json",
+                     {"config": graphs.object_json(cfg)}, pretty=True)
     log.info("wrote synthetic dataset to %s", out)
 
 
@@ -277,7 +228,7 @@ def cmd_ingest(cfg, out):
         g = graphs.geodesic_adjacency(D)
     graphs.save_matrix_csv(out / "X.csv", X)
     graphs.save_matrix_csv(out / "T.csv", T)
-    manifest = {"config": _given(cfg), "n": int(X.shape[0]),
+    manifest = {"config": graphs.object_json(cfg), "n": int(X.shape[0]),
                 "input_dim": int(X.shape[1]), "num_nodes": int(T.shape[1])}
     if g is not None:
         graphs.save_graph_json(out / "graph.json", g)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionError, KrgraphError,
                      SingularSystemError)
-from .graphs import Laplacian, build_laplacian, save_csv_rows, save_json
+from .graphs import (Laplacian, build_laplacian, object_json, save_csv_rows,
+                     save_json)
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, _finite, gram_matrix,
                       kernel_cross_matrix)
 from .solver import (Hyperparams, SpectralCache, check_targets,
@@ -92,30 +93,36 @@ def fold_assignment(n, folds, seed):
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+def check_cv_plan(method, kernel, sigma_sqs):
+    """cv's rules, run by CvConfig before any file is read and by
+    cross_validate: method is one of METHODS; LR and LRG read neither a
+    kernel (a KernelSpec or a config's) nor grid.sigma_sqs, KR and KRG one."""
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    if method in _PRIMAL and (kernel is not None or sigma_sqs):
+        raise ConfigError(f"{method} fits the raw features and reads neither "
+                          "kernel_spec nor grid.sigma_sqs")
+    if kernel is not None and sigma_sqs:
+        raise ConfigError("grid.sigma_sqs is read only for an rbf kernel "
+                          f"without sigma_sq, not for a {kernel.kind} "
+                          "kernel_spec")
+    if method not in _PRIMAL and kernel is None and not sigma_sqs:
+        raise KrgraphError("rbf kernel needs a sigma_sq grid")
+
+
 def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                    seed: int, kernel_spec: Optional[KernelSpec] = None):
     """Grid search by k-fold CV on the training set.
 
     Validation scores use clean targets (train.T0) when available, the
     noisy ones otherwise. KR and KRG use kernel_spec, else an rbf kernel
-    per grid.sigma_sqs; a setting the method would not read is a
-    ConfigError. Returns (best_params, cv_table): the alpha/beta/sigma_sq
-    dict that scores best, ties broken toward smaller values, and a
-    (params, mean NMSE dB) record per grid point. Each fold and sigma_sq
-    scores its whole (alpha, beta) grid at once, from one spectral cache
-    (solver.grid_error_energies).
+    per grid.sigma_sqs (check_cv_plan). Returns (best_params, cv_table):
+    the alpha/beta/sigma_sq dict that scores best, ties broken toward
+    smaller values, and a (params, mean NMSE dB) record per grid point.
+    Each fold and sigma_sq scores its whole (alpha, beta) grid at once,
+    from one spectral cache (solver.grid_error_energies).
     """
-    if method not in METHODS:
-        raise KrgraphError(f"cross_validate does not handle method {method!r}")
-    if method in _PRIMAL and (kernel_spec is not None or grid.sigma_sqs):
-        raise ConfigError(f"{method} fits the raw features and reads neither "
-                          "kernel_spec nor grid.sigma_sqs")
-    if kernel_spec is not None and grid.sigma_sqs:
-        raise ConfigError("grid.sigma_sqs is read only for an rbf kernel "
-                          f"without sigma_sq, not for a {kernel_spec.kind} "
-                          "kernel_spec")
-    if method not in _PRIMAL and kernel_spec is None and not grid.sigma_sqs:
-        raise KrgraphError("rbf kernel needs a sigma_sq grid")
+    check_cv_plan(method, kernel_spec, grid.sigma_sqs)
     check_targets(train.T, train.n, L)
     folds = fold_assignment(train.n, grid.folds, seed)
     betas = (0.0,) if method in GRAPH_FREE else tuple(grid.betas)
@@ -409,5 +416,5 @@ def save_results_csv(path, results):
 
 
 def save_results_json(path, results, failures=()):
-    save_json(path, {"results": [vars(r) for r in results],
+    save_json(path, {"results": [object_json(r) for r in results],
                      "failures": list(failures)}, pretty=True)

@@ -11,13 +11,15 @@ import csv
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConvergenceError, DataFormatError, InvalidGraphError,
-                     KrgraphError)
+from .errors import (ConfigError, ConvergenceError, DataFormatError,
+                     InvalidGraphError, KrgraphError)
 
 _ROWSUM_TOL = 1e-10
 _EIG_CLAMP = 1e-10
@@ -112,12 +114,22 @@ def build_laplacian(g: Graph) -> Laplacian:
     return Laplacian(np.diag(g.degrees()) - g.adjacency)
 
 
+def check_graph_param(model, M, param):
+    """InvalidGraphError unless param fits the generator `model` on M nodes:
+    an edge probability in [0, 1], or an attachment count in [1, M)."""
+    if model == "erdos_renyi" and not 0 <= param <= 1:
+        raise InvalidGraphError(
+            f"edge probability must be in [0, 1], got {param}")
+    if model == "barabasi_albert" and not 1 <= param < M:
+        raise InvalidGraphError(
+            f"need 1 <= m_attach < M, got m_attach={param}, M={M}")
+
+
 def erdos_renyi(M: int, p: float, seed: int) -> Graph:
     """G(M, p): each unordered pair is a unit edge with probability p."""
     if M < 2:
         raise InvalidGraphError(f"need at least 2 nodes, got {M}")
-    if not 0 <= p <= 1:
-        raise InvalidGraphError(f"edge probability must be in [0, 1], got {p}")
+    check_graph_param("erdos_renyi", M, p)
     rng = np.random.default_rng(seed)
     A = np.zeros((M, M))
     iu = np.triu_indices(M, 1)
@@ -132,10 +144,7 @@ def barabasi_albert(M: int, m_attach: int, seed: int) -> Graph:
     probability proportional to current degree, so the final edge count is
     C(m_attach+1, 2) + m_attach * (M - m_attach - 1).
     """
-    if not 1 <= m_attach < M:
-        raise InvalidGraphError(
-            f"need 1 <= m_attach < M, got m_attach={m_attach}, M={M}"
-        )
+    check_graph_param("barabasi_albert", M, m_attach)
     rng = np.random.default_rng(seed)
     A = np.zeros((M, M))
     init = m_attach + 1
@@ -230,6 +239,62 @@ def load_json(path):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         raise DataFormatError(f"{path}: cannot read JSON: {exc}") from exc
+
+
+def read_object(cls, doc, path):
+    """The frozen dataclass cls from the JSON object doc at key path `path`
+    (each config, and a model file's kernel_spec and hyper), a ConfigError
+    naming the key unless each key is a field, each field without a
+    default is given, and each value fits its field's annotation."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {json.dumps(doc)} is not an object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(doc.keys() - known.keys())
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
+    for name, f in known.items():
+        if name not in doc and f.default is MISSING:
+            raise ConfigError(f"{path}.{name}: required key missing")
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _typed(hints[key], value, f"{path}.{key}")
+                  for key, value in doc.items()})
+
+
+# the JSON type of each scalar annotation, and the Python types that json
+# reads it as; bools are no numbers
+_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
+            str: ("a string", str)}
+
+
+def _typed(hint, value, path):
+    """value if it fits hint: a scalar, a dataclass, a Sequence of these, a
+    float np.ndarray, or an Optional one, absent but never null. A number
+    must be finite: json reads NaN and Infinity, and 1e400 as infinity."""
+    if type(None) in typing.get_args(hint):
+        hint, = set(typing.get_args(hint)) - {type(None)}
+    if is_dataclass(hint):
+        return read_object(hint, value, path)
+    if hint is np.ndarray or typing.get_origin(hint) is Sequence:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: {json.dumps(value)} is not a list")
+        if hint is np.ndarray:  # its class checks the entries
+            return np.array(value, dtype=float)
+        item, = typing.get_args(hint)
+        return [_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    name, types = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path}: {json.dumps(value)} is not {name}")
+    if hint is not str and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} is not a finite number")
+    return value
+
+
+def object_json(obj):
+    """obj's JSON object, as read_object reads it back: its fields in
+    field order, None left out, arrays as nested lists."""
+    return {f.name: value.tolist() if isinstance(value, np.ndarray) else value
+            for f in fields(obj)
+            if (value := getattr(obj, f.name)) is not None}
 
 
 def save_csv_rows(path, rows):

@@ -11,7 +11,7 @@ Supported kernels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -75,33 +75,6 @@ class KernelSpec:
         return ((self.kind, self.sigma_sq, self.rbf_normalizer)
                 == (other.kind, other.sigma_sq, other.rbf_normalizer)
                 and np.array_equal(self.precomputed, other.precomputed))
-
-    def to_json(self):
-        doc = {"kind": self.kind}
-        if self.sigma_sq is not None:
-            doc["sigma_sq"] = self.sigma_sq
-        if self.precomputed is not None:
-            doc["precomputed"] = self.precomputed.tolist()
-        if self.rbf_normalizer is not None:
-            doc["rbf_normalizer"] = self.rbf_normalizer
-        return doc
-
-    @staticmethod
-    def from_json(doc):
-        if not isinstance(doc, dict):
-            raise KrgraphError(f"kernel spec must be a JSON object, got "
-                               f"{type(doc).__name__}")
-        unknown = doc.keys() - {f.name for f in fields(KernelSpec)}
-        if unknown:
-            raise KrgraphError(f"kernel spec has unknown keys "
-                               f"{', '.join(sorted(unknown))}")
-        pre = doc.get("precomputed")
-        return KernelSpec(
-            kind=doc["kind"],
-            sigma_sq=doc.get("sigma_sq"),
-            precomputed=None if pre is None else np.array(pre, dtype=float),
-            rbf_normalizer=doc.get("rbf_normalizer"),
-        )
 
 
 def _indices(X, spec: KernelSpec):

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DataFormatError, DimensionError,
                      KrgraphError, SingularSystemError)
-from .graphs import Laplacian, eigh_psd, load_json, save_json
+from .graphs import (Laplacian, eigh_psd, load_json, object_json, read_object,
+                     save_json)
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, gram_matrix,
                       kernel_cross_matrix)
 
@@ -334,8 +335,8 @@ MODEL_FORMAT_VERSION = 1
 def save_model(path, model: KrgModel):
     save_json(path, {
         "version": MODEL_FORMAT_VERSION,
-        "kernel_spec": model.spec.to_json(),
-        "hyper": {"alpha": model.hyper.alpha, "beta": model.hyper.beta},
+        "kernel_spec": object_json(model.spec),
+        "hyper": object_json(model.hyper),
         "laplacian": model.laplacian.matrix.tolist(),
         "x_train": model.x_train.tolist(),
         "psi": model.psi.tolist(),
@@ -349,7 +350,7 @@ def load_model(path) -> KrgModel:
         # True == 1 in Python, so the type is checked too
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise DataFormatError(f"unsupported model version {version!r}")
-        spec = KernelSpec.from_json(doc["kernel_spec"])
+        spec = read_object(KernelSpec, doc["kernel_spec"], "kernel_spec")
         x_train = np.array(doc["x_train"], dtype=float)
         psi = np.array(doc["psi"], dtype=float)
         L = Laplacian(np.array(doc["laplacian"], dtype=float))
@@ -362,9 +363,9 @@ def load_model(path) -> KrgModel:
             # a file written before specs carried Z: recompute it from x_train
             _, spec = gram_matrix(x_train, spec)
         return KrgModel(psi=psi, x_train=x_train, spec=spec, laplacian=L,
-                        hyper=Hyperparams(**doc["hyper"]))
-    # malformed arrays raise ValueError; missing or unexpected fields
-    # raise KeyError or TypeError
+                        hyper=read_object(Hyperparams, doc["hyper"], "hyper"))
+    # malformed arrays raise ValueError or TypeError, a missing field
+    # KeyError, and read_object's rejections are ConfigErrors
     except (ValueError, KeyError, TypeError, KrgraphError) as exc:
         raise DataFormatError(
             f"{path}: not a valid model file: {type(exc).__name__}: {exc}"

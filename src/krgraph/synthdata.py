@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, KrgraphError
 from .graphs import (Graph, Laplacian, barabasi_albert, build_laplacian,
-                     erdos_renyi)
+                     check_graph_param, erdos_renyi)
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ class SynthConfig:
                 and self.graph_param != int(self.graph_param)):
             raise KrgraphError("barabasi_albert graph_param is an attachment "
                                f"count and must be an integer, got {self.graph_param}")
+        # the generator's range check, run here before any draw
+        check_graph_param(self.graph_model, self.num_nodes, self.graph_param)
         # every draw seeds a generator with seed + k, which numpy takes
         # only as a non-negative integer
         if self.seed < 0:

@@ -86,15 +86,15 @@ class TestSynth:
     def test_graph_param_beyond_int64_is_invalid_graph(self, tmp_path, capsys,
                                                        model, message):
         """JSON reads 100000000000000000000 as a Python int that numpy
-        cannot hold in int64; the generator rejects it as any too-large
-        parameter."""
+        cannot hold in int64; the config rejects it as any too-large
+        parameter, by the generator's own range check."""
         cfg = write_config(tmp_path, "big.json", dict(
             SYNTH_CFG, graph_model=model, graph_param=10**20))
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["synth", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "InvalidGraphError", message)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         bad = dict(SYNTH_CFG, extra_knob=1)
@@ -992,11 +992,13 @@ class TestKrr:
         (np.ones((3, 2)), [2], [1.0], "DimensionError"),
         (np.diag([1.0, -1.0]), [0, 1], [1.0, 2.0], "SingularSystemError"),
         (np.eye(3), [0, 10**20], [1.0, 2.0], "DimensionError"),
-        (np.eye(3), [0, 1], [1.0], "DimensionError"),
+        (np.eye(3), [0, 1], [1.0], "ConfigError"),
     ], ids=["non_square_kernel", "singular_system", "index_beyond_int64",
             "x_of_another_length"])
     def test_bad_kernel_is_krgraph_error(self, tmp_path, capsys, K_bar,
                                          observed, x, error):
+        """x of another length than observed_idx is rejected with the
+        config, which makes no --out-dir; the others with an empty one."""
         save_matrix_csv(tmp_path / "K.csv", K_bar)
         cfg = write_config(tmp_path, "krr.json", {
             "kernel_csv": str(tmp_path / "K.csv"), "observed_idx": observed,
@@ -1005,7 +1007,24 @@ class TestKrr:
         out = tmp_path / "o"
         assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
         _assert_one_json_error(capsys, error)
-        assert list(out.iterdir()) == []
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("observed, x, message", [
+        ([0, 1, 2], [1.0, 2.0], "x has 2 values and observed_idx 3 indices"),
+        ([0, 1, 0], [1.0, 2.0, 3.0], "observed_idx repeats an index"),
+    ], ids=["x_shorter", "repeated_index"])
+    def test_observations_checked_before_the_kernel_is_read(
+            self, tmp_path, capsys, observed, x, message):
+        """The config rejects them: the missing graph_json is never read,
+        and no --out-dir is made."""
+        cfg = write_config(tmp_path, "krr.json", {
+            "graph_json": str(tmp_path / "missing.json"), "tau": 0.5,
+            "observed_idx": observed, "x": x, "mu": 0.5})
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "ConfigError", message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("tau", [1e12, 1e20, 1e300, 1.7e308])
     def test_huge_tau_gives_the_exact_limit(self, tmp_path, tau):
@@ -1436,7 +1455,7 @@ class TestUnreadKeysRejected:
         assert run(["cv", "--config", write_config(tmp_path, "cv.json", doc),
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "ConfigError", method, "raw features")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bench_sigma_grid(self, tmp_path, capsys):
         doc = dict(BENCH_CFG, grid=dict(BENCH_CFG["grid"], sigma_sqs=[0.5, 2.0]))
@@ -1589,6 +1608,25 @@ class TestInvalidValuesRejected:
         assert run(["bench", "--config", write_config(tmp_path, "b.json", doc),
                     "--out-dir", out]) == 1
         _assert_one_json_error(capsys, "KrgraphError", "graph_param")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("synth", dict(SYNTH_CFG, num_nodes=6, graph_model="barabasi_albert",
+                       graph_param=9),
+         "need 1 <= m_attach < M, got m_attach=9, M=6"),
+        ("bench", dict(BENCH_CFG, graph_param=1.5),
+         "edge probability must be in [0, 1], got 1.5"),
+    ], ids=["synth_barabasi_albert", "bench_erdos_renyi"])
+    def test_graph_param_out_of_its_generator_range(self, tmp_path, capsys,
+                                                    command, doc, message):
+        """The generator's range check runs on the config, before any draw:
+        no bench worker is forked, and no --out-dir is made."""
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run([command, "--config",
+                    write_config(tmp_path, "c.json", doc),
+                    "--out-dir", out]) == 1
+        _assert_one_json_error(capsys, "InvalidGraphError", message)
         assert not out.exists()
 
     def test_bench_n_train_above_the_pool(self, tmp_path, capsys):

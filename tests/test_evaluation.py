@@ -8,7 +8,8 @@ import pytest
 
 from krgraph import evaluation, solver
 from krgraph.cli import main
-from krgraph.errors import ConfigError, KrgraphError, SingularSystemError
+from krgraph.errors import (ConfigError, DimensionError, KrgraphError,
+                            SingularSystemError)
 from krgraph.evaluation import (
     BenchScenario,
     CvGrid,
@@ -372,6 +373,13 @@ class TestKrrBaseline:
     def test_nonpositive_mu(self):
         with pytest.raises(KrgraphError):
             krr_baseline(np.eye(3), [0], np.zeros(1), mu=0.0)
+
+    def test_one_observation_per_index(self):
+        """The library's own guard; krr's config checks it before any
+        file is read."""
+        with pytest.raises(DimensionError,
+                           match="observation length 1 != 2 indices"):
+            krr_baseline(np.eye(3), [0, 1], np.zeros(1), mu=0.1)
 
     @pytest.mark.parametrize("mu", [float("nan"), 1e308])
     def test_nan_or_overflowing_mu(self, mu):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -6,12 +7,21 @@ from scipy.spatial.distance import cdist
 
 from krgraph import kernels
 from krgraph.errors import DegenerateKernelError, DimensionError, KrgraphError
+from krgraph.graphs import object_json, read_object
 from krgraph.kernels import (
     KernelSpec,
     gram_matrix,
     kernel_cross_matrix,
     squared_distances,
 )
+from krgraph.solver import Hyperparams
+
+
+def _json_roundtrip(obj):
+    """obj written by object_json, through JSON text, and read back by
+    read_object, as save_model and load_model do."""
+    text = json.dumps(object_json(obj))
+    return read_object(type(obj), json.loads(text), "model")
 
 
 class TestKernelSpec:
@@ -44,12 +54,34 @@ class TestKernelSpec:
 
     def test_json_roundtrip(self):
         spec = KernelSpec(kind="rbf", sigma_sq=2.5)
-        assert KernelSpec.from_json(spec.to_json()) == spec
+        assert _json_roundtrip(spec) == spec
 
     def test_fitted_json_roundtrip_keeps_normalizer(self):
         spec = KernelSpec(kind="rbf", sigma_sq=2.5, rbf_normalizer=0.1 + 0.2)
-        assert spec.to_json()["rbf_normalizer"] == 0.1 + 0.2
-        assert KernelSpec.from_json(spec.to_json()) == spec
+        assert object_json(spec)["rbf_normalizer"] == 0.1 + 0.2
+        assert _json_roundtrip(spec) == spec
+
+    def test_precomputed_json_roundtrip(self):
+        P = np.array([[2.0, 0.1 + 0.2], [0.1 + 0.2, 1.0]])
+        spec = KernelSpec(kind="precomputed", precomputed=P)
+        assert object_json(spec) == {"kind": "precomputed",
+                                     "precomputed": P.tolist()}
+        back = _json_roundtrip(spec)
+        assert back == spec
+        assert back.precomputed.dtype == float
+
+    def test_hyperparams_json_roundtrip(self):
+        hyper = Hyperparams(alpha=0.1 + 0.2, beta=0)
+        assert json.dumps(object_json(hyper)) == \
+            '{"alpha": 0.30000000000000004, "beta": 0}'
+        assert _json_roundtrip(hyper) == hyper
+
+    def test_json_writes_fields_in_order_without_none(self):
+        assert json.dumps(object_json(KernelSpec(kind="linear"))) == \
+            '{"kind": "linear"}'
+        assert list(object_json(KernelSpec(
+            kind="rbf", sigma_sq=2.0, rbf_normalizer=3.0))) == [
+            "kind", "sigma_sq", "rbf_normalizer"]
 
     def test_equality_compares_matrices_by_value(self):
         eye = KernelSpec(kind="precomputed", precomputed=np.eye(3))
@@ -86,7 +118,7 @@ class TestKernelSpec:
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_precomputed_matrix_on_precomputed_only(self, kind):
         """By the same rule: no linear or rbf kernel reads the matrix, and
-        to_json would write it into the model file."""
+        object_json would write it into the model file."""
         extra = {"sigma_sq": 1.0} if kind == "rbf" else {}
         with pytest.raises(KrgraphError, match="a precomputed matrix belongs "
                            f"to a precomputed kernel, got one on {kind}"):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from krgraph import kernels, solver
-from krgraph.errors import (ConvergenceError, DimensionError, KrgraphError,
-                            SingularSystemError)
+from krgraph.errors import (ConvergenceError, DataFormatError,
+                            DimensionError, KrgraphError, SingularSystemError)
 from krgraph.graphs import Laplacian, eigh_psd
 from krgraph.kernels import KernelSpec, gram_matrix
 from krgraph.solver import (
@@ -762,6 +763,29 @@ class TestModelSerialization:
         legacy.write_text(json.dumps(doc), encoding="utf-8")
         assert load_model(legacy).spec == spec
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sigma_sq", None, "kernel_spec.sigma_sq: null is not a number"),
+        ("sigmasq", 0.7, "kernel_spec.sigmasq: unknown key"),
+        ("precomputed", None, "kernel_spec.precomputed: null is not a list"),
+    ], ids=["sigma_sq_null", "unknown_key", "precomputed_null"])
+    def test_kernel_spec_is_read_as_a_config(self, tmp_path, key, value,
+                                             message):
+        """The model file's kernel_spec is read by the config reader: a key
+        is a field, and a null is no absent key (save_model writes none)."""
+        X, T, L = make_instance(33, N=5, M=3, d=2)
+        K, spec = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
+        path = tmp_path / "model.json"
+        save_model(path, fit_krg(K, T, L, Hyperparams(alpha=0.2, beta=0.5),
+                                 x_train=X, spec=spec))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert None not in doc["kernel_spec"].values()
+        doc["kernel_spec"][key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=(
+                f"{re.escape(str(path))}: not a valid model file: "
+                f"ConfigError: {re.escape(message)}")):
+            load_model(path)
 
     def test_predict_batch_rows_are_single_point_predictions(self):
         X, T, L = make_instance(31, N=9, M=4, d=3)

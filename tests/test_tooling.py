@@ -227,6 +227,27 @@ def test_only_the_solver_reads_the_spectral_cache(name):
     assert "solve_sylvester_eigenbasis" not in attributes | names
 
 
+def _field_listers(path):
+    """(module, callee) of each call of dataclasses.fields, fields, vars
+    or asdict in the module at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(path.name, ast.unparse(node.func)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "fields", "dataclasses.fields", "vars", "asdict",
+                "dataclasses.asdict")]
+
+
+def test_only_graphs_maps_a_dataclass_to_json():
+    """graphs.read_object and graphs.object_json are the one mapping
+    between a frozen dataclass and a JSON object, for the configs, the
+    manifests, the model file and results.json: no other module lists a
+    dataclass's fields or an object's attributes."""
+    listers = [c for p in sorted((ROOT / "src" / "krgraph").glob("*.py"))
+               for c in _field_listers(p)]
+    assert listers and all(module == "graphs.py" for module, _ in listers), \
+        listers
+
+
 def test_cli_names_no_method():
     """The method names, and which of them the bench runs or pins beta to
     0 for, are stated in evaluation; cli reads them from there."""

@@ -247,7 +247,7 @@ def read_object(cls, doc, path):
     naming the key unless each key is a field, each field without a
     default is given, and each value fits its field's annotation."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: {json.dumps(doc)} is not an object")
+        raise ConfigError(f"{path}: {_quoted(doc)} is not an object")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(doc.keys() - known.keys())
     if unknown:
@@ -264,6 +264,15 @@ def read_object(cls, doc, path):
 # reads it as; bools are no numbers
 _SCALARS = {int: ("an integer", int), float: ("a number", (int, float)),
             str: ("a string", str)}
+# a type error quotes at most this many characters of the value's JSON text
+_QUOTE_MAX = 60
+
+
+def _quoted(value):
+    """value's JSON text, cut to _QUOTE_MAX characters and "..." if longer:
+    a config or model file may hold a whole matrix where a number belongs."""
+    text = json.dumps(value)
+    return text if len(text) <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
 
 
 def _typed(hint, value, path):
@@ -276,17 +285,36 @@ def _typed(hint, value, path):
         return read_object(hint, value, path)
     if hint is np.ndarray or typing.get_origin(hint) is Sequence:
         if not isinstance(value, list):
-            raise ConfigError(f"{path}: {json.dumps(value)} is not a list")
-        if hint is np.ndarray:  # its class checks the entries
-            return np.array(value, dtype=float)
+            raise ConfigError(f"{path}: {_quoted(value)} is not a list")
+        if hint is np.ndarray:  # its class checks the shape and finiteness
+            _check_numbers(value, path)
+            try:
+                return np.array(value, dtype=float)
+            except OverflowError:
+                raise ConfigError(f"{path} holds an integer beyond the "
+                                  "float range") from None
         item, = typing.get_args(hint)
         return [_typed(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
     name, types = _SCALARS[hint]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"{path}: {json.dumps(value)} is not {name}")
+        raise ConfigError(f"{path}: {_quoted(value)} is not {name}")
     if hint is not str and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path} is not a finite number")
     return value
+
+
+def _check_numbers(value, path):
+    """A ConfigError naming the first entry of the JSON array value, nested
+    to any depth, that is neither an array nor a number, as a float field
+    would name it. A row of numbers passes on one set test, with no Python
+    step per entry."""
+    if {int, float}.issuperset(map(type, value)):  # type(True) is bool
+        return
+    for i, v in enumerate(value):
+        if isinstance(v, list):
+            _check_numbers(v, f"{path}[{i}]")
+        else:
+            _typed(float, v, f"{path}[{i}]")
 
 
 def object_json(obj):

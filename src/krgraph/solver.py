@@ -186,7 +186,8 @@ def solve_sylvester_eigenbasis(cache: SpectralCache, RHS, alphas, betas):
         )
     eta = _checked_eta(cache, alphas, betas)
     P = cache.u.T @ RHS
-    C = (P @ cache.v) / eta
+    # in eta's buffer, which this call made: one grid-sized array, not two
+    C = np.divide(P @ cache.v, eta, out=eta)
     if cache.u.shape[1] == cache.u.shape[0]:
         return C, None
     rest = RHS - cache.u @ P
@@ -213,11 +214,13 @@ def grid_error_energies(cache: SpectralCache, RHS, alphas, betas, A, T_ref):
     equals ||(A U) C - T_ref V||_F, one small product per grid point, and
     u's complement adds (A rest V) / alpha."""
     C, rest = solve_sylvester_eigenbasis(cache, RHS, alphas, betas)
-    residual = (A @ cache.u) @ C - T_ref @ cache.v
+    # one residual array, updated and squared in place
+    residual = (A @ cache.u) @ C
+    residual -= T_ref @ cache.v
     if rest is not None:
         residual += ((A @ rest @ cache.v)
                      / np.asarray(alphas, dtype=float)[:, None, None, None])
-    return np.sum(residual**2, axis=(2, 3))
+    return np.sum(np.square(residual, out=residual), axis=(2, 3))
 
 
 def check_targets(T, n, L: Laplacian):

@@ -34,6 +34,31 @@ def dense_eigh_dual_solve(K, L, T, alpha, beta):
     return U @ ((U.T @ T @ V) / eta) @ V.T
 
 
+def eigenbasis_grid_out_of_place(cache, RHS, alphas, betas, A, T_ref):
+    """(C, rest, E) of solver.solve_sylvester_eigenbasis and
+    solver.grid_error_energies, each step written as an expression that
+    makes a new array: C = (P V) / eta with P = U^T RHS, rest = RHS's part
+    on U's complement (None for a square U), and E[a, b] the sum of the
+    squared ((A U) C - T_ref V + (A rest V) / alpha_a). The library does
+    the same operations in the same order in its own buffers, so the two
+    agree bit for bit."""
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    U, V, theta = cache.u, cache.v, cache.theta[:, None]
+    eta = (theta + alphas[:, None, None, None]
+           + betas[:, None, None] * theta * cache.lam)
+    P = U.T @ RHS
+    C = (P @ V) / eta
+    rest = None
+    if U.shape[1] < U.shape[0]:
+        rest = RHS - U @ P
+        rest = rest - U @ (U.T @ rest)
+    residual = (A @ U) @ C - T_ref @ V
+    if rest is not None:
+        residual = residual + (A @ rest @ V) / alphas[:, None, None, None]
+    return C, rest, np.sum(residual**2, axis=(2, 3))
+
+
 def dense_kron_primal_solve(Phi, L, T, alpha, beta):
     """Dense solve of the vectorized primal normal equations for W."""
     Kf = Phi.shape[1]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     dense_eigh_dual_solve,
     dense_kron_dual_solve,
     dense_kron_primal_solve,
+    eigenbasis_grid_out_of_place,
     infinite_beta_dual_solve,
     null_space_laplacians,
     random_laplacian_matrix,
@@ -363,6 +365,67 @@ class TestSylvesterGrid:
         for a, b in np.ndindex(3, 4):
             assert np.array_equal(X[a, b], solve_sylvester_spectral(
                 cache, T, Hyperparams(alphas[a], betas[b])))
+
+    @pytest.mark.parametrize("case", ["full_rank", "low_rank", "primal",
+                                      "unsorted_repeats"])
+    def test_in_place_forms_equal_the_out_of_place_oracle(self, case):
+        """C formed in eta's buffer, and the residual updated and squared
+        in place, give the oracle's new-array expressions bit for bit: on a
+        square cache, on a low-rank one with a complement, on a primal
+        (feature Gram) one, and on a grid out of order with repeats."""
+        rng = np.random.default_rng(44)
+        alphas, betas = [0.05, 1.0, 0.3], [0.0, 2.0]
+        if case == "low_rank":
+            K, _, L, RHS = large_gram("rbf")
+            A = rng.standard_normal((7, 600))
+        elif case == "primal":
+            Phi, L = rng.standard_normal((30, 4)), Laplacian(
+                random_laplacian_matrix(rng, 10))
+            K, RHS = Phi.T @ Phi, Phi.T @ rng.standard_normal((30, 10))
+            A = rng.standard_normal((7, 4))
+        else:
+            K = random_psd(rng, 9)
+            L = Laplacian(random_laplacian_matrix(rng, 10))
+            RHS, A = rng.standard_normal((9, 10)), rng.standard_normal((7, 9))
+            if case == "unsorted_repeats":
+                alphas, betas = [1.0, 0.05, 1.0, 0.3], [2.0, 0.0, 2.0]
+        cache = SpectralCache.build(K, L)
+        assert (cache.u.shape[1] < cache.u.shape[0]) == (case == "low_rank")
+        T_ref = rng.standard_normal((7, 10))
+        C_ref, rest_ref, E_ref = eigenbasis_grid_out_of_place(
+            cache, RHS, alphas, betas, A, T_ref)
+        C, rest = solve_sylvester_eigenbasis(cache, RHS, alphas, betas)
+        assert np.array_equal(C, C_ref)
+        assert (rest is None if rest_ref is None
+                else np.array_equal(rest, rest_ref))
+        assert np.array_equal(
+            grid_error_energies(cache, RHS, alphas, betas, A, T_ref), E_ref)
+
+    def test_grid_scoring_peaks_below_two_grid_arrays(self):
+        """One grid_error_energies call at the shipped sweep's fold shape
+        (40 fit rows, 10 validation rows, M = 50, its 4 x 6 grid) holds at
+        most 1.5 grid-sized (A, B, r, M) float64 arrays at its peak, as
+        numpy reports its buffers to tracemalloc: C takes eta's buffer, and
+        the residual is squared where it was formed."""
+        rng = np.random.default_rng(45)
+        X = rng.standard_normal((50, 3))
+        K, spec = gram_matrix(X[:40], KernelSpec(kind="rbf", sigma_sq=1.0))
+        L = Laplacian(random_laplacian_matrix(rng, 50))
+        cache = SpectralCache.build(K, L)
+        A = kernels.kernel_cross_matrix(X[:40], X[40:], spec)
+        T, T_ref = rng.standard_normal((40, 50)), rng.standard_normal((10, 50))
+        alphas = [0.001, 0.01, 0.1, 1.0]
+        betas = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0]
+        grid_error_energies(cache, T, alphas, betas, A, T_ref)  # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            grid_error_energies(cache, T, alphas, betas, A, T_ref)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (4 * 6 * 40 * 50 * 8)
 
     def test_eigenbasis_rejects_rhs_of_wrong_shape(self):
         K, L, _ = self._instance(43)
@@ -768,7 +831,19 @@ class TestModelSerialization:
         ("sigma_sq", None, "kernel_spec.sigma_sq: null is not a number"),
         ("sigmasq", 0.7, "kernel_spec.sigmasq: unknown key"),
         ("precomputed", None, "kernel_spec.precomputed: null is not a list"),
-    ], ids=["sigma_sq_null", "unknown_key", "precomputed_null"])
+        ("precomputed", [["2", True], [True, "2"]],
+         'kernel_spec.precomputed[0][0]: "2" is not a number'),
+        ("precomputed", [[2.0, True], [True, 2.0]],
+         "kernel_spec.precomputed[0][1]: true is not a number"),
+        ("precomputed", [[2.0, None], [None, 2.0]],
+         "kernel_spec.precomputed[0][1]: null is not a number"),
+        ("precomputed", [[2.0, 1.0], "1, 2"],
+         'kernel_spec.precomputed[1]: "1, 2" is not a number'),
+        ("precomputed", [[10**400]], "kernel_spec.precomputed holds an "
+                                      "integer beyond the float range"),
+    ], ids=["sigma_sq_null", "unknown_key", "precomputed_null",
+            "precomputed_strings", "precomputed_bools", "precomputed_nulls",
+            "precomputed_string_row", "precomputed_huge_integer"])
     def test_kernel_spec_is_read_as_a_config(self, tmp_path, key, value,
                                              message):
         """The model file's kernel_spec is read by the config reader: a key
@@ -786,6 +861,26 @@ class TestModelSerialization:
                 f"{re.escape(str(path))}: not a valid model file: "
                 f"ConfigError: {re.escape(message)}")):
             load_model(path)
+
+    def test_type_error_quotes_a_bounded_prefix(self, tmp_path):
+        """A kernel_spec that is a list holding a 300 x 300 precomputed spec
+        is named by the start of its JSON text, not by all of it."""
+        X, T, L = make_instance(34, N=5, M=3, d=2)
+        K, spec = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
+        path = tmp_path / "model.json"
+        save_model(path, fit_krg(K, T, L, Hyperparams(alpha=0.2, beta=0.5),
+                                 x_train=X, spec=spec))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["kernel_spec"] = [{"kind": "precomputed",
+                               "precomputed": np.eye(300).tolist()}]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_model(path)
+        message = str(excinfo.value)
+        assert message.endswith('ConfigError: kernel_spec: [{"kind": '
+                                '"precomputed", "precomputed": [[1.0, 0.0, '
+                                '0.0, 0.0... is not an object')
+        assert len(message) <= len(str(path)) + 150
 
     def test_predict_batch_rows_are_single_point_predictions(self):
         X, T, L = make_instance(31, N=9, M=4, d=3)

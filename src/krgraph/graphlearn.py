@@ -15,11 +15,33 @@ cannot repair, so the budget keeps the subproblem well-posed.
 Edges are ordered as np.triu_indices(M, 1). Q = S S^T + 2I, with S the
 unsigned edge-node incidence, is never formed: (Q w)_e = d_i + d_j + 2 w_e
 for e = (i, j) and degrees d = S^T w, and lambda_max(Q) = 2M exactly.
+
+For nu > 0 the QP is solved through its Lagrange dual, whose only
+unknowns are a multiplier per node (for d = S^T w) and one for sum(w).
+The edge costs are divided by 4 nu and shifted to least cost 0, which
+moves only the trace multiplier; costs, weights and multipliers are then
+divided by the radius r = trace_budget / 2, so that every quantity is of
+order 1 and no product overflows. With those costs b, node multipliers u
+and trace multiplier m, the dual is the concave, once differentiable
+
+    phi(u, m) = -1/2 sum_e max(0, m - b_e - u_i - u_j)^2 - u.u + m,
+
+maximized where w_e = max(0, m - b_e - u_i - u_j) has degrees S^T w = 2u
+and sum(w) = 1. Semismooth Newton (Qi & Sun 1993) with Armijo
+backtracking finds that point: its system is the signless Laplacian of
+the active edges plus 2I, bordered by their degrees and their count,
+(M+1) x (M+1). On a fixed active set phi is quadratic, so once the
+active set is right one step is exact. At the optimum an active edge
+has b_e <= m <= 2, as (Q w)_e <= 4, so costlier edges stay empty;
+capping b at 4 keeps it finite at any small nu and does not move the
+optimum. For nu = 0 the QP is linear and its solution is closed form:
+the budget split equally over the cheapest edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +52,13 @@ from .kernels import squared_distances
 from .solver import (Hyperparams, SpectralCache, check_targets, check_weights,
                      cost_terms, fit_krg, solve_sylvester_spectral)
 
-# the edge-weight QP stops at this KKT residual, or fails after this many steps
-_KKT_TOL = 1e-6
-_MAX_QP_ITERS = 20000
+# the edge-weight QP stops at this KKT residual, relative to the gradient's
+# scale, or fails after this many Newton steps
+_KKT_TOL = 1e-12
+_MAX_QP_ITERS = 50
+# Armijo's sufficient-increase fraction, and the halvings allowed per step
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -75,13 +101,13 @@ def project_simplex(v, radius):
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - radius
     ks = np.arange(1, len(v) + 1)
-    selected = ks[u - css / ks > 0]
-    if not selected.size:  # roundoff in css hides k = 1
+    positive = u - css / ks > 0
+    if not positive[0]:  # roundoff in css hides k = 1, which always passes
         raise KrgraphError(
             f"edge-weight radius {radius:.3g} (trace_budget {2 * radius:.3g}) "
             f"is lost to roundoff beside {u[0]:.3g}, the largest entry to "
             "project; use a larger trace_budget")
-    rho = selected[-1]
+    rho = ks[positive][-1]
     tau = css[rho - 1] / rho
     return np.maximum(v - tau, 0.0)
 
@@ -95,42 +121,102 @@ def _smoothness_costs(Y, beta):
         return beta * squared_distances(Y.T, Y.T)[np.triu_indices(M, 1)]
 
 
-def minimize_edge_weights(c, M, radius, nu):
-    """FISTA (Beck & Teboulle 2009) with gradient-scheme adaptive restart
-    (O'Donoghue & Candes 2015) for min c.w + nu w^T Q w over the scaled
-    simplex, with Q applied through the degree vector (module docstring).
+class EdgeWeights(NamedTuple):
+    """An L-step's edge weights, the Newton steps taken and the final
+    relative KKT residual (0 and 0.0 for the closed form at nu = 0)."""
 
-    Each step projects a gradient step from the extrapolated point z, and
-    the KKT residual max|w_next - z| / step is measured at z."""
+    w: np.ndarray
+    newton_steps: int
+    kkt_residual: float
+
+
+def _dual(u, m, b, i, j):
+    """phi(u, m) (module docstring), with m - b_e - u_i - u_j and the
+    weights, its positive part, at (u, m)."""
+    z = m - b - u[i] - u[j]
+    w = np.maximum(z, 0.0)
+    return -0.5 * (w @ w) - u @ u + m, z, w
+
+
+def minimize_edge_weights(c, M, radius, nu) -> EdgeWeights:
+    """min c.w + nu w^T Q w over {w >= 0, sum(w) = radius}, with the
+    solve's Newton steps and final relative KKT residual.
+
+    nu = 0 takes the closed form (module docstring). For nu > 0,
+    semismooth Newton on the dual starts from u = 0 and the m of the
+    projection of -c / (4 nu), whose weights already sum to the radius;
+    a radius lost to roundoff beside the least c / (4 nu) is rejected.
+    In the dual's units (radius 1) it stops once the projected-gradient
+    KKT residual M max|P(w - g / M) - w|, with g = b + Q w / 2 the primal
+    gradient and 1 / M the step 1 / lambda_max(Q / 2), is at most
+    _KKT_TOL max|g|, and returns the projection P(w - g / M), times the
+    radius."""
     if not np.isfinite(c).all():
         raise KrgraphError("edge costs beta * ||y_i - y_j||^2 overflow; "
                            "use a smaller beta")
+    if nu == 0:
+        cheapest = c == c.min()
+        return EdgeWeights(
+            np.where(cheapest, radius / np.count_nonzero(cheapest), 0.0),
+            0, 0.0)
+    if not 1.0 / (4.0 * nu * M) > 0:
+        raise KrgraphError(f"nu={nu:g} is so large that the edge-weight "
+                           f"step 1/(4 nu M) at M={M} underflows to 0")
+    with np.errstate(over="ignore"):
+        b = c / (4.0 * nu)
+        least = b.min()
+        if not np.isfinite(least):
+            raise KrgraphError(f"nu={nu:g} is so small that every edge "
+                               "cost c / (4 nu) overflows; use nu = 0")
+        if not least + radius > least:
+            raise KrgraphError(
+                f"edge-weight radius {radius:.3g} (trace_budget "
+                f"{2 * radius:.3g}) is lost to roundoff beside {least:.3g}, "
+                "the least edge cost over 4 nu; use a larger trace_budget "
+                "or nu")
+        # the dual's units (module docstring)
+        b = np.minimum((b - least) / radius, 4.0)
     i, j = np.triu_indices(M, 1)
-    n = len(c)
-    w = np.full(n, radius / n)
-    if nu > 0:
-        step = 1.0 / (2.0 * nu * 2.0 * M)  # 1 / (2 nu lambda_max(Q))
-        if not step > 0:
-            raise KrgraphError(f"nu={nu:g} is so large that the edge-weight "
-                               f"step 1/(4 nu M) at M={M} underflows to 0")
-    else:
-        # linear objective; step scale only affects the convergence rate
-        step = radius / (np.abs(c).max() + 1.0)
-    z, t = w, 1.0
-    for _ in range(_MAX_QP_ITERS):
-        grad = c + 2.0 * nu * _overlap_product(z, i, j, M)
-        w_next = project_simplex(z - step * grad, radius)
-        residual = np.abs(w_next - z).max() / step
+    # the start: u = 0, and the m whose weights max(0, m - b) sum to 1,
+    # that is the projection of -b; m is its largest weight, as min(b) = 0
+    u, m = np.zeros(M), project_simplex(-b, 1.0).max()
+    phi, z, w = _dual(u, m, b, i, j)
+    for steps in range(_MAX_QP_ITERS + 1):
+        g = b + 0.5 * _overlap_product(w, i, j, M)
+        # P is shift-invariant; shifted, v stays near the weights' scale
+        w_next = project_simplex(w - (g - g.min()) / M, 1.0)
+        residual = M * np.abs(w_next - w).max() / np.abs(g).max()
         if residual <= _KKT_TOL:
-            return w_next
-        if (z - w_next) @ (w_next - w) > 0:  # momentum points uphill: restart
-            t = 1.0
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        z = w_next + ((t - 1.0) / t_next) * (w_next - w)
-        w, t = w_next, t_next
+            return EdgeWeights(radius * w_next, steps, float(residual))
+        if steps == _MAX_QP_ITERS:
+            break
+        dual_grad = np.append(
+            np.bincount(i, w, M) + np.bincount(j, w, M) - 2.0 * u,
+            1.0 - w.sum())
+        active = z > 0
+        ia, ja = i[active], j[active]
+        deg = np.bincount(ia, minlength=M) + np.bincount(ja, minlength=M)
+        H = np.zeros((M + 1, M + 1))
+        H[ia, ja] = H[ja, ia] = 1.0
+        np.fill_diagonal(H[:M, :M], deg + 2.0)
+        H[M, :M] = H[:M, M] = -deg
+        H[M, M] = len(ia)
+        step = np.linalg.solve(H, dual_grad)
+        slope = _ARMIJO * (dual_grad @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = _dual(u + t * step[:M], m + t * step[M], b, i, j)
+            # with no active edge the next system would be singular
+            if trial[0] >= phi + t * slope and trial[2].any():
+                break
+            t /= 2.0
+        else:
+            break  # no ascent left that floating point resolves
+        u, m = u + t * step[:M], m + t * step[M]
+        phi, z, w = trial
     raise ConvergenceError(
-        f"edge-weight QP did not reach KKT tolerance {_KKT_TOL:g} "
-        f"in {_MAX_QP_ITERS} iterations (residual {residual:.3e})")
+        f"edge-weight QP did not reach relative KKT tolerance {_KKT_TOL:g} "
+        f"in {steps} Newton steps (residual {residual:.3e})")
 
 
 def _num_nodes(Y):
@@ -141,14 +227,19 @@ def _num_nodes(Y):
     return Y.shape[1]
 
 
-def _laplacian_step_constrained(Y, beta, cfg: GraphLearnConfig):
-    """Trace-constrained minimizer, before spectral rescaling."""
+def _laplacian_step_constrained(Y, beta, cfg: GraphLearnConfig, record=None):
+    """Trace-constrained minimizer, before spectral rescaling; the QP's
+    Newton step count and final relative KKT residual go into the dict
+    record, if one is given."""
     Y = np.asarray(Y, dtype=float)
     M = _num_nodes(Y)
     budget = cfg.trace_budget if cfg.trace_budget is not None else float(M)
     c = _smoothness_costs(Y, beta)
-    w = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
-    return w, weights_to_laplacian(w, M)
+    qp = minimize_edge_weights(c, M, budget / 2.0, cfg.nu)
+    if record is not None:
+        record.update(qp_newton_steps=qp.newton_steps,
+                      qp_kkt_residual=qp.kkt_residual)
+    return qp.w, weights_to_laplacian(qp.w, M)
 
 
 def joint_cost(Y, psi, T, L: Laplacian, hyper: Hyperparams,
@@ -181,7 +272,8 @@ def alternating_fit(K, T, hyper: Hyperparams,
         # one K Psi serves both costs and the L-step
         Y = K @ psi
         cost_w = joint_cost(Y, psi, T, L, hyper, cfg)
-        w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg)
+        qp_stats = {}
+        w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg, qp_stats)
         cost_l = joint_cost(Y, psi, T, L_new, hyper, cfg)
         del Y   # N x M; not held through the next fit
         costs.append((cost_w, cost_l))
@@ -192,6 +284,7 @@ def alternating_fit(K, T, hyper: Hyperparams,
             # the eigendecomposition the next fit reuses
             "spectral_radius": float(L_new.eigendecomposition()[0][-1]),
             "edge_sparsity": float(np.mean(w > 1e-10)),
+            **qp_stats,
         })
         converged = (
             len(costs) > 1

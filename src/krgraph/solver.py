@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DataFormatError, DimensionError,
                      KrgraphError, SingularSystemError)
-from .graphs import (Laplacian, eigh_psd, load_json, object_json, read_object,
-                     save_json)
+from .graphs import (Laplacian, eigh_psd, load_json, object_json,
+                     read_float_array, read_object, save_json)
 from .kernels import (_QUIET_OVERFLOW, KernelSpec, gram_matrix,
                       kernel_cross_matrix)
 
@@ -354,9 +354,9 @@ def load_model(path) -> KrgModel:
         if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise DataFormatError(f"unsupported model version {version!r}")
         spec = read_object(KernelSpec, doc["kernel_spec"], "kernel_spec")
-        x_train = np.array(doc["x_train"], dtype=float)
-        psi = np.array(doc["psi"], dtype=float)
-        L = Laplacian(np.array(doc["laplacian"], dtype=float))
+        x_train = read_float_array(doc["x_train"], "x_train")
+        psi = read_float_array(doc["psi"], "psi")
+        L = Laplacian(read_float_array(doc["laplacian"], "laplacian"))
         if x_train.ndim != 2 or psi.shape != (x_train.shape[0], L.num_nodes):
             raise DataFormatError(f"psi shape {psi.shape} does not fit x_train "
                                   f"shape {x_train.shape} and {L.num_nodes} nodes")
@@ -368,7 +368,8 @@ def load_model(path) -> KrgModel:
         return KrgModel(psi=psi, x_train=x_train, spec=spec, laplacian=L,
                         hyper=read_object(Hyperparams, doc["hyper"], "hyper"))
     # malformed arrays raise ValueError or TypeError, a missing field
-    # KeyError, and read_object's rejections are ConfigErrors
+    # KeyError, and the readers' rejections (read_object,
+    # read_float_array) are ConfigErrors
     except (ValueError, KeyError, TypeError, KrgraphError) as exc:
         raise DataFormatError(
             f"{path}: not a valid model file: {type(exc).__name__}: {exc}"

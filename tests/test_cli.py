@@ -641,8 +641,26 @@ class TestLearnGraph:
         _assert_one_json_error(capsys, "KrgraphError", "trace_budget 1e-300")
         assert list(out.iterdir()) == []   # iterations.jsonl included
 
+    @pytest.mark.parametrize("nu", [1e9, 1e14])
+    def test_huge_nu_learns_uniform_weights(self, tmp_path, nu):
+        """The nu -> inf limit on M=60: the QP's stop is relative to its
+        gradient, whose scale grows with nu, so a large nu converges."""
+        rng = np.random.default_rng(60)
+        save_matrix_csv(tmp_path / "X.csv", rng.standard_normal((20, 3)))
+        save_matrix_csv(tmp_path / "T.csv", rng.standard_normal((20, 60)))
+        cfg = write_config(tmp_path, "lg.json", {
+            "x_csv": str(tmp_path / "X.csv"), "t_csv": str(tmp_path / "T.csv"),
+            "kernel": {"kind": "rbf", "sigma_sq": 1.0},
+            "alpha": 0.1, "beta": 1.0, "nu": nu, "max_outer_iters": 3,
+        })
+        out = tmp_path / "lg"
+        assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 0
+        w = -load_matrix_csv(out / "laplacian.csv")[np.triu_indices(60, 1)]
+        np.testing.assert_allclose(w, np.full(w.size, w.mean()), rtol=1e-6)
+
     def test_edge_qp_iteration_cap(self, tmp_path, capsys, monkeypatch):
-        """An L-step that runs out of QP iterations fails the command."""
+        """An L-step that runs out of Newton steps fails the command: each
+        L-step here needs one, and the cap allows none."""
         out_data = make_dataset_dir(tmp_path)
         cfg = write_config(tmp_path, "lg.json", {
             "x_csv": str(out_data / "X_train.csv"),
@@ -651,7 +669,7 @@ class TestLearnGraph:
                        "matrix_csv": str(out_data / "kernel_full.csv")},
             "alpha": 0.1, "beta": 1.0, "nu": 0.5,
         })
-        monkeypatch.setattr(graphlearn, "_MAX_QP_ITERS", 2)
+        monkeypatch.setattr(graphlearn, "_MAX_QP_ITERS", 0)
         capsys.readouterr()
         out = tmp_path / "lg"
         assert run(["learn-graph", "--config", cfg, "--out-dir", out]) == 1

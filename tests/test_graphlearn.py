@@ -64,6 +64,14 @@ class TestProjectSimplex:
         with pytest.raises(KrgraphError, match="radius 1e-20.*trace_budget"):
             project_simplex(np.array([1.0, 0.5]), 1e-20)
 
+    def test_radius_lost_at_k_1_raises_whatever_later_k_pass(self):
+        """Beside entries near 1e15, 0.01 is lost, which hides k = 1, while
+        roundoff in the cumulative sums lets k = 3 pass: that projection
+        summed to 0.5, not 0.01."""
+        v = np.array([1e15 - 0.25, 1e15 - 0.125, 1e15 - 0.25])
+        with pytest.raises(KrgraphError, match="radius 0.01.*trace_budget"):
+            project_simplex(v, 0.01)
+
 
 class TestWeightsToLaplacian:
     def test_invariants_by_construction(self):
@@ -184,20 +192,21 @@ class TestEdgeOverlap:
 
     @pytest.mark.parametrize("M", [3, 5, 10, 30])
     def test_lambda_max_is_2m(self, M):
-        # the L-step's gradient step size relies on this identity
+        # the L-step's KKT residual takes its step size from this identity
         assert np.linalg.eigvalsh(edge_overlap_matrix(M)).max() == \
             pytest.approx(2.0 * M, rel=1e-12)
 
     def test_weights_match_dense_solver(self):
-        """The optimum, not the iterates: a dense projected gradient run to
-        KKT residual 1e-12, a millionth of the library's tolerance."""
-        for M, nu in [(3, 0.7), (12, 0.5), (12, 5.0), (30, 0.5)]:
+        """The optimum, not the iterates: a dense projected gradient on the
+        primal, run to an absolute KKT residual of 1e-12."""
+        for M, nu in [(3, 0.7), (12, 0.5), (12, 5.0), (30, 0.5), (12, 1e6),
+                      (30, 1e-3), (60, 0.5)]:
             Y = np.random.default_rng(16).standard_normal((20, M))
             c = _smoothness_costs(Y, 1.0)
             Q, radius = edge_overlap_matrix(M), M / 2.0
-            w = minimize_edge_weights(c, M, radius, nu)
+            w = minimize_edge_weights(c, M, radius, nu).w
             w_ref = dense_edge_qp(c, Q, radius, nu)
-            assert np.abs(w - w_ref).max() <= 1e-6
+            assert np.abs(w - w_ref).max() <= 1e-10
             obj, obj_ref = (c @ v + nu * v @ Q @ v for v in (w, w_ref))
             assert obj <= obj_ref + 1e-10 * abs(obj_ref)
             assert w.min() >= 0
@@ -205,9 +214,11 @@ class TestEdgeOverlap:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_projection_count(self, seed, monkeypatch):
-        """The accelerated L-step on M=60: plain projected gradient takes
-        689-884 projections here. The count goes through the module-level
-        project_simplex, the name perfbench's tracer wraps."""
+        """The Newton L-step on M=60 projects once for its start and once
+        per KKT check, 5 times on each seed here, where FISTA took 131-159
+        projections and plain projected gradient 689-884. The count goes
+        through the module-level project_simplex, the name perfbench's
+        tracer wraps."""
         calls = []
 
         def counted(v, radius):
@@ -217,16 +228,47 @@ class TestEdgeOverlap:
         monkeypatch.setattr(graphlearn, "project_simplex", counted)
         Y = np.random.default_rng(seed).standard_normal((200, 60))
         minimize_edge_weights(_smoothness_costs(Y, 1.0), 60, 30.0, 0.5)
-        assert 0 < len(calls) <= 300
+        assert 0 < len(calls) <= 12
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(graphlearn, "_MAX_QP_ITERS", 2)
         Y = np.random.default_rng(16).standard_normal((20, 12))
         c = _smoothness_costs(Y, 1.0)
         with pytest.raises(ConvergenceError,
-                           match=r"KKT tolerance 1e-06 in 2 iterations "
-                                 r"\(residual \d"):
+                           match=r"relative KKT tolerance 1e-12 in 2 Newton "
+                                 r"steps \(residual \d"):
             minimize_edge_weights(c, 12, 6.0, 0.5)
+
+    def test_nu_zero_splits_the_budget_over_the_cheapest_edges(self):
+        """The linear L-step's closed form: two edges share the least cost,
+        and each takes half the budget."""
+        c = np.array([3.0, 1.0, 2.0, 1.0, 5.0, 4.0])
+        qp = minimize_edge_weights(c, 4, 2.0, 0.0)
+        np.testing.assert_array_equal(qp.w, [0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        assert (qp.newton_steps, qp.kkt_residual) == (0, 0.0)
+
+    @pytest.mark.parametrize("nu", [1e-12, 1e-3, 1.0, 1e9, 1e14, 1e100,
+                                    1e306])
+    def test_converges_at_any_nu_below_the_overflow_guard(self, nu):
+        """The stop is relative to the gradient's scale, which grows with
+        nu, so it is met at large nu too; an absolute 1e-6 is not met at
+        nu = 1e9, where the residual's roundoff alone is larger."""
+        Y = np.random.default_rng(16).standard_normal((20, 12))
+        qp = minimize_edge_weights(_smoothness_costs(Y, 1.0), 12, 6.0, nu)
+        assert qp.kkt_residual <= graphlearn._KKT_TOL
+        assert qp.w.min() >= 0
+        assert abs(qp.w.sum() - 6.0) <= 1e-12 * 6.0
+
+    @pytest.mark.parametrize("nu, message", [
+        (5e-324, "nu=4.94066e-324 is so small that every edge cost"),
+        (1e-300, "radius 6 .* lost to roundoff beside 5.87e\\+300, the "
+                 "least edge cost over 4 nu; use a larger trace_budget or nu"),
+        (3.8e306, "nu=3.8e\\+306 is so large that the edge-weight step"),
+    ])
+    def test_extreme_nu_rejected(self, nu, message):
+        Y = np.random.default_rng(16).standard_normal((20, 12))
+        with pytest.raises(KrgraphError, match=message):
+            minimize_edge_weights(_smoothness_costs(Y, 1.0), 12, 6.0, nu)
 
     def test_overflowing_costs_rejected_quietly(self):
         """A finite but huge beta makes beta * ||y_i - y_j||^2 infinite."""

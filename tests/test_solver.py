@@ -862,6 +862,30 @@ class TestModelSerialization:
                 f"ConfigError: {re.escape(message)}")):
             load_model(path)
 
+    @pytest.mark.parametrize("key, entry, message", [
+        ("x_train", "0.12", 'x_train[0][0]: "0.12" is not a number'),
+        ("psi", True, "psi[0][0]: true is not a number"),
+        ("laplacian", 10**400,
+         "laplacian holds an integer beyond the float range"),
+    ], ids=["x_train_string", "psi_bool", "laplacian_huge_integer"])
+    def test_arrays_are_read_as_float_arrays(self, tmp_path, key, entry,
+                                             message):
+        """x_train, psi and the Laplacian take numbers only, as the
+        precomputed kernel does: a string or bool entry is no number, and
+        an integer beyond the float range is no float."""
+        X, T, L = make_instance(35, N=5, M=3, d=2)
+        K, spec = gram_matrix(X, KernelSpec(kind="rbf", sigma_sq=0.7))
+        path = tmp_path / "model.json"
+        save_model(path, fit_krg(K, T, L, Hyperparams(alpha=0.2, beta=0.5),
+                                 x_train=X, spec=spec))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[key][0][0] = entry
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=(
+                f"{re.escape(str(path))}: not a valid model file: "
+                f"ConfigError: {re.escape(message)}")):
+            load_model(path)
+
     def test_type_error_quotes_a_bounded_prefix(self, tmp_path):
         """A kernel_spec that is a list holding a 300 x 300 precomputed spec
         is named by the start of its JSON text, not by all of it."""

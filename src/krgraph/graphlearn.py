@@ -59,6 +59,8 @@ _MAX_QP_ITERS = 50
 # Armijo's sufficient-increase fraction, and the halvings allowed per step
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
+# project_simplex's largest relative miss of the radius
+_SIMPLEX_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,26 @@ def weights_to_laplacian(w, M) -> Laplacian:
 
 
 def project_simplex(v, radius):
-    """Euclidean projection onto {w >= 0, sum(w) = radius} (sort method)."""
+    """Euclidean projection onto {w >= 0, sum(w) = radius} (sort method).
+
+    The point returned sums to the radius within a relative _SIMPLEX_RTOL.
+    Roundoff beside the entries moves the sum further when the radius is
+    within a few of the largest entry's ulps, and then KrgraphError."""
     v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - radius
     ks = np.arange(1, len(v) + 1)
     positive = u - css / ks > 0
-    if not positive[0]:  # roundoff in css hides k = 1, which always passes
+    # k = 1 always passes unless roundoff in css hides it, and then the
+    # sum check below fails
+    rho = ks[positive][-1] if positive[0] else 1
+    w = np.maximum(v - css[rho - 1] / rho, 0.0)
+    if not abs(w.sum() - radius) <= _SIMPLEX_RTOL * radius:
         raise KrgraphError(
             f"edge-weight radius {radius:.3g} (trace_budget {2 * radius:.3g}) "
             f"is lost to roundoff beside {u[0]:.3g}, the largest entry to "
             "project; use a larger trace_budget")
-    rho = ks[positive][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
+    return w
 
 
 def _smoothness_costs(Y, beta):

@@ -72,6 +72,16 @@ class TestProjectSimplex:
         with pytest.raises(KrgraphError, match="radius 0.01.*trace_budget"):
             project_simplex(v, 0.01)
 
+    @pytest.mark.parametrize("v", [[1e15, 1e15, 1e15],
+                                   [1e15, 1e15 - 0.125, 3.0]],
+                             ids=["ties", "one_survivor"])
+    def test_radius_lost_where_k_1_passes_raises(self, v):
+        """1e15 - 0.1 rounds to 1e15 - 0.125, so k = 1 passes but every
+        weight takes the rounded shift: the projections summed to 0.375
+        and 0.125, not 0.1."""
+        with pytest.raises(KrgraphError, match="radius 0.1 .*trace_budget"):
+            project_simplex(np.array(v), 0.1)
+
 
 class TestWeightsToLaplacian:
     def test_invariants_by_construction(self):

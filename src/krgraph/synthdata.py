@@ -4,12 +4,8 @@ split in half, and corrupted by SNR-calibrated noise on the training side.
 
 from __future__ import annotations
 
-import importlib.util
-import os
 import sys
 from dataclasses import dataclass
-from functools import cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Optional
 
 import numpy as np
@@ -81,56 +77,27 @@ class Dataset:
         return self.X.shape[0]
 
 
-@cache
-def _trsm_trmm():
-    """scipy's float64 BLAS dtrsm and dtrmm, the routines that
-    scipy.linalg.blas.get_blas_funcs(("trsm", "trmm"), (A,)) returns for
-    a float64 A. They are bound from scipy's compiled wrapper
-    scipy/linalg/_fblas, loaded once per process, without running
-    scipy.linalg's package init: that takes 0.2-0.27 s, the extension
-    about 5-20 ms."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise KrgraphError("the covariance sampler needs scipy's BLAS "
-                           "wrapper, and scipy is not on the import path")
-    directories = [os.path.join(location, "linalg")
-                   for location in spec.submodule_search_locations]
-    for path in (os.path.join(directory, "_fblas" + suffix)
-                 for directory in directories for suffix in EXTENSION_SUFFIXES):
-        if os.path.isfile(path):
-            loader = ExtensionFileLoader("scipy.linalg._fblas", path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_loader(loader.name, loader))
-            loader.exec_module(module)
-            return module.dtrsm, module.dtrmm
-    raise KrgraphError("the covariance sampler needs scipy's BLAS wrapper "
-                       f"_fblas, and {' or '.join(directories)} has none")
-
-
 def sample_inverse_wishart_covariance(S: int, seed: int):
     """One S x S draw from InvWishart(dof=S+2, scale=I).
 
     dof S+2 is the smallest with a finite mean, which is then exactly the
-    identity. Bartlett's construction (Smith & Hocking 1972, AS 53) as
-    scipy.stats.invwishart runs it, so the draws equal its
-    rvs(S + 2, np.eye(S), random_state=np.random.default_rng(seed)): A is
-    lower triangular with N(0, 1) below the diagonal and chi(3 + i), that
-    is chi(dof - S + 1 + i), on it, and the sample is A^{-1} A^{-T}.
-
-    numpy has no triangular solve that gives trsm's bits, so the two
-    products run scipy's BLAS trsm and trmm, bound from its compiled
-    wrapper by _trsm_trmm: only the commands that draw data (synth and
-    bench) load it, and none of them imports the scipy.linalg package.
+    identity. Bartlett's construction (Smith & Hocking 1972, AS 53) on
+    scipy.stats.invwishart's draws, in its order: A is lower triangular
+    with N(0, 1) below the diagonal and chi(3 + i), that is
+    chi(dof - S + 1 + i), on it, and the sample is the exactly symmetric
+    A^{-1} A^{-T}, within 1e-12 of scipy's rvs(S + 2, np.eye(S),
+    random_state=np.random.default_rng(seed)) relative to its largest
+    entry. np.tril drops the roundoff the LU inverse leaves above the
+    diagonal.
     """
     if S < 2:
         raise KrgraphError("covariance dimension must be >= 2")
-    trsm, trmm = _trsm_trmm()
     rng = np.random.default_rng(seed)
     A = np.zeros((S, S))
     A[np.tril_indices(S, -1)] = rng.normal(size=S * (S - 1) // 2)
     A[np.diag_indices(S)] = rng.chisquare(3 + np.arange(S), size=S) ** 0.5
-    A_inv = trsm(1.0, A, np.eye(S), side=1, lower=True)
-    return trmm(1.0, A_inv, A_inv, side=1, lower=True, trans_a=True)
+    A_inv = np.tril(np.linalg.inv(A))
+    return A_inv @ A_inv.T
 
 
 def generate_correlated_rows(C_S, M: int, seed: int):

@@ -89,9 +89,8 @@ def test_config_keys_are_field_names(cls, holders):
 
 
 # modules whose import would grow the CLI's start-up time: scipy itself
-# (numpy runs every decomposition; the data sampler loads only scipy's
-# compiled BLAS wrapper, when it first draws, and never the scipy
-# package), the statistics package, the iterative and randomized
+# (numpy runs every decomposition and draw, and no command needs scipy),
+# the statistics package, the iterative and randomized
 # eigensolvers that the spectral cache does without, the process pool,
 # which only bench's run imports, and jsonschema with the packages it
 # brings (cli.load_config reads each config into its dataclass)
@@ -111,11 +110,11 @@ def test_cli_import_does_not_load_scipy_stats(module):
     assert proc.stdout.strip() == "False"
 
 
-# results.csv of the shipped sweep since L's null space is exact; the
-# digest in perfbench/snr_reference.json predates that change, and its
-# NMSE column agrees with this file to the benchmark's tolerance
+# results.csv of the shipped sweep; perfbench/snr_reference.json records
+# the digest of an earlier data law and solver, whose NMSE column agrees
+# with this file to the benchmark's tolerance
 SHIPPED_SNR_SWEEP_SHA256 = (
-    "1f2064b8c54583083787369a4bbc999116226aec71c91d9d84a65a43060f27cc")
+    "7b65efd234e6aa606c8bc66b234fd7e73c3bea5d8efd61b9b0f76ed1d1183c9e")
 REFERENCE_DB_TOL = 1e-8   # perfbench/checks.py's NMSE agreement
 
 
@@ -196,18 +195,37 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-def test_no_module_imports_scipy():
-    """The package runs on numpy: the covariance sampler binds scipy's
-    BLAS extension by file (synthdata._trsm_trmm), and no module imports
-    scipy, whose package inits cost 0.2 s and more."""
+def _absolute_imports():
+    """(file name, module) of each absolute import under src/krgraph."""
     imports = []
     for path in sorted((ROOT / "src" / "krgraph").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 imports += [(path.name, a.name) for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imports.append((path.name, node.module))
-    assert [i for i in imports if i[1].split(".")[0] == "scipy"] == []
+    return imports
+
+
+def test_no_module_imports_scipy():
+    """The package runs on numpy alone: no module imports scipy, whose
+    package inits cost 0.2 s and more."""
+    assert [i for i in _absolute_imports()
+            if i[1].split(".")[0] == "scipy"] == []
+
+
+def test_runtime_dependencies_are_the_imported_packages():
+    """pyproject.toml lists as runtime dependencies exactly the
+    third-party packages that src/krgraph imports; test-only packages
+    belong to the test extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml")
+                            .read_text(encoding="utf-8"))["project"]
+    listed = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0]
+              for d in project["dependencies"]}
+    imported = {module.split(".")[0] for _, module in _absolute_imports()}
+    assert listed == imported - set(sys.stdlib_module_names)
+    assert "scipy" in project["optional-dependencies"]["test"]
 
 
 @pytest.mark.parametrize("name", ["cli.py", "evaluation.py", "graphlearn.py"])

@@ -149,9 +149,13 @@ class CvConfig:
         # numpy seeds the fold split only with a non-negative integer
         if self.seed < 0:
             raise KrgraphError(f"seed must be >= 0, got {self.seed}")
-        # KR and LR fit at beta = 0 whatever the grid holds
-        _check_graph_keys(self, () if self.method in evaluation.GRAPH_FREE
-                          else self.grid.betas)
+        # KR and LR fit at beta = 0 whatever the grid holds, on no graph
+        if self.method not in evaluation.GRAPH_FREE:
+            _check_graph_keys(self, self.grid.betas)
+        elif unread := [key for key in ("graph_json", "laplacian_csv")
+                        if getattr(self, key) is not None]:
+            raise ConfigError(f"cv with method {self.method} does not "
+                              f"read {', '.join(unread)}")
 
 
 @dataclass(frozen=True)
@@ -281,6 +285,12 @@ def cmd_learn_graph(cfg, out):
     graphs.save_json(out / "cost_trace.json",
                      {"cost_trace": costs[:, 1].tolist()}, pretty=True)
     log.info("graph learning finished after %d iterations", len(costs))
+    # the eigendecomposition that the final fit used, cached on its L
+    rho = float(model.laplacian.eigendecomposition()[0][-1])
+    log.info("laplacian.csv is model.json's Laplacian divided by its "
+             "spectral radius %r; a fit on laplacian.csv with beta %r "
+             "(beta times that radius) reproduces model.json",
+             rho, cfg.hyper.beta * rho)
 
 
 def cmd_cv(cfg, out):
@@ -335,7 +345,9 @@ def _write_plot_data(out, results, scenario):
 
 def cmd_krr(cfg, out):
     if cfg.kernel_csv is not None:
-        K_bar = graphs.load_matrix_csv(cfg.kernel_csv)
+        # read as fit reads a precomputed kernel: square, symmetric, PSD
+        K_bar = KernelConfig("precomputed", matrix_csv=cfg.kernel_csv
+                             ).load_spec().precomputed
     else:
         L = graphs.build_laplacian(graphs.load_graph_json(cfg.graph_json))
         K_bar = evaluation.heat_kernel(L, cfg.tau)

@@ -13,8 +13,7 @@ terms are nonnegative), a collapse that per-iteration spectral rescaling
 cannot repair, so the budget keeps the subproblem well-posed.
 
 Edges are ordered as np.triu_indices(M, 1). Q = S S^T + 2I, with S the
-unsigned edge-node incidence, is never formed: (Q w)_e = d_i + d_j + 2 w_e
-for e = (i, j) and degrees d = S^T w, and lambda_max(Q) = 2M exactly.
+unsigned edge-node incidence, is never formed.
 
 For nu > 0 the QP is solved through its Lagrange dual, whose only
 unknowns are a multiplier per node (for d = S^T w) and one for sum(w).
@@ -27,14 +26,15 @@ and trace multiplier m, the dual is the concave, once differentiable
     phi(u, m) = -1/2 sum_e max(0, m - b_e - u_i - u_j)^2 - u.u + m,
 
 maximized where w_e = max(0, m - b_e - u_i - u_j) has degrees S^T w = 2u
-and sum(w) = 1. Semismooth Newton (Qi & Sun 1993) with Armijo
-backtracking finds that point: its system is the signless Laplacian of
-the active edges plus 2I, bordered by their degrees and their count,
-(M+1) x (M+1). On a fixed active set phi is quadratic, so once the
-active set is right one step is exact. At the optimum an active edge
-has b_e <= m <= 2, as (Q w)_e <= 4, so costlier edges stay empty;
-capping b at 4 keeps it finite at any small nu and does not move the
-optimum. For nu = 0 the QP is linear and its solution is closed form:
+and sum(w) = 1: there its gradient (S^T w - 2u, 1 - sum(w)) is 0, and w
+meets the QP's KKT conditions. Semismooth Newton (Qi & Sun 1993) with
+Armijo backtracking finds that point: its system is the signless
+Laplacian of the active edges plus 2I, bordered by their degrees and
+their count, (M+1) x (M+1). On a fixed active set phi is quadratic, so
+once the active set is right one step is exact. At the optimum an
+active edge has b_e <= m <= 2, as (Q w)_e <= 4, so costlier edges stay
+empty; capping b at 4 keeps it finite at any small nu and does not move
+the optimum. For nu = 0 the QP is linear and its solution is closed form:
 the budget split equally over the cheapest edges.
 """
 
@@ -52,8 +52,8 @@ from .kernels import squared_distances
 from .solver import (Hyperparams, SpectralCache, check_targets, check_weights,
                      cost_terms, fit_krg, solve_sylvester_spectral)
 
-# the edge-weight QP stops at this KKT residual, relative to the gradient's
-# scale, or fails after this many Newton steps
+# the edge-weight QP stops at this dual gradient, in the dual's units, or
+# fails after this many Newton steps
 _KKT_TOL = 1e-12
 _MAX_QP_ITERS = 50
 # Armijo's sufficient-increase fraction, and the halvings allowed per step
@@ -80,12 +80,6 @@ class GraphLearnConfig:
             raise KrgraphError("tol must be > 0")
         if self.trace_budget is not None and not 0 < self.trace_budget < np.inf:
             raise KrgraphError("trace_budget must be finite and > 0")
-
-
-def _overlap_product(w, i, j, M):
-    """Q w = S S^T w + 2 w in O(E), through the degree vector d = S^T w."""
-    d = np.bincount(i, w, M) + np.bincount(j, w, M)
-    return d[i] + d[j] + 2.0 * w
 
 
 def weights_to_laplacian(w, M) -> Laplacian:
@@ -131,7 +125,7 @@ def _smoothness_costs(Y, beta):
 
 class EdgeWeights(NamedTuple):
     """An L-step's edge weights, the Newton steps taken and the final
-    relative KKT residual (0 and 0.0 for the closed form at nu = 0)."""
+    dual residual (0 and 0.0 for the closed form at nu = 0)."""
 
     w: np.ndarray
     newton_steps: int
@@ -148,17 +142,15 @@ def _dual(u, m, b, i, j):
 
 def minimize_edge_weights(c, M, radius, nu) -> EdgeWeights:
     """min c.w + nu w^T Q w over {w >= 0, sum(w) = radius}, with the
-    solve's Newton steps and final relative KKT residual.
+    solve's Newton steps and final dual residual.
 
     nu = 0 takes the closed form (module docstring). For nu > 0,
     semismooth Newton on the dual starts from u = 0 and the m of the
     projection of -c / (4 nu), whose weights already sum to the radius;
     a radius lost to roundoff beside the least c / (4 nu) is rejected.
-    In the dual's units (radius 1) it stops once the projected-gradient
-    KKT residual M max|P(w - g / M) - w|, with g = b + Q w / 2 the primal
-    gradient and 1 / M the step 1 / lambda_max(Q / 2), is at most
-    _KKT_TOL max|g|, and returns the projection P(w - g / M), times the
-    radius."""
+    It stops once the dual gradient's largest entry, in the dual's units
+    (radius 1), is at most _KKT_TOL, and returns the dual's weights,
+    scaled to sum to the radius."""
     if not np.isfinite(c).all():
         raise KrgraphError("edge costs beta * ||y_i - y_j||^2 overflow; "
                            "use a smaller beta")
@@ -190,17 +182,14 @@ def minimize_edge_weights(c, M, radius, nu) -> EdgeWeights:
     u, m = np.zeros(M), project_simplex(-b, 1.0).max()
     phi, z, w = _dual(u, m, b, i, j)
     for steps in range(_MAX_QP_ITERS + 1):
-        g = b + 0.5 * _overlap_product(w, i, j, M)
-        # P is shift-invariant; shifted, v stays near the weights' scale
-        w_next = project_simplex(w - (g - g.min()) / M, 1.0)
-        residual = M * np.abs(w_next - w).max() / np.abs(g).max()
-        if residual <= _KKT_TOL:
-            return EdgeWeights(radius * w_next, steps, float(residual))
-        if steps == _MAX_QP_ITERS:
-            break
         dual_grad = np.append(
             np.bincount(i, w, M) + np.bincount(j, w, M) - 2.0 * u,
             1.0 - w.sum())
+        residual = np.abs(dual_grad).max()
+        if residual <= _KKT_TOL:
+            return EdgeWeights(radius * w / w.sum(), steps, float(residual))
+        if steps == _MAX_QP_ITERS:
+            break
         active = z > 0
         ia, ja = i[active], j[active]
         deg = np.bincount(ia, minlength=M) + np.bincount(ja, minlength=M)
@@ -237,8 +226,8 @@ def _num_nodes(Y):
 
 def _laplacian_step_constrained(Y, beta, cfg: GraphLearnConfig, record=None):
     """Trace-constrained minimizer, before spectral rescaling; the QP's
-    Newton step count and final relative KKT residual go into the dict
-    record, if one is given."""
+    Newton step count and final dual residual go into the dict record, if
+    one is given."""
     Y = np.asarray(Y, dtype=float)
     M = _num_nodes(Y)
     budget = cfg.trace_budget if cfg.trace_budget is not None else float(M)

@@ -566,6 +566,36 @@ class TestLearnGraph:
         L = load_matrix_csv(out / "laplacian.csv")
         np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-8)
 
+    def test_refit_on_laplacian_csv_reproduces_the_model(self, tmp_path,
+                                                          caplog):
+        """laplacian.csv is model.json's Laplacian over its spectral radius
+        rho, the last record's spectral_radius, so a fit on it at beta * rho
+        gives model.json's coefficients; the command logs that rule."""
+        out_data = make_dataset_dir(tmp_path)
+        data = {"x_csv": str(out_data / "X_train.csv"),
+                "t_csv": str(out_data / "T_train.csv"), "alpha": 0.1,
+                "kernel": {"kind": "precomputed",
+                           "matrix_csv": str(out_data / "kernel_full.csv")}}
+        learned = tmp_path / "lg"
+        caplog.set_level(logging.INFO, logger="krgraph")
+        assert run(["learn-graph", "--config", write_config(
+            tmp_path, "lg.json", dict(data, beta=0.7, nu=0.5,
+                                      max_outer_iters=5)),
+            "--out-dir", learned]) == 0
+        rho = _parsed(learned / "iterations.jsonl")[-1]["spectral_radius"]
+        assert [m for m in caplog.messages if "laplacian.csv" in m] == [
+            "laplacian.csv is model.json's Laplacian divided by its spectral "
+            f"radius {rho!r}; a fit on laplacian.csv with beta {0.7 * rho!r} "
+            "(beta times that radius) reproduces model.json"]
+        assert run(["fit", "--config", write_config(
+            tmp_path, "fit.json",
+            dict(data, beta=0.7 * rho,
+                 laplacian_csv=str(learned / "laplacian.csv"))),
+            "--out-dir", tmp_path / "fit"]) == 0
+        psi, ref = (load_model(path / "model.json").psi
+                    for path in (tmp_path / "fit", learned))
+        assert np.abs(psi - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def _precomputed_config(self, tmp_path, X, T):
         B = np.random.default_rng(4).standard_normal((6, 6))
         save_matrix_csv(tmp_path / "P.csv", B @ B.T + np.eye(6))
@@ -643,8 +673,8 @@ class TestLearnGraph:
 
     @pytest.mark.parametrize("nu", [1e9, 1e14])
     def test_huge_nu_learns_uniform_weights(self, tmp_path, nu):
-        """The nu -> inf limit on M=60: the QP's stop is relative to its
-        gradient, whose scale grows with nu, so a large nu converges."""
+        """The nu -> inf limit on M=60: the QP stops on its dual gradient,
+        whose units do not grow with nu, so a large nu converges."""
         rng = np.random.default_rng(60)
         save_matrix_csv(tmp_path / "X.csv", rng.standard_normal((20, 3)))
         save_matrix_csv(tmp_path / "T.csv", rng.standard_normal((20, 60)))
@@ -1006,17 +1036,22 @@ class TestKrr:
         assert run(["krr", "--config", cfg, "--out-dir", tmp_path / "o"]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("K_bar,observed,x,error", [
-        (np.ones((3, 2)), [2], [1.0], "DimensionError"),
-        (np.diag([1.0, -1.0]), [0, 1], [1.0, 2.0], "SingularSystemError"),
-        (np.eye(3), [0, 10**20], [1.0, 2.0], "DimensionError"),
-        (np.eye(3), [0, 1], [1.0], "ConfigError"),
-    ], ids=["non_square_kernel", "singular_system", "index_beyond_int64",
-            "x_of_another_length"])
+    @pytest.mark.parametrize("K_bar,observed,x,error,message", [
+        (np.ones((3, 2)), [2], [1.0], "KrgraphError", "must be square"),
+        (np.array([[2.0, 1.0, 0.0], [5.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+         [0, 1], [1.0, 2.0], "KrgraphError", "must be symmetric"),
+        (np.array([[1.0, -3.0], [-3.0, 1.0]]), [0, 1], [1.0, 2.0],
+         "KrgraphError", "must be PSD"),
+        (np.eye(3), [0, 10**20], [1.0, 2.0], "DimensionError", "in range"),
+        (np.eye(3), [0, 1], [1.0], "ConfigError", "x has 1 values"),
+    ], ids=["non_square_kernel", "non_symmetric_kernel", "indefinite_kernel",
+            "index_beyond_int64", "x_of_another_length"])
     def test_bad_kernel_is_krgraph_error(self, tmp_path, capsys, K_bar,
-                                         observed, x, error):
+                                         observed, x, error, message):
         """x of another length than observed_idx is rejected with the
-        config, which makes no --out-dir; the others with an empty one."""
+        config, which makes no --out-dir; the others with an empty one.
+        kernel_csv is held to fit's rules for a precomputed kernel: square,
+        symmetric and PSD."""
         save_matrix_csv(tmp_path / "K.csv", K_bar)
         cfg = write_config(tmp_path, "krr.json", {
             "kernel_csv": str(tmp_path / "K.csv"), "observed_idx": observed,
@@ -1024,7 +1059,7 @@ class TestKrr:
         capsys.readouterr()
         out = tmp_path / "o"
         assert run(["krr", "--config", cfg, "--out-dir", out]) == 1
-        _assert_one_json_error(capsys, error)
+        _assert_one_json_error(capsys, error, message)
         assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("observed, x, message", [

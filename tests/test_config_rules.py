@@ -219,3 +219,15 @@ def test_rule_broken_is_rejected(tmp_path, capsys, case):
 def test_non_finite_number_is_rejected(tmp_path, capsys, command, key, text):
     doc = json.dumps(_set(BASE[command], key, "@")).replace('"@"', text)
     _assert_rejected(tmp_path, capsys, command, doc, key)
+
+
+@pytest.mark.parametrize("key", ["graph_json", "laplacian_csv"])
+@pytest.mark.parametrize("method", ["KR", "LR"])
+def test_graph_free_cv_rejects_a_graph(tmp_path, capsys, method, key):
+    """KR and LR fit at beta = 0 on no graph, so a graph is a key that
+    their cv would not read."""
+    doc = {k: v for k, v in BASE["cv"].items() if k != "graph_json"}
+    doc.update(method=method, **{key: "g"})
+    if method == "LR":
+        del doc["kernel"]   # LR fits the raw features
+    _assert_rejected(tmp_path, capsys, "cv", json.dumps(doc), key)

@@ -370,6 +370,13 @@ class TestKrrBaseline:
         with pytest.raises(KrgraphError):
             krr_baseline(np.eye(3), [0, 5], np.zeros(2), mu=0.1)
 
+    def test_singular_system(self):
+        """An indefinite kernel can cancel mu S I; krr's CLI rejects it as
+        not PSD before it gets here."""
+        with pytest.raises(SingularSystemError, match="is singular"):
+            krr_baseline(np.diag([1.0, -1.0]), [0, 1], np.array([1.0, 2.0]),
+                         mu=0.5)
+
     def test_nonpositive_mu(self):
         with pytest.raises(KrgraphError):
             krr_baseline(np.eye(3), [0], np.zeros(1), mu=0.0)

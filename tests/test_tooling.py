@@ -4,6 +4,7 @@ exist, and the package keeps its start-up and its structure lean."""
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -313,16 +314,38 @@ def _referenced_names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def _layer_names():
-    """Each part of each attribute path that perfbench/tracer.py:LAYERS
-    wraps, read from the file's AST without importing it."""
+def _layers():
+    """perfbench/tracer.py:LAYERS, read from the file's AST without
+    importing it: (layer name, module, attribute path, stats) each."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(
         encoding="utf-8"))
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "LAYERS"
-                          for t in node.targets))
-    return {part for _, _, path, _ in layers for part in path.split(".")}
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS"
+                        for t in node.targets))
+
+
+def _layer_names():
+    """Each part of each attribute path that a perfbench layer wraps."""
+    return {part for _, _, path, _ in _layers() for part in path.split(".")}
+
+
+def test_every_perfbench_layer_resolves():
+    """Each module and attribute path that a perfbench layer wraps imports
+    from src/krgraph. The tracer lists a target it cannot find as absent
+    and drops its metrics, so a rename fails here instead."""
+    def resolves(module, path):
+        try:
+            target = importlib.import_module(module)
+        except ImportError:
+            return False
+        package = Path(target.__file__).resolve().parent
+        for part in path.split("."):
+            target = getattr(target, part, None)
+        return package == ROOT / "src" / "krgraph" and target is not None
+
+    assert [name for name, module, path, _ in _layers()
+            if not resolves(module, path)] == []
 
 
 def test_every_definition_is_reached():

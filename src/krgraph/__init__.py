@@ -17,7 +17,6 @@ from .graphs import (
     barabasi_albert,
     erdos_renyi,
     geodesic_adjacency,
-    spectral_rescale,
 )
 from .kernels import KernelSpec, gram_matrix, kernel_cross_matrix
 from .solver import (

@@ -277,16 +277,17 @@ def cmd_learn_graph(cfg, out):
     X = graphs.load_matrix_csv(cfg.x_csv)
     T = graphs.load_matrix_csv(cfg.t_csv)
     K, spec = gram_matrix(X, cfg.kernel.load_spec())
-    model, L, costs = graphlearn.alternating_fit(
-        K, T, cfg.hyper, cfg, log_path=out / "iterations.jsonl")
+    records = []
+    model, L, costs = graphlearn.alternating_fit(K, T, cfg.hyper, cfg,
+                                                 records)
     solver.save_model(out / "model.json",
                       dataclasses.replace(model, x_train=X, spec=spec))
     graphs.save_matrix_csv(out / "laplacian.csv", L.matrix)
     graphs.save_json(out / "cost_trace.json",
                      {"cost_trace": costs[:, 1].tolist()}, pretty=True)
+    graphs.save_json_lines(out / "iterations.jsonl", records)
     log.info("graph learning finished after %d iterations", len(costs))
-    # the eigendecomposition that the final fit used, cached on its L
-    rho = float(model.laplacian.eigendecomposition()[0][-1])
+    rho = records[-1]["spectral_radius"]
     log.info("laplacian.csv is model.json's Laplacian divided by its "
              "spectral radius %r; a fit on laplacian.csv with beta %r "
              "(beta times that radius) reproduces model.json",

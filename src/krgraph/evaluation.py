@@ -36,17 +36,15 @@ def nmse_db(Y, T0) -> float:
     T0 = np.asarray(T0, dtype=float)
     if Y.shape != T0.shape:
         raise DimensionError(f"shape mismatch {Y.shape} vs {T0.shape}")
-    denom = float(np.sum(T0**2))
-    if denom == 0:
-        raise KrgraphError("reference signal is zero; NMSE undefined")
-    return nmse_db_from_energies(float(np.sum((Y - T0) ** 2)), denom)
+    return nmse_db_from_energies(float(np.sum((Y - T0) ** 2)),
+                                 float(np.sum(T0**2)))
 
 
 def nmse_db_from_energies(error_energy, signal_energy):
     """NMSE with the expectations averaged before the ratio, floored at
     -300 dB; elementwise over an array of error energies."""
     if signal_energy <= 0:
-        raise KrgraphError("signal energy must be positive")
+        raise KrgraphError("reference signal is zero; NMSE undefined")
     with np.errstate(divide="ignore"):   # zero error: log10(0) = -inf
         db = np.maximum(10.0 * np.log10(np.divide(error_energy, signal_energy)),
                         NMSE_FLOOR_DB)
@@ -136,7 +134,6 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
         fit_rows = np.delete(np.arange(train.n), val_rows)
         X_fit, T_fit, X_val = train.X[fit_rows], train.T[fit_rows], train.X[val_rows]
         T_val = T_ref[val_rows]
-        signal = float(np.sum(T_val**2))
         for s, sigma_sq in enumerate(distinct[2]):
             if method in _PRIMAL:
                 cache = SpectralCache.build(X_fit.T @ X_fit, L)
@@ -146,8 +143,12 @@ def cross_validate(train: Dataset, L: Laplacian, grid: CvGrid, method: str,
                     kind="rbf", sigma_sq=sigma_sq))
                 cache = SpectralCache.build(K, L)
                 rhs, A_val = T_fit, kernel_cross_matrix(X_fit, X_val, spec)
-            scores[:, :, s, f] = nmse_db_from_energies(grid_error_energies(
-                cache, rhs, *distinct[:2], A_val, T_val), signal)
+            # targets near the float64 limit overflow these energies
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores[:, :, s, f] = nmse_db_from_energies(grid_error_energies(
+                    cache, rhs, *distinct[:2], A_val, T_val), np.sum(T_val**2))
+    if not np.isfinite(scores).all():
+        raise KrgraphError("targets too large: the fold energies overflow")
     mean = scores.mean(axis=-1)
     index_of = [{v: i for i, v in enumerate(values)} for values in distinct]
     # one row per grid entry, repeats included, in sorted (alpha, beta,

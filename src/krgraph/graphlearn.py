@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, KrgraphError
-from .graphs import (Graph, Laplacian, build_laplacian, save_json_lines,
-                     spectral_rescale)
+from .errors import (ConvergenceError, DimensionError, InvalidGraphError,
+                     KrgraphError)
+from .graphs import Graph, Laplacian, build_laplacian
 from .kernels import squared_distances
 from .solver import (Hyperparams, SpectralCache, check_targets, check_weights,
                      cost_terms, fit_krg, solve_sylvester_spectral)
@@ -248,14 +248,15 @@ def joint_cost(Y, psi, T, L: Laplacian, hyper: Hyperparams,
 
 
 def alternating_fit(K, T, hyper: Hyperparams,
-                    cfg: GraphLearnConfig, log_path=None):
+                    cfg: GraphLearnConfig, records=None):
     """Alternate dual fits and L-steps starting from L = 0 (plain KR).
 
     hyper weighs the coefficient and roughness terms of both sub-steps,
     and cfg.nu weighs ||L||_F^2 in the trace-constrained L-step, so the
     joint cost is nonincreasing across each sub-step. Returns (model, with
-    model.hyper = hyper; the final L rescaled to unit spectral radius; an
-    (iterations, 2) array of the joint costs after each W- and L-step).
+    model.hyper = hyper; the final L over its spectral radius; an
+    (iterations, 2) array of the joint costs after each W- and L-step),
+    and appends each outer iteration's record to the list records, if any.
     K is eigendecomposed once; each new L brings only its own eigenpairs.
     """
     T = np.asarray(T, dtype=float)
@@ -263,12 +264,16 @@ def alternating_fit(K, T, hyper: Hyperparams,
     L = Laplacian(np.zeros((M, M)))
     check_targets(T, K.shape[0], L)  # before the decomposition
     cache = SpectralCache.build(K, L)
-    costs, records = [], []
+    costs = []
+    records = [] if records is None else records
     for it in range(cfg.max_outer_iters):
         psi = solve_sylvester_spectral(cache.with_laplacian(L), T, hyper)
         # one K Psi serves both costs and the L-step
         Y = K @ psi
-        cost_w = joint_cost(Y, psi, T, L, hyper, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost_w = joint_cost(Y, psi, T, L, hyper, cfg)
+        if not np.isfinite(cost_w):
+            raise KrgraphError("targets too large: the joint cost overflows")
         qp_stats = {}
         w, L_new = _laplacian_step_constrained(Y, hyper.beta, cfg, qp_stats)
         cost_l = joint_cost(Y, psi, T, L_new, hyper, cfg)
@@ -293,7 +298,9 @@ def alternating_fit(K, T, hyper: Hyperparams,
             break
     # refit so the returned coefficients match the final Laplacian
     model = fit_krg(K, T, L, hyper, cache=cache)
-    # written only now, so a failed fit leaves no log behind
-    if log_path:
-        save_json_lines(log_path, records)
-    return model, spectral_rescale(L), np.array(costs)
+    rho = records[-1]["spectral_radius"]
+    # 0 if every eigenvalue is below Laplacian.eigendecomposition's clamp
+    if not rho > 0:
+        raise InvalidGraphError("cannot rescale the zero Laplacian; use a "
+                                "larger trace_budget")
+    return model, Laplacian(L.matrix / rho), np.array(costs)

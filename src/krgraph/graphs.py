@@ -185,15 +185,6 @@ def geodesic_adjacency(distances) -> Graph:
     return Graph(A)
 
 
-def spectral_rescale(L: Laplacian) -> Laplacian:
-    """Divide by the spectral radius, L's largest eigenvalue since L is PSD,
-    so that it becomes 1; L's cached eigendecomposition supplies it."""
-    rho = float(L.eigendecomposition()[0][-1])
-    if rho <= 0:
-        raise InvalidGraphError("cannot rescale the zero Laplacian")
-    return Laplacian(L.matrix / rho)
-
-
 # ---------------------------------------------------------------------------
 # I/O: every JSON and CSV file of the package is written and read here
 

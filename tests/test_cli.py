@@ -1767,7 +1767,14 @@ REJECTIONS = {
     "bench_huge_beta_seed_1": ("KrgraphError", "2 benchmark cells failed"),
     "learn_graph_huge_beta": ("KrgraphError", "beta=1e+308 overflow"),
     "learn_graph_huge_nu": ("KrgraphError", "nu=1e+308 is so large"),
+    # every eigenvalue of the learned L below the null space's clamp
+    "learn_graph_tiny_trace_budget": ("InvalidGraphError",
+                                      "zero Laplacian; use a larger "
+                                      "trace_budget"),
     "krr_huge_mu": ("KrgraphError", "mu must be > 0 with mu * S finite"),
+    # targets whose squares overflow float64
+    "cv_huge_targets": ("KrgraphError", "targets too large"),
+    "learn_graph_huge_targets": ("KrgraphError", "targets too large"),
     # sizes whose dense float64 square numpy cannot hold
     "synth_num_nodes_1e20": ("KrgraphError", f"num_nodes={10**20} is"),
     "synth_num_samples_2_32": ("KrgraphError", f"num_samples={2**32}"),
@@ -1826,6 +1833,19 @@ def _rejected_case(tmp_path, case):
     if case.startswith("laplacian_"):
         del fit["graph_json"]
         return "fit", dict(fit, laplacian_csv=str(matrix))
+    if case.endswith("_huge_targets"):
+        rng = np.random.default_rng(0)
+        save_matrix_csv(tmp_path / "X.csv", rng.standard_normal((12, 3)))
+        save_matrix_csv(tmp_path / "T.csv",
+                        1e200 * rng.standard_normal((12, 4)))
+        files = {"x_csv": str(tmp_path / "X.csv"),
+                 "t_csv": str(tmp_path / "T.csv")}
+        if case == "cv_huge_targets":
+            return "cv", dict(files, method="KR", kernel={"kind": "linear"},
+                              grid=dict(grid, betas=[0.0]), seed=0)
+        return "learn-graph", dict(
+            files, kernel={"kind": "rbf", "sigma_sq": 1.0}, alpha=0.1,
+            beta=1.0, nu=0.5, max_outer_iters=2)
     if case.startswith("distances_"):
         (tmp_path / "inputs.csv").write_text("x\n1.0\n2.0\n3.0\n",
                                              encoding="utf-8")
@@ -1844,6 +1864,8 @@ def _rejected_case(tmp_path, case):
             BENCH_CFG, master_seed=1, grid=dict(grid, betas=[1e308]))),
         "learn_graph_huge_beta": ("learn-graph", dict(learn_graph, beta=1e308)),
         "learn_graph_huge_nu": ("learn-graph", dict(learn_graph, nu=1e308)),
+        "learn_graph_tiny_trace_budget": ("learn-graph", dict(
+            learn_graph, trace_budget=1e-12)),
         "krr_huge_mu": ("krr", dict(krr, mu=1e308)),
         "synth_num_nodes_1e20": ("synth", dict(SYNTH_CFG, num_nodes=10**20)),
         "synth_num_samples_2_32": ("synth", dict(SYNTH_CFG, num_samples=2**32)),

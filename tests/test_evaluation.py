@@ -58,6 +58,16 @@ class TestNmse:
         with pytest.raises(KrgraphError):
             nmse_db(np.ones((2, 2)), np.zeros((2, 2)))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            nmse_db(np.ones((2, 2)), np.ones((2, 3)))
+
+    def test_zero_signal_energy_rejected(self):
+        """The one zero-reference rule, which nmse_db reaches too."""
+        with pytest.raises(KrgraphError,
+                           match="reference signal is zero; NMSE undefined"):
+            nmse_db_from_energies(np.ones(3), 0.0)
+
     def test_energy_averaging(self):
         assert nmse_db_from_energies(1.0, 100.0) == pytest.approx(-20.0)
         assert nmse_db_from_energies(0.0, 1.0) == NMSE_FLOOR_DB
@@ -380,6 +390,11 @@ class TestKrrBaseline:
     def test_nonpositive_mu(self):
         with pytest.raises(KrgraphError):
             krr_baseline(np.eye(3), [0], np.zeros(1), mu=0.0)
+
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(DimensionError,
+                           match=r"kernel matrix must be square, got \(2, 3\)"):
+            krr_baseline(np.ones((2, 3)), [0], np.zeros(1), mu=0.1)
 
     def test_one_observation_per_index(self):
         """The library's own guard; krr's config checks it before any

@@ -1,13 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from krgraph import graphlearn, solver
 from krgraph.errors import ConvergenceError, DimensionError, KrgraphError
-from krgraph.graphs import (Laplacian, build_laplacian, erdos_renyi,
-                            spectral_rescale)
+from krgraph.graphs import Laplacian, build_laplacian, erdos_renyi
 from krgraph.graphlearn import (
     GraphLearnConfig,
     _laplacian_step_constrained,
@@ -158,7 +155,7 @@ class TestLaplacianStep:
     def test_public_step_rescaled(self):
         Y = np.random.default_rng(6).standard_normal((5, 4))
         _, L = _laplacian_step_constrained(Y, 1.0, GraphLearnConfig(nu=0.5))
-        L = spectral_rescale(L)
+        L = Laplacian(L.matrix / L.eigendecomposition()[0][-1])
         assert np.linalg.norm(L.matrix, 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_one_node_rejected(self):
@@ -230,6 +227,17 @@ class TestEdgeOverlap:
         c = _smoothness_costs(Y, 1.0)
         with pytest.raises(ConvergenceError,
                            match=r"relative KKT tolerance 1e-12 in 2 Newton "
+                                 r"steps \(residual \d"):
+            minimize_edge_weights(c, 12, 6.0, 0.5)
+
+    def test_line_search_without_ascent_raises(self, monkeypatch):
+        """A Newton step whose line search finds no ascent within the
+        halvings allowed ends the solve; none are allowed here."""
+        monkeypatch.setattr(graphlearn, "_MAX_HALVINGS", 0)
+        Y = np.random.default_rng(16).standard_normal((20, 12))
+        c = _smoothness_costs(Y, 1.0)
+        with pytest.raises(ConvergenceError,
+                           match=r"relative KKT tolerance 1e-12 in 0 Newton "
                                  r"steps \(residual \d"):
             minimize_edge_weights(c, 12, 6.0, 0.5)
 
@@ -424,9 +432,10 @@ class TestAlternatingFit:
         np.testing.assert_array_equal(out1[0].psi, out2[0].psi)
         assert len(out1[2]) >= 1
 
-    def test_gram_eigendecomposed_once(self, monkeypatch, tmp_path):
-        """Also with the log on: its spectral radius and the final rescale
-        read the eigendecompositions that the fits use."""
+    def test_gram_eigendecomposed_once(self, monkeypatch):
+        """Also with the records kept: their spectral radius, which the
+        final rescale reads too, comes from the eigendecompositions that
+        the fits use."""
         N, M = 10, 6
         K, T = self._setup(16, N=N, M=M)
         cfg = GraphLearnConfig(nu=0.5, max_outer_iters=5, tol=1e-12)
@@ -437,7 +446,7 @@ class TestAlternatingFit:
             np.linalg, "eigh",
             lambda a, **kw: shapes.append(np.shape(a)) or eigh(a, **kw))
         model, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg,
-                                          log_path=tmp_path / "iters.jsonl")
+                                          records=[])
         assert len(costs) == 5
         assert shapes.count((N, N)) == 1
         assert shapes.count((M, M)) == 6  # L = 0, four L-steps, final L
@@ -476,28 +485,27 @@ class TestAlternatingFit:
         np.testing.assert_array_equal(model.psi, expected[0].psi)
         np.testing.assert_array_equal(L.matrix, expected[1].matrix)
 
-    def test_no_svd_of_a_laplacian(self, monkeypatch, tmp_path):
+    def test_no_svd_of_a_laplacian(self, monkeypatch):
         def svd(*args, **kwargs):
             raise AssertionError("SVD called")
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg._linalg, "svd", svd)  # norm(., 2)'s
         K, T = self._setup(15)
-        path = tmp_path / "iters.jsonl"
+        records = []
         cfg = GraphLearnConfig(nu=0.5, max_outer_iters=3)
         _, L, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg,
-                                      log_path=path)
-        radii = [json.loads(s)["spectral_radius"]
-                 for s in path.read_text().splitlines()]
+                                      records)
+        radii = [record["spectral_radius"] for record in records]
         assert len(radii) == len(costs) and min(radii) > 0
         assert L.eigendecomposition()[0][-1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_one_node_rejected_before_the_log_is_opened(self, tmp_path):
+    def test_one_node_rejected_before_the_log_is_opened(self):
         K, T = self._setup(15, M=1)
-        path = tmp_path / "iters.jsonl"
+        records = []
         with pytest.raises(DimensionError, match="M >= 2"):
             alternating_fit(K, T, Hyperparams(0.3, 1.0),
-                            GraphLearnConfig(nu=0.5), log_path=path)
-        assert not path.exists()
+                            GraphLearnConfig(nu=0.5), records)
+        assert records == []
 
     def test_returned_laplacian_rescaled(self):
         K, T = self._setup(14)
@@ -505,16 +513,21 @@ class TestAlternatingFit:
         _, L, _ = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg)
         assert np.linalg.norm(L.matrix, 2) == pytest.approx(1.0, abs=1e-8)
 
-    def test_jsonl_diagnostics(self, tmp_path):
+    def test_jsonl_diagnostics(self):
+        """One record per outer iteration, appended to the caller's list,
+        with its keys in the order iterations.jsonl writes them."""
         K, T = self._setup(15)
         cfg = GraphLearnConfig(nu=0.5, max_outer_iters=3)
-        path = tmp_path / "iters.jsonl"
-        alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg, log_path=path)
-        lines = [json.loads(s) for s in path.read_text().splitlines()]
-        assert lines
-        for rec in lines:
-            assert {"iter", "cost_after_w_step", "cost_after_l_step",
-                    "spectral_radius", "edge_sparsity"} <= set(rec)
+        records = []
+        _, _, costs = alternating_fit(K, T, Hyperparams(0.3, 1.0), cfg,
+                                      records)
+        assert len(records) == len(costs) >= 1
+        for it, rec in enumerate(records):
+            assert list(rec) == ["iter", "cost_after_w_step",
+                                 "cost_after_l_step", "spectral_radius",
+                                 "edge_sparsity", "qp_newton_steps",
+                                 "qp_kkt_residual"]
+            assert rec["iter"] == it
 
 
 class TestGraphLearnConfig:

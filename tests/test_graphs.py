@@ -24,7 +24,6 @@ from krgraph.graphs import (
     save_json,
     save_json_lines,
     save_matrix_csv,
-    spectral_rescale,
 )
 from oracles import (edge_sum_quadratic_form, null_space_laplacians,
                      null_space_projector, random_graph_adjacency,
@@ -35,6 +34,11 @@ NULL_SPACE_CASES = null_space_laplacians()
 
 
 class TestGraphValidation:
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidGraphError,
+                           match=r"adjacency must be square, got shape \(2, 3\)"):
+            Graph(np.zeros((2, 3)))
+
     def test_asymmetric_rejected(self):
         A = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InvalidGraphError):
@@ -183,6 +187,10 @@ class TestGenerators:
         sd = np.sqrt(1225 * 0.1 * 0.9)
         assert abs(np.count_nonzero(np.triu(g.adjacency, 1)) - 122.5) < 4 * sd
 
+    def test_er_needs_two_nodes(self):
+        with pytest.raises(InvalidGraphError, match="need at least 2 nodes"):
+            erdos_renyi(1, 0.5, seed=0)
+
     def test_er_reproducible(self):
         a = erdos_renyi(30, 0.3, seed=5).adjacency
         b = erdos_renyi(30, 0.3, seed=5).adjacency
@@ -244,31 +252,10 @@ class TestGeodesicAdjacency:
         with pytest.raises(InvalidGraphError):
             geodesic_adjacency(D)
 
-
-class TestSpectralRescale:
-    def test_single_edge(self):
-        L = build_laplacian(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        out = spectral_rescale(L)
-        np.testing.assert_allclose(out.matrix, L.matrix / 2.0)
-
-    def test_idempotent_at_unit_radius(self):
-        L = build_laplacian(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        once = spectral_rescale(L)
-        twice = spectral_rescale(once)
-        np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
-        assert np.linalg.norm(once.matrix, 2) == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_rejected(self):
-        with pytest.raises(InvalidGraphError):
-            spectral_rescale(Laplacian(np.zeros((3, 3))))
-
-    def test_radius_is_the_top_eigenvalue_of_the_one_decomposition(self):
-        """Here the SVD's 2-norm differs from L's top eigenvalue in the last
-        bit; the rescale divides by the eigenvalue, read from the cache."""
-        L = Laplacian(random_laplacian_matrix(np.random.default_rng(0), 8))
-        top = L.eigendecomposition()[0][-1]
-        assert top != np.linalg.norm(L.matrix, 2)
-        assert np.array_equal(spectral_rescale(L).matrix, L.matrix / top)
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidGraphError,
+                           match="distance matrix must be square"):
+            geodesic_adjacency(np.zeros((2, 3)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -40,6 +40,11 @@ class TestKernelSpec:
         with pytest.raises(KrgraphError):
             KernelSpec(kind="polynomial")
 
+    def test_precomputed_needs_a_matrix(self):
+        with pytest.raises(KrgraphError,
+                           match="precomputed kernel requires a matrix"):
+            KernelSpec(kind="precomputed")
+
     def test_precomputed_must_be_psd(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(KrgraphError):
@@ -82,6 +87,11 @@ class TestKernelSpec:
         assert list(object_json(KernelSpec(
             kind="rbf", sigma_sq=2.0, rbf_normalizer=3.0))) == [
             "kind", "sigma_sq", "rbf_normalizer"]
+
+    def test_equality_with_another_class_is_left_to_it(self):
+        spec = KernelSpec(kind="linear")
+        assert spec.__eq__("linear") is NotImplemented
+        assert spec != "linear"
 
     def test_equality_compares_matrices_by_value(self):
         eye = KernelSpec(kind="precomputed", precomputed=np.eye(3))

@@ -610,6 +610,11 @@ class TestPredictLrg:
         W = fit_lrg(X, T, L, Hyperparams(alpha=0.1, beta=0.5))
         np.testing.assert_allclose(predict_lrg(W, X[0]), W.T @ X[0])
 
+    def test_input_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionError,
+                           match="input dim 2 != feature dim 3"):
+            predict_lrg(np.eye(3), np.ones(2))
+
 
 class TestDualCostGradient:
     def test_finite_difference_match(self):
@@ -931,6 +936,12 @@ class TestCheckWeights:
     def test_hyperparams_reject_nan_inf_and_negative(self, alpha, beta, name):
         with pytest.raises(KrgraphError,
                            match=f"{name} must be finite and >= 0, got"):
+            Hyperparams(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("alpha,beta", [([0.1, 1.0], 0.0),
+                                            (0.1, np.array([0.5]))])
+    def test_hyperparams_are_numbers(self, alpha, beta):
+        with pytest.raises(KrgraphError, match="alpha and beta are numbers"):
             Hyperparams(alpha=alpha, beta=beta)
 
     def test_scalars_and_grids(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import invwishart
 
-from krgraph.errors import KrgraphError
+from krgraph.errors import DimensionError, KrgraphError
 from krgraph.graphs import Graph, Laplacian, barabasi_albert, build_laplacian
 from krgraph.synthdata import (
     Dataset,
@@ -25,6 +25,11 @@ K3_L = build_laplacian(Graph(np.ones((3, 3)) - np.eye(3)))
 
 
 class TestInverseWishart:
+    def test_dimension_below_two_rejected(self):
+        with pytest.raises(KrgraphError,
+                           match="covariance dimension must be >= 2"):
+            sample_inverse_wishart_covariance(1, 0)
+
     def test_symmetric_positive_definite(self):
         for seed in range(10):
             C = sample_inverse_wishart_covariance(6, seed)
@@ -320,3 +325,12 @@ class TestDataset:
         arrays[field][1, 0] = value
         with pytest.raises(KrgraphError, match=f"{field} has NaN or infinite"):
             Dataset(**arrays)
+
+    @pytest.mark.parametrize("T0_rows, X_rows, message", [
+        (3, 2, "X and T row counts differ"),
+        (2, 3, "T0 shape differs from T"),
+    ], ids=["X_rows", "T0_shape"])
+    def test_rejects_mismatched_shapes(self, T0_rows, X_rows, message):
+        with pytest.raises(DimensionError, match=message):
+            Dataset(X=np.ones((X_rows, 2)), T=np.ones((3, 4)),
+                    T0=np.ones((T0_rows, 4)))

@@ -152,6 +152,22 @@ def test_shipped_snr_sweep_matches_its_reference(tmp_path, preexec_fn):
     assert nmse == pytest.approx(reference, rel=0, abs=REFERENCE_DB_TOL)
 
 
+@pytest.mark.parametrize("workload", ["snr_sweep", "fit_predict",
+                                      "learn_graph"])
+def test_benchmark_smoke_workload_passes_its_checks(workload):
+    """The benchmark's own numpy-only output checks (the Sylvester
+    residual, the predictions, the unit-radius Laplacian, the nonincreasing
+    cost) pass on each workload's smoke inputs; its last line is a JSON
+    summary."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--smoke", "--trace", "0", "--seconds", "0.5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["correct"], summary["failed"]) == (True, 0), proc.stderr
+
+
 def test_readme_names_only_existing_paths():
     """Each configs/, scripts/, tests/ or perfbench/ path (or glob) that the
     README names matches a file in the repository."""
@@ -274,6 +290,39 @@ def test_cli_names_no_method():
         encoding="utf-8"))
     assert [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
             and n.value in METHODS] == []
+
+
+def _is_writer(name):
+    """Whether the function of this name writes a file."""
+    return name == "write_text" or name.startswith("save_")
+
+
+def _file_writes(path):
+    """(module, innermost enclosing def, None at module level) of each
+    call of a writer in the module at path."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _is_writer(
+                    getattr(child.func, "id", None)
+                    or getattr(child.func, "attr", "")):
+                found.append((path.name, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_writers_write_outside_cli():
+    """A command's files are written by cli, or by a writer that cli calls
+    (a save_* function, or graphs.write_text itself): a library algorithm
+    hands its results back, and opens no output file."""
+    writes = [w for p in MODULES if p.name != "cli.py"
+              for w in _file_writes(p)]
+    assert writes and [w for w in writes
+                       if not _is_writer(w[1] or "")] == []
 
 
 def _directory_makers(path):
